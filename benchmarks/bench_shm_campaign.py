@@ -28,7 +28,6 @@ fallback.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import platform
@@ -38,7 +37,7 @@ import numpy as np
 
 from repro.arch import build_edge_design_space, config_from_point
 from repro.cost.fused import FusedBlockEvaluation
-from repro.mapping.batch_candidates import CandidateBatch, FusedCandidateBlock
+from repro.mapping.batch_candidates import FusedCandidateBlock
 from repro.mapping.mapper import TopNMapper
 from repro.perf.shm_fleet import FleetStats, ShmFleet
 from repro.workloads import load_workload
@@ -69,12 +68,9 @@ def _mid_point():
 def _build_block(workload, config):
     """One campaign step's SoA block (construction is not timed)."""
     mapper = TopNMapper(top_n=TOP_N, max_spatial=MAX_SPATIAL)
-    batches = []
-    for layer in workload.layers:
-        candidates, budget = mapper.candidate_plan(layer, config)
-        batches.append(
-            CandidateBatch.from_specs(itertools.islice(candidates, budget))
-        )
+    batches = [
+        mapper.candidate_plan(layer, config) for layer in workload.layers
+    ]
     return FusedCandidateBlock.from_layer_batches(
         list(workload.layers), batches
     )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -38,6 +37,7 @@ from repro.cost.power import PowerBreakdown, max_power
 from repro.cost.technology import TECH_45NM, TechnologyModel
 from repro.perf.instrumentation import StageTimers
 from repro.perf.knobs import (
+    env_flag,
     fused_eval_enabled,
     fused_shards as resolve_fused_shards,
     shm_eval_enabled,
@@ -139,7 +139,8 @@ class CostEvaluator:
             process-wide shared cache.
         use_mapping_cache: Force the layer cache on/off; None enables it
             whenever the mapper supports the traced-search protocol and
-            ``REPRO_MAPPING_CACHE`` is not ``"0"``.
+            ``REPRO_MAPPING_CACHE`` is not off (``0``/``off``/``false``/
+            ``no``).
         tracer: Telemetry tracer; uncached evaluations run inside an
             ``evaluate_point`` span (timings only — spans never emit
             journal events, so traces stay deterministic).
@@ -220,8 +221,8 @@ class CostEvaluator:
             self._fleet_stats = FleetStats()
 
         if use_mapping_cache is None:
-            use_mapping_cache = (
-                os.environ.get("REPRO_MAPPING_CACHE", "1") != "0"
+            use_mapping_cache = env_flag(
+                "REPRO_MAPPING_CACHE", True
             ) and supports_tracing(mapper)
         self._caching_mapper: Optional[CachingMapper] = None
         if use_mapping_cache:

@@ -9,8 +9,9 @@ the :class:`~repro.mapping.mapper.MappingResult`.  This module collapses
 one design point's *entire* mapping stage into a handful of int64 array
 passes:
 
-1. every pending layer's candidate plan (``mapper.candidate_plan``) is
-   materialized into one
+1. every pending layer's candidate plan (``mapper.candidate_plan``, a
+   ready int64 :class:`~repro.mapping.batch_candidates.CandidateBatch`)
+   is concatenated into one
    :class:`~repro.mapping.batch_candidates.FusedCandidateBlock` — a
    (sum-of-candidates x dims) SoA block with per-row layer attributes;
 2. :class:`FusedBlockEvaluation` runs the latency/traffic/feasibility
@@ -44,7 +45,6 @@ candidate sets, which fall back per layer — takes the existing paths.
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,7 +74,7 @@ def supports_fused(mapper) -> bool:
     """Whether ``mapper`` can be driven by the fused cross-layer path.
 
     Requires the candidate-plan protocol (the search must be expressible
-    as "materialize up to N specs, pick the first strictly-best") and the
+    as "score one candidate batch, pick the first strictly-best") and the
     latency objective — energy/EDP scoring runs through the per-layer
     energy model and stays on the existing paths.
     """
@@ -502,8 +502,7 @@ def search_layers_fused(
     batches: List[CandidateBatch] = []
     remaining: List[LayerShape] = []
     for layer in layers:
-        candidates, budget = mapper.candidate_plan(layer, config)
-        batch = CandidateBatch.from_specs(itertools.islice(candidates, budget))
+        batch = mapper.candidate_plan(layer, config)
         if len(batch) and _batch.int64_safe(batch, config):
             fused_layers.append(layer)
             batches.append(batch)

@@ -9,12 +9,14 @@ round-trips through the cost model.
 This module provides the batched alternative:
 
 * :class:`CandidateSpec` — a lightweight tuple-of-tuples candidate
-  representation the generators can emit *without* constructing (and
-  validating) a ``Mapping`` object per candidate; and
+  representation for candidates built one at a time (the random
+  mapper's samples) *without* constructing (and validating) a
+  ``Mapping`` object per candidate; and
 * :class:`CandidateBatch` — a whole candidate set as integer NumPy
   arrays (one ``(n, 7)`` array of per-dimension tiling factors per
   hierarchy level plus per-candidate stationarity codes), the layout the
-  vectorized kernels in :mod:`repro.cost.batch` consume.
+  vectorized kernels in :mod:`repro.cost.batch` consume.  The top-N
+  mapper builds its batches directly as arrays.
 
 ``Mapping`` objects are still materialized — lazily, per feasible
 candidate — because search traces and mapping results carry them, but
@@ -24,7 +26,14 @@ the per-candidate dict bookkeeping disappears from the scoring loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping as MappingT, NamedTuple, Sequence, Tuple
+from typing import (
+    Iterable,
+    List,
+    Mapping as MappingT,
+    NamedTuple,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -45,6 +54,27 @@ __all__ = ["CandidateSpec", "CandidateBatch", "FusedCandidateBlock"]
 
 #: Stationary-operand code of each :data:`STATIONARY_CHOICES` member.
 STATIONARY_CODES = {op: i for i, op in enumerate(STATIONARY_CHOICES)}
+
+
+def _mapping(
+    dram: Sequence[int],
+    spm: Sequence[int],
+    spatial: Sequence[int],
+    rf: Sequence[int],
+    dram_code: int,
+    spm_code: int,
+) -> Mapping:
+    """The :class:`Mapping` of one candidate's factors and codes."""
+    return Mapping._trusted(
+        factors={
+            Level.DRAM: dict(zip(LOOP_DIMS, dram)),
+            Level.SPM: dict(zip(LOOP_DIMS, spm)),
+            Level.SPATIAL: dict(zip(LOOP_DIMS, spatial)),
+            Level.RF: dict(zip(LOOP_DIMS, rf)),
+        },
+        dram_stationary=STATIONARY_CHOICES[dram_code],
+        spm_stationary=STATIONARY_CHOICES[spm_code],
+    )
 
 
 class CandidateSpec(NamedTuple):
@@ -86,16 +116,7 @@ class CandidateSpec(NamedTuple):
 
     def to_mapping(self) -> Mapping:
         """Materialize the equivalent :class:`Mapping` object."""
-        return Mapping._trusted(
-            factors={
-                Level.DRAM: dict(zip(LOOP_DIMS, self.dram)),
-                Level.SPM: dict(zip(LOOP_DIMS, self.spm)),
-                Level.SPATIAL: dict(zip(LOOP_DIMS, self.spatial)),
-                Level.RF: dict(zip(LOOP_DIMS, self.rf)),
-            },
-            dram_stationary=STATIONARY_CHOICES[self.dram_code],
-            spm_stationary=STATIONARY_CHOICES[self.spm_code],
-        )
+        return _mapping(*self)
 
 
 @dataclass(frozen=True)
@@ -105,11 +126,8 @@ class CandidateBatch:
     Attributes:
         dram/spm/spatial/rf: ``(n, 7)`` int64 factor arrays, columns in
             ``LOOP_DIMS`` order.
-        dram_code/spm_code: ``(n,)`` stationary-operand codes indexing
-            :data:`STATIONARY_CHOICES`.
-        specs: The originating specs, kept so feasible candidates can be
-            materialized back into ``Mapping`` objects without a copy of
-            the factor data per candidate.
+        dram_code/spm_code: ``(n,)`` int64 stationary-operand codes
+            indexing :data:`STATIONARY_CHOICES`.
     """
 
     dram: np.ndarray
@@ -118,7 +136,6 @@ class CandidateBatch:
     rf: np.ndarray
     dram_code: np.ndarray
     spm_code: np.ndarray
-    specs: Tuple[CandidateSpec, ...]
 
     @classmethod
     def from_specs(cls, specs: Iterable[CandidateSpec]) -> "CandidateBatch":
@@ -142,7 +159,6 @@ class CandidateBatch:
             rf=rf,
             dram_code=dram_code,
             spm_code=spm_code,
-            specs=specs,
         )
 
     @classmethod
@@ -161,11 +177,34 @@ class CandidateBatch:
         )
 
     def __len__(self) -> int:
-        return len(self.specs)
+        return len(self.dram_code)
 
     def mapping(self, i: int) -> Mapping:
         """The :class:`Mapping` object of candidate ``i``."""
-        return self.specs[i].to_mapping()
+        return _mapping(
+            self.dram[i].tolist(),
+            self.spm[i].tolist(),
+            self.spatial[i].tolist(),
+            self.rf[i].tolist(),
+            int(self.dram_code[i]),
+            int(self.spm_code[i]),
+        )
+
+    def mappings(self, indices: Sequence[int]) -> List[Mapping]:
+        """Bulk :meth:`mapping` over ``indices``: one ``tolist()`` per
+        array instead of one per row, which dominates at trace sizes."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return list(
+            map(
+                _mapping,
+                self.dram[idx].tolist(),
+                self.spm[idx].tolist(),
+                self.spatial[idx].tolist(),
+                self.rf[idx].tolist(),
+                self.dram_code[idx].tolist(),
+                self.spm_code[idx].tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True)

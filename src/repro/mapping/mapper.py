@@ -18,7 +18,10 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import floordiv, mul
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.accelerator import AcceleratorConfig
 from repro.cost.execution_info import ExecutionInfo, InfeasibleMapping
@@ -28,8 +31,8 @@ import repro.cost.latency as _cost_latency
 from repro.mapping.batch_candidates import CandidateBatch, CandidateSpec
 from repro.mapping.dataflow import (
     SPATIAL_DIMS,
+    _greedy_tile_counts_cached,
     build_output_stationary_mapping,
-    greedy_tile_counts,
 )
 from repro.mapping.factorization import divisors
 from repro.mapping.mapping import (
@@ -39,7 +42,7 @@ from repro.mapping.mapping import (
     padded_bounds_tuple,
 )
 from repro.perf.instrumentation import BatchEvalStats
-from repro.workloads.layers import LOOP_DIMS, Dim, LayerShape
+from repro.workloads.layers import LOOP_DIMS, Dim, LayerShape, OperatorType
 
 __all__ = [
     "MappingResult",
@@ -177,6 +180,8 @@ def _log_spaced(values: Sequence[int], keep: int) -> Tuple[int, ...]:
 
 #: ``LOOP_DIMS`` column of each spatially unrollable dim.
 _SPATIAL_COLS = tuple(LOOP_DIMS.index(d) for d in SPATIAL_DIMS)
+#: Log-spaced divisor options kept per spatial dim.
+_SPATIAL_OPTIONS_PER_DIM = 8
 
 
 @functools.lru_cache(maxsize=4096)
@@ -239,17 +244,18 @@ def _spatial_unrollings_cached(
 def enumerate_spatial_unrollings(
     layer: LayerShape,
     config: AcceleratorConfig,
-    max_options_per_dim: int = 8,
+    max_options_per_dim: int = _SPATIAL_OPTIONS_PER_DIM,
     max_combos: int = 24,
-    min_utilization: float = 0.25,
 ) -> List[Dict[Dim, int]]:
     """Utilization-pruned spatial unrollings over independent output dims.
 
-    Enumerates divisor combinations over (M, OY, OX, N) with total PE use
-    <= the PE count, discards combos below ``min_utilization`` of the PEs
-    (relaxing the threshold when that empties the space, as the paper's
-    adaptive hyperparameter adjustment does), and keeps the
-    ``max_combos`` highest-occupancy ones.
+    Enumerates combinations of up to ``max_options_per_dim`` log-spaced
+    divisors per (M, OY, OX, N) with total PE use <= the PE count, orders
+    them by PEs used (highest first), and keeps at most
+    ``max(2, max_combos // 8)`` per power-of-two utilization bucket
+    (``used.bit_length()``), skipping single-PE combos, until
+    ``max_combos - 1`` are kept.  The purely temporal unrolling is always
+    appended last as the NoC-compatible fallback.
     """
     bounds = padded_bounds(layer)
     kept = _spatial_unrollings_cached(
@@ -261,35 +267,6 @@ def enumerate_spatial_unrollings(
     return [dict(zip(LOOP_DIMS, spatial)) for spatial in kept]
 
 
-def _tiling_candidates(
-    layer: LayerShape,
-    config: AcceleratorConfig,
-    spatial_choices: Iterable[Dict[Dim, int]],
-) -> Iterable[CandidateSpec]:
-    """Yield candidate specs from the pruned (spatial x RF x SPM x
-    ordering) space, round-robining across spatial unrollings so a bounded
-    evaluation budget still touches every spatial option (including the
-    compatibility fallback) before exhausting one unrolling's tiling
-    variants."""
-    generators = [
-        _candidates_for_spatial(layer, config, spatial)
-        for spatial in spatial_choices
-    ]
-    seen = set()
-    while generators:
-        for generator in list(generators):
-            emitted = False
-            for structure_key, spec in generator:
-                if structure_key in seen:
-                    continue
-                seen.add(structure_key)
-                yield spec
-                emitted = True
-                break
-            if not emitted:
-                generators.remove(generator)
-
-
 #: ``LOOP_DIMS`` indices of the greedy growth orders (tuple-domain loop).
 _RF_ORDER_COLS = tuple(
     tuple(LOOP_DIMS.index(d) for d in order) for order in RF_GROWTH_ORDERS
@@ -298,59 +275,110 @@ _SPM_ORDER_COLS = tuple(
     tuple(LOOP_DIMS.index(d) for d in order) for order in SPM_GROWTH_ORDERS
 )
 _UNIT_TILE = (1,) * len(LOOP_DIMS)
+#: Stationary-code pairs per tiling, ``dram_code * 3 + spm_code`` order.
+_CODE_PAIRS = len(STATIONARY_CHOICES) ** 2
 
 
-def _candidates_for_spatial(
+def _distinct_tilings(
     layer: LayerShape,
     config: AcceleratorConfig,
-    spatial: Dict[Dim, int],
-) -> Iterable[Tuple[tuple, CandidateSpec]]:
-    """All (structure-key, candidate-spec) pairs for one spatial unrolling.
+    bounds: Tuple[int, ...],
+    spatial: Tuple[int, ...],
+) -> Iterator[Tuple[int, ...]]:
+    """Lazily yield one unrolling's distinct tilings, RF growth order
+    major and SPM growth order minor, each as the flat factor tuple
+    ``spatial + rf + spm + dram``.
 
-    Runs entirely in the tuple domain (factors in ``LOOP_DIMS`` order):
-    candidate generation sits on the cold-search critical path alongside
-    the scoring kernels, and dict-of-enum bookkeeping used to dominate it.
+    Growth orders that land on an already-yielded ``(rf, spm)`` pair are
+    skipped; the pair fixes ``dram``, so each yielded tiling is distinct.
+    """
+    stride = layer.stride
+    dwise = layer.operator is OperatorType.DWCONV
+    bpe = config.bytes_per_element
+    spm_budget = config.l2_bytes // 2
+    remaining0 = tuple(map(floordiv, bounds, spatial))
+    seen = set()
+    for rf_order in _RF_ORDER_COLS:
+        rf = _greedy_tile_counts_cached(
+            stride, dwise, remaining0, rf_order, config.l1_bytes,
+            _UNIT_TILE, bpe,
+        )
+        remaining1 = tuple(map(floordiv, remaining0, rf))
+        base = tuple(map(mul, rf, spatial))
+        for spm_order in _SPM_ORDER_COLS:
+            spm = _greedy_tile_counts_cached(
+                stride, dwise, remaining1, spm_order, spm_budget, base, bpe,
+            )
+            if (rf, spm) in seen:
+                continue
+            seen.add((rf, spm))
+            yield spatial + rf + spm + tuple(map(floordiv, remaining1, spm))
+
+
+def _top_n_batch(
+    layer: LayerShape,
+    config: AcceleratorConfig,
+    max_spatial: int,
+    top_n: int,
+) -> CandidateBatch:
+    """The first ``top_n`` candidates of the pruned (spatial x RF x SPM x
+    stationarity) space, as one int64 :class:`CandidateBatch`.
+
+    Candidates are ordered by (pair rank, stationary-code pair, unrolling
+    index), where a tiling's pair rank is its position among its
+    unrolling's distinct tilings (:func:`_distinct_tilings`).  Every spatial
+    unrolling, including the temporal fallback, therefore appears before
+    any unrolling's second stationarity variant, so a bounded budget
+    still touches every spatial option.  Pair ranks are drawn one at a
+    time and only until ``top_n`` rows exist; the rows are then laid out
+    by gathering from the small table of drawn tilings.
     """
     bounds = padded_bounds_tuple(layer)
-    bpe = config.bytes_per_element
-    spatial_t = tuple(spatial[d] for d in LOOP_DIMS)
-    remaining0 = tuple(b // s for b, s in zip(bounds, spatial_t))
-    for rf_order in _RF_ORDER_COLS:
-        rf = greedy_tile_counts(
-            layer,
-            remaining0,
-            order=rf_order,
-            byte_budget=config.l1_bytes,
-            base_tile=_UNIT_TILE,
-            bytes_per_element=bpe,
+    active = [
+        _distinct_tilings(layer, config, bounds, spatial)
+        for spatial in _spatial_unrollings_cached(
+            tuple(bounds[c] for c in _SPATIAL_COLS),
+            config.pes,
+            _SPATIAL_OPTIONS_PER_DIM,
+            max_spatial,
         )
-        remaining1 = tuple(r // f for r, f in zip(remaining0, rf))
-        base = tuple(f * s for f, s in zip(rf, spatial_t))
-        for spm_order in _SPM_ORDER_COLS:
-            spm = greedy_tile_counts(
-                layer,
-                remaining1,
-                order=spm_order,
-                byte_budget=config.l2_bytes // 2,
-                base_tile=base,
-                bytes_per_element=bpe,
-            )
-            dram = tuple(r // f for r, f in zip(remaining1, spm))
-            structure = (spatial_t, rf, spm)
-            # Dedup keys carry the int stationary codes, not the Operand
-            # members: the codes are bijective with the choices, and enum
-            # hashing dominated the structure-dedup set at scale.
-            for dram_code in range(len(STATIONARY_CHOICES)):
-                for spm_code in range(len(STATIONARY_CHOICES)):
-                    key = structure + (dram_code, spm_code)
-                    yield key, CandidateSpec(
-                        dram=dram,
-                        spm=spm,
-                        spatial=spatial_t,
-                        rf=rf,
-                        dram_code=dram_code,
-                        spm_code=spm_code,
-                    )
+    ]
+    table: List[Tuple[int, ...]] = []
+    rows: List[np.ndarray] = []
+    codes: List[np.ndarray] = []
+    count = 0
+    while count < top_n:
+        start = len(table)
+        drawn = []
+        for tilings in active:
+            tiling = next(tilings, None)
+            if tiling is None:
+                continue
+            table.append(tiling)
+            drawn.append(tilings)
+            if count + len(drawn) == top_n:
+                break  # the budget ends within this rank's first code pair
+        if not drawn:
+            break
+        active = drawn
+        width = len(drawn)
+        # Row j of the rank: tiling ``start + j % width``, code ``j // width``.
+        j = np.arange(width * _CODE_PAIRS, dtype=np.int64)
+        rows.append(start + j % width)
+        codes.append(j // width)
+        count += width * _CODE_PAIRS
+    row = np.concatenate(rows)[:top_n]
+    code = np.concatenate(codes)[:top_n]
+    levels = np.array(table, dtype=np.int64).reshape(-1, 4, len(LOOP_DIMS))
+    levels = levels[row]
+    return CandidateBatch(
+        dram=levels[:, 3],
+        spm=levels[:, 2],
+        spatial=levels[:, 0],
+        rf=levels[:, 1],
+        dram_code=code // len(STATIONARY_CHOICES),
+        spm_code=code % len(STATIONARY_CHOICES),
+    )
 
 
 #: Mapping-objective scorers: map an execution to the value minimized by
@@ -430,12 +458,9 @@ def _best_of_traced_batch(
     """
     started = time.perf_counter()
     evaluation = _cost_batch.evaluate_layer_batch(layer, batch, config)
-    feasible = evaluation.feasible_indices.tolist()
+    feasible = evaluation.feasible_indices
     outcomes: List[Tuple[Mapping, ExecutionInfo]] = list(
-        zip(
-            (batch.mapping(i) for i in feasible),
-            evaluation.execution_infos(feasible),
-        )
+        zip(batch.mappings(feasible), evaluation.execution_infos(feasible))
     )
     best_mapping, best_exec = _select_best(layer, config, outcomes, scorer)
     if stats is not None:
@@ -454,13 +479,12 @@ def _best_of_traced_batch(
 def _best_of_traced(
     layer: LayerShape,
     config: AcceleratorConfig,
-    candidates: Iterable[CandidateSpec],
-    budget: int,
+    batch: CandidateBatch,
     objective: str = "latency",
     batch_eval: Optional[bool] = None,
     stats: Optional[BatchEvalStats] = None,
 ) -> Tuple[MappingResult, SearchTrace]:
-    """Evaluate up to ``budget`` candidate specs; return the
+    """Evaluate every candidate of ``batch``; return the
     objective-optimal result together with the re-scorable
     :class:`SearchTrace`.
 
@@ -472,26 +496,17 @@ def _best_of_traced(
     """
     scorer = _resolve_objective(objective)
     if _cost_batch.batch_eval_enabled(batch_eval):
-        batch = CandidateBatch.from_specs(
-            itertools.islice(candidates, budget)
-        )
         if _cost_batch.int64_safe(batch, config):
             return _best_of_traced_batch(layer, config, batch, scorer, stats)
         if stats is not None:
             stats.record_fallback()
-        candidates = iter(batch.specs)
 
     started = time.perf_counter()
     best_exec: Optional[ExecutionInfo] = None
     best_mapping: Optional[Mapping] = None
     best_score = float("inf")
-    evaluated = 0
     outcomes: List[Tuple[Mapping, ExecutionInfo]] = []
-    for spec in candidates:
-        if evaluated >= budget:
-            break
-        evaluated += 1
-        mapping = spec.to_mapping()
+    for mapping in batch.mappings(range(len(batch))):
         outcome = _cost_latency.evaluate_layer_mapping(layer, mapping, config)
         if isinstance(outcome, InfeasibleMapping):
             continue
@@ -502,26 +517,14 @@ def _best_of_traced(
             best_mapping = mapping
             best_score = score
     if stats is not None:
-        stats.record_scalar(evaluated, time.perf_counter() - started)
+        stats.record_scalar(len(batch), time.perf_counter() - started)
     result = MappingResult(
         mapping=best_mapping,
         execution=best_exec,
-        candidates_evaluated=evaluated,
+        candidates_evaluated=len(batch),
         feasible_candidates=len(outcomes),
     )
-    return result, SearchTrace(tuple(outcomes), evaluated)
-
-
-def _best_of(
-    layer: LayerShape,
-    config: AcceleratorConfig,
-    candidates: Iterable[CandidateSpec],
-    budget: int,
-    objective: str = "latency",
-) -> MappingResult:
-    """Evaluate up to ``budget`` candidates, returning the objective-optimal."""
-    result, _ = _best_of_traced(layer, config, candidates, budget, objective)
-    return result
+    return result, SearchTrace(tuple(outcomes), len(batch))
 
 
 class FixedDataflowMapper:
@@ -599,28 +602,22 @@ class TopNMapper:
 
     def candidate_plan(
         self, layer: LayerShape, config: AcceleratorConfig
-    ) -> Tuple[Iterable[CandidateSpec], int]:
-        """The candidate stream and evaluation budget of one search.
+    ) -> CandidateBatch:
+        """The candidate set of one search, at most ``top_n`` rows.
 
         This is the fused-evaluation protocol (``repro.cost.fused``): a
-        caller may materialize up to ``budget`` specs from the stream and
-        score them itself; consuming the plan is exactly equivalent to
-        :meth:`search_with_trace`'s own candidate enumeration.
+        caller may score the batch itself; doing so is exactly
+        equivalent to :meth:`search_with_trace`.
         """
-        spatial_choices = enumerate_spatial_unrollings(
-            layer, config, max_combos=self.max_spatial
-        )
-        return _tiling_candidates(layer, config, spatial_choices), self.top_n
+        return _top_n_batch(layer, config, self.max_spatial, self.top_n)
 
     def search_with_trace(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> Tuple[MappingResult, SearchTrace]:
-        candidates, budget = self.candidate_plan(layer, config)
         return _best_of_traced(
             layer,
             config,
-            candidates,
-            budget=budget,
+            self.candidate_plan(layer, config),
             objective=self.objective,
             batch_eval=self.batch_eval,
             stats=self.batch_stats,
@@ -700,9 +697,9 @@ class RandomSearchMapper:
 
     def candidate_plan(
         self, layer: LayerShape, config: AcceleratorConfig
-    ) -> Tuple[Iterable[CandidateSpec], int]:
-        """The candidate stream and trial budget of one search (the
-        fused-evaluation protocol; see ``TopNMapper.candidate_plan``).
+    ) -> CandidateBatch:
+        """The ``trials`` candidates of one search (the fused-evaluation
+        protocol; see ``TopNMapper.candidate_plan``).
 
         Deterministic per (layer, config) stream so evaluations cache.
         The seed is a stable digest, not ``tuple.__hash__``: hashes of str
@@ -721,21 +718,18 @@ class RandomSearchMapper:
         rng = random.Random(
             _stable_seed(self.seed, layer.name, config.pes, config.l1_bytes)
         )
-        candidates = (
+        return CandidateBatch.from_specs(
             self._random_candidate(layer, config, rng)
             for _ in range(self.trials)
         )
-        return candidates, self.trials
 
     def search_with_trace(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> Tuple[MappingResult, SearchTrace]:
-        candidates, budget = self.candidate_plan(layer, config)
         return _best_of_traced(
             layer,
             config,
-            candidates,
-            budget=budget,
+            self.candidate_plan(layer, config),
             objective=self.objective,
             batch_eval=self.batch_eval,
             stats=self.batch_stats,

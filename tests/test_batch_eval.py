@@ -95,6 +95,17 @@ def assert_outcomes_identical(scalar, batch):
             assert sv == bv, field
 
 
+def assert_mappings_identical(expected, got):
+    """Mapping equality including Python value types and dict key order."""
+    assert got == expected
+    assert list(got.factors) == list(expected.factors)
+    for level, factors in expected.factors.items():
+        assert list(got.factors[level]) == list(factors), level
+        assert all(type(f) is int for f in got.factors[level].values())
+    assert got.dram_stationary is expected.dram_stationary
+    assert got.spm_stationary is expected.spm_stationary
+
+
 def assert_results_identical(scalar, batch):
     assert scalar.candidates_evaluated == batch.candidates_evaluated
     assert scalar.feasible_candidates == batch.feasible_candidates
@@ -234,8 +245,7 @@ class TestBatchPrimitives:
         batch = CandidateBatch.from_mappings(mappings)
         assert len(batch) == len(mappings)
         for i, mapping in enumerate(mappings):
-            assert batch.mapping(i) == mapping
-        assert batch.specs == tuple(specs)
+            assert_mappings_identical(mapping, batch.mapping(i))
 
     def test_int64_safe_rejects_huge_factors(self, mid_config):
         huge = (2 ** 12,) * 7
@@ -253,15 +263,14 @@ class TestBatchPrimitives:
 
         import repro.mapping.mapper as mapper_mod
 
+        batch = CandidateBatch.from_specs(specs)
         result, trace = mapper_mod._best_of_traced(
-            conv_layer, mid_config, iter(specs), budget=len(specs),
-            stats=mapper.batch_stats,
+            conv_layer, mid_config, batch, stats=mapper.batch_stats,
         )
         assert mapper.batch_stats.int64_fallbacks == 1
         assert mapper.batch_stats.scalar_searches == 1
         scalar_result, scalar_trace = mapper_mod._best_of_traced(
-            conv_layer, mid_config, iter(specs), budget=len(specs),
-            batch_eval=False,
+            conv_layer, mid_config, batch, batch_eval=False,
         )
         assert_results_identical(scalar_result, result)
         assert trace.candidates_evaluated == scalar_trace.candidates_evaluated

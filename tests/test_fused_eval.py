@@ -22,7 +22,7 @@ from repro.cost.fused import (
     search_layers_fused,
     supports_fused,
 )
-from repro.mapping.batch_candidates import CandidateBatch, FusedCandidateBlock
+from repro.mapping.batch_candidates import FusedCandidateBlock
 from repro.mapping.mapper import (
     FixedDataflowMapper,
     RandomSearchMapper,
@@ -144,13 +144,7 @@ class TestSearchLayersFused:
         """Winner-less layers still report the scalar path's reason
         strings through the fused block's row diagnostics."""
         layer = resnet18.layer("conv3_x")
-        mapper = TopNMapper(top_n=30)
-        candidates, budget = mapper.candidate_plan(layer, tiny_config)
-        import itertools
-
-        batch = CandidateBatch.from_specs(
-            itertools.islice(candidates, budget)
-        )
+        batch = TopNMapper(top_n=30).candidate_plan(layer, tiny_config)
         block = FusedCandidateBlock.from_layer_batches([layer], [batch])
         evaluation = evaluate_fused_block(block, tiny_config)
         from repro.cost.latency import evaluate_layer_mapping

@@ -1,9 +1,10 @@
 """Validation tests for the fast-path environment knobs.
 
-``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, ``REPRO_CACHE_PLANE``,
-``REPRO_SHM_EVAL``, ``REPRO_FUSED_SHARDS``, and ``REPRO_SHM_MIN_ROWS``
-follow the ``resolve_jobs`` contract: junk values never raise — they
-warn once (per knob, per value) and fall back to the safe path.  Valid
+``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, ``REPRO_BATCH_EVAL``,
+``REPRO_MAPPING_CACHE``, ``REPRO_CACHE_PLANE``, ``REPRO_SHM_EVAL``,
+``REPRO_FUSED_SHARDS``, and ``REPRO_SHM_MIN_ROWS`` follow the
+``resolve_jobs`` contract: junk values never raise — they warn once
+(per knob, per value) and fall back to the safe path.  Valid
 values are memoized per raw string (hot paths re-read knobs), junk
 values are not (clearing ``_WARNED`` must re-warn).
 """
@@ -12,6 +13,9 @@ import warnings
 
 import pytest
 
+from repro.cost.batch import batch_eval_enabled
+from repro.cost.evaluator import CostEvaluator
+from repro.mapping.mapper import TopNMapper
 from repro.perf import knobs
 
 
@@ -20,6 +24,8 @@ def _clean_env(monkeypatch):
     for name in (
         "REPRO_FUSED_EVAL",
         "REPRO_TREE_COMPILE",
+        "REPRO_BATCH_EVAL",
+        "REPRO_MAPPING_CACHE",
         "REPRO_CACHE_PLANE",
         "REPRO_SHM_EVAL",
         "REPRO_FUSED_SHARDS",
@@ -94,6 +100,44 @@ class TestEnvFlag:
         assert knobs.fused_eval_enabled() is False
         monkeypatch.delenv("REPRO_FUSED_EVAL")
         assert knobs.fused_eval_enabled() is False
+
+
+def _batch_eval_on(workload) -> bool:
+    return batch_eval_enabled()
+
+
+def _mapping_cache_on(workload) -> bool:
+    evaluator = CostEvaluator(workload, TopNMapper(top_n=8))
+    return evaluator.mapping_cache is not None
+
+
+#: Default-on paths whose knob is parsed at its point of use.
+_DEFAULT_ON_PATHS = pytest.mark.parametrize(
+    "name,path_on",
+    [("REPRO_BATCH_EVAL", _batch_eval_on),
+     ("REPRO_MAPPING_CACHE", _mapping_cache_on)],
+    ids=["batch-eval", "mapping-cache"],
+)
+
+
+class TestDefaultOnPathKnobs:
+    @_DEFAULT_ON_PATHS
+    @pytest.mark.parametrize("raw", ["off", "false", "NO"])
+    def test_off_spellings(self, monkeypatch, tiny_workload, name, path_on,
+                           raw):
+        monkeypatch.setenv(name, raw)
+        assert path_on(tiny_workload) is False
+
+    @_DEFAULT_ON_PATHS
+    def test_junk_warns_once_and_stays_on(self, monkeypatch, tiny_workload,
+                                          name, path_on):
+        monkeypatch.setenv(name, "sometimes")
+        knobs._WARNED.clear()
+        with pytest.warns(RuntimeWarning, match=name):
+            assert path_on(tiny_workload) is True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert path_on(tiny_workload) is True
 
 
 class TestShmKnobs:

@@ -12,7 +12,6 @@ hygiene: no resource-tracker leak warnings at interpreter shutdown even
 after a worker was SIGKILLed while holding live segment attachments.
 """
 
-import itertools
 import os
 import subprocess
 import sys
@@ -30,7 +29,7 @@ from repro.cost.fused import (
     ShardedBlockEvaluation,
     search_layers_fused,
 )
-from repro.mapping.batch_candidates import CandidateBatch, FusedCandidateBlock
+from repro.mapping.batch_candidates import FusedCandidateBlock
 from repro.mapping.mapper import TopNMapper
 from repro.perf.shm_fleet import (
     _IN_FIELDS,
@@ -86,12 +85,7 @@ def _env(**values):
 def _block_for(layers, config, top_n=40):
     """The same SoA block ``search_layers_fused`` would build."""
     mapper = TopNMapper(top_n=top_n)
-    batches = []
-    for layer in layers:
-        candidates, budget = mapper.candidate_plan(layer, config)
-        batches.append(
-            CandidateBatch.from_specs(itertools.islice(candidates, budget))
-        )
+    batches = [mapper.candidate_plan(layer, config) for layer in layers]
     return FusedCandidateBlock.from_layer_batches(list(layers), batches)
 
 
@@ -397,13 +391,11 @@ class TestTeardownHygiene:
         resource-tracker leak warnings and no tracker KeyError noise."""
         script = textwrap.dedent(
             """
-            import itertools, os
+            import os
             os.environ["REPRO_RETRY_BACKOFF"] = "0.001"
 
             from repro.arch import build_edge_design_space, config_from_point
-            from repro.mapping.batch_candidates import (
-                CandidateBatch, FusedCandidateBlock,
-            )
+            from repro.mapping.batch_candidates import FusedCandidateBlock
             from repro.mapping.mapper import TopNMapper
             from repro.perf.shm_fleet import ShmFleet
             from repro.workloads import conv2d
@@ -412,11 +404,7 @@ class TestTeardownHygiene:
             point.update(pes=1024, l1_bytes=256, l2_kb=512)
             config = config_from_point(point)
             layer = conv2d("c", 16, 32, (14, 14))
-            mapper = TopNMapper(top_n=60)
-            candidates, budget = mapper.candidate_plan(layer, config)
-            batch = CandidateBatch.from_specs(
-                itertools.islice(candidates, budget)
-            )
+            batch = TopNMapper(top_n=60).candidate_plan(layer, config)
             block = FusedCandidateBlock.from_layer_batches([layer], [batch])
 
             fleet = ShmFleet()
