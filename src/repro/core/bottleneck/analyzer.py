@@ -84,8 +84,9 @@ def analyze_tree(
 
     Returns:
         Findings for every node on or near the dominating paths, ranked by
-        decreasing contribution (ties: deeper nodes first, as they are more
-        specific).  The caller cross-references finding names against the
+        decreasing contribution (ties: shallower nodes first; co-bottleneck
+        children of a max node, largest first).  The caller
+        cross-references finding names against the
         bottleneck model's affected-parameter dictionary.
     """
     # With REPRO_TREE_COMPILE on, one compiled pass yields every subtree
@@ -130,9 +131,14 @@ def analyze_tree(
             # Contribution concentrates on the arg-max child; its scaling
             # balances it against the runner-up factor.  Children tied
             # with the maximum (within 1%) are co-bottlenecks — all of
-            # them must shrink for the max to move — so each is visited.
+            # them must shrink for the max to move — so each is visited,
+            # largest first: the arg-max child is the primary bottleneck
+            # and leads the ranking (exact ties keep child order).
             peak = max(values)
-            tied = [i for i, v in enumerate(values) if v >= 0.99 * peak]
+            tied = sorted(
+                (i for i, v in enumerate(values) if v >= 0.99 * peak),
+                key=lambda i: -values[i],
+            )
             below = [v for v in values if v < 0.99 * peak]
             runner_up = max(below) if below else 0.0
             if len(tied) > 1:

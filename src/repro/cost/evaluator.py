@@ -15,9 +15,11 @@ Below the design-point cache sits the performance layer
 (:mod:`repro.perf`): per-layer mapping searches are memoized in a shared
 :class:`~repro.perf.mapping_cache.MappingCache` keyed by what the mapper
 actually reads (so sweeps over mapping-irrelevant parameters re-score
-cached candidates instead of re-searching), and independent layer
-searches can run on a ``REPRO_JOBS``-controlled worker pool.  Both
-accelerations are bit-identical to the serial/cold path.
+cached candidates instead of re-searching), and the remaining layer
+searches of a design point either resolve together in one in-process
+fused cross-layer block (:mod:`repro.cost.fused`) or run on a
+``REPRO_JOBS``-controlled worker pool.  All of these are bit-identical
+to the serial/cold path.
 """
 
 from __future__ import annotations
@@ -36,14 +38,7 @@ from repro.cost.energy import EnergyBreakdown, layer_energy
 from repro.cost.power import PowerBreakdown, max_power
 from repro.cost.technology import TECH_45NM, TechnologyModel
 from repro.perf.instrumentation import StageTimers
-from repro.perf.knobs import (
-    env_flag,
-    fused_eval_enabled,
-    fused_shards as resolve_fused_shards,
-    shm_eval_enabled,
-    shm_min_shard_rows,
-    tree_compile_enabled,
-)
+from repro.perf.knobs import env_flag, fused_eval_enabled, tree_compile_enabled
 from repro.perf.mapping_cache import CachingMapper, MappingCache, shared_cache
 from repro.perf.parallel import WorkerPool
 from repro.perf.signature import supports_tracing
@@ -148,21 +143,10 @@ class CostEvaluator:
             one fused cross-layer kernel pass (:mod:`repro.cost.fused`)
             instead of per-layer mapper calls.  ``None`` (default) defers
             to ``REPRO_FUSED_EVAL`` (default off); results are
-            bit-identical either way.  When enabled (or implied by
-            ``shm_eval``) and the mapper supports the candidate-plan
-            protocol, the fused path takes precedence over the
-            ``REPRO_JOBS`` worker pool — the pool still picks up any
-            layers the fused path hands back.
-        shm_eval: Shard each fused block over the persistent
-            shared-memory worker fleet (:mod:`repro.perf.shm_fleet`).
-            ``None`` defers to ``REPRO_SHM_EVAL`` (default off).
-            Implies the fused path; results stay bit-identical.
-        fused_shards: Shard count for the fleet; ``None`` defers to
-            ``REPRO_FUSED_SHARDS`` (default: the resolved job count).
-        shm_min_rows: Minimum candidate rows per shard (adaptive
-            sizing); ``None`` defers to ``REPRO_SHM_MIN_ROWS``.
-        shm_fleet: Fleet instance to dispatch to; ``None`` uses the
-            process-wide shared fleet (warm across campaigns).
+            bit-identical either way.  When enabled and the mapper
+            supports the candidate-plan protocol, the fused path takes
+            precedence over the ``REPRO_JOBS`` worker pool — the pool
+            still picks up any layers the fused path hands back.
 
     All environment knobs are resolved **once, here** — per-campaign,
     not per step — so the hot evaluation loop never re-reads the
@@ -182,10 +166,6 @@ class CostEvaluator:
         use_mapping_cache: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
         fused_eval: Optional[bool] = None,
-        shm_eval: Optional[bool] = None,
-        fused_shards: Optional[int] = None,
-        shm_min_rows: Optional[int] = None,
-        shm_fleet=None,
     ):
         self.workload = workload
         self.mapper = mapper
@@ -199,26 +179,14 @@ class CostEvaluator:
         self.total_seconds = 0.0
         self.timers = StageTimers()
         self._pool = WorkerPool(jobs=jobs, mode=executor_mode)
-        self._fused_eval = fused_eval
         self.retry_policy = RetryPolicy.from_env()
 
         # Knob resolution is hoisted out of the per-step loop: one env
         # read per campaign, memoized on the evaluator.
         from repro.cost.fused import supports_fused
 
-        self._shm_enabled = shm_eval_enabled(shm_eval)
-        self._fused_enabled = (
-            fused_eval_enabled(fused_eval) or self._shm_enabled
-        )
+        self._fused_enabled = fused_eval_enabled(fused_eval)
         self._supports_fused = supports_fused(mapper)
-        self._shm_shards = resolve_fused_shards(fused_shards)
-        self._shm_min_rows = shm_min_shard_rows(shm_min_rows)
-        self._fleet = shm_fleet
-        self._fleet_stats = None
-        if self._shm_enabled:
-            from repro.perf.shm_fleet import FleetStats
-
-            self._fleet_stats = FleetStats()
 
         if use_mapping_cache is None:
             use_mapping_cache = env_flag(
@@ -301,10 +269,9 @@ class CostEvaluator:
 
         Cache hits (exact or re-scored) are resolved in-process; the
         fused cross-layer path (when enabled and supported) resolves the
-        rest in one block — sharded over the shared-memory fleet when
-        ``REPRO_SHM_EVAL`` is on — and anything handed back runs
-        serially or on the worker pool.  Results are keyed by layer name
-        in workload order either way.
+        rest in one block, and anything handed back runs serially or on
+        the worker pool.  Results are keyed by layer name in workload
+        order either way.
         """
         cm = self._caching_mapper
         results: Dict[str, "MappingResult"] = {}
@@ -362,11 +329,8 @@ class CostEvaluator:
 
         Fills ``results`` with the fused layers' (bit-identical) outcomes
         and returns the layers the remaining paths must still handle —
-        everything, when the path is off, unsupported, or fails.  When
-        ``REPRO_SHM_EVAL`` is on, the block is offered to the
-        shared-memory fleet first (:meth:`_block_sharder`); the fleet
-        declining or failing lands back on the inline fused kernels.
-        Fused results feed the mapping cache's exact tier (the fused path
+        everything, when the path is off, unsupported, or fails.  Fused
+        results feed the mapping cache's exact tier (the fused path
         skips re-scorable traces); fault injection fires per layer before
         the block evaluates, matching the per-layer loop's injection
         points.  The knob and ``supports_fused`` checks were resolved
@@ -387,7 +351,6 @@ class CostEvaluator:
                 pending,
                 config,
                 stats=self.batch_eval_stats,
-                sharder=self._block_sharder if self._shm_enabled else None,
             )
         except (KeyboardInterrupt, SystemExit, ReproError):
             raise
@@ -415,25 +378,6 @@ class CostEvaluator:
                 cm.store(layer, config, result, None)
             results[layer.name] = result
         return remaining
-
-    def _block_sharder(self, block, config):
-        """Offer a fused block to the shared-memory fleet
-        (``REPRO_SHM_EVAL``).  Returns a bit-identical
-        :class:`~repro.cost.fused.ShardedBlockEvaluation` or None when
-        the fleet declines (block below the adaptive sizing threshold,
-        fleet unhealthy) — the caller then evaluates inline."""
-        fleet = self._fleet
-        if fleet is None:
-            from repro.perf.shm_fleet import shared_fleet
-
-            fleet = self._fleet = shared_fleet()
-        return fleet.evaluate_block(
-            block,
-            config,
-            shards=self._shm_shards,
-            min_rows=self._shm_min_rows,
-            stats=self._fleet_stats,
-        )
 
     def _evaluate_uncached(self, point: DesignPoint) -> Evaluation:
         config = config_from_point(
@@ -562,7 +506,7 @@ class CostEvaluator:
             plane_section.update(plane.stats.as_dict())
             plane_section["segments"] = plane.segment_count()
             plane_section["entries"] = plane.entry_count()
-        summary: Dict[str, object] = {
+        return {
             "evaluations": self.evaluations,
             "calls": self.calls,
             "total_seconds": self.total_seconds,
@@ -586,17 +530,6 @@ class CostEvaluator:
             "batch_eval": batch_section,
             "tree_compile": tree_section,
         }
-        # The section exists only when the knob is on, so journals of
-        # serial campaigns stay byte-identical to pre-fleet builds.
-        if self._shm_enabled and self._fleet_stats is not None:
-            shm_section: Dict[str, object] = {
-                "enabled": True,
-                "shards": self._shm_shards,
-                "min_shard_rows": self._shm_min_rows,
-            }
-            shm_section.update(self._fleet_stats.as_dict())
-            summary["shm_fleet"] = shm_section
-        return summary
 
     def reset_counters(self) -> None:
         """Zero the iteration/time/cache counters (caches are retained)."""
@@ -609,16 +542,9 @@ class CostEvaluator:
         stats = self.batch_eval_stats
         if stats is not None:
             stats.reset()
-        if self._fleet_stats is not None:
-            self._fleet_stats.reset()
 
     def close(self) -> None:
-        """Release the worker pool (no-op on the serial path).
-
-        The shared-memory fleet is deliberately *not* shut down here:
-        its workers stay warm for the next campaign in this process and
-        are reaped atexit (:func:`repro.perf.shm_fleet.shared_fleet`).
-        """
+        """Release the worker pool (no-op on the serial path)."""
         self._pool.close()
 
     def __enter__(self) -> "CostEvaluator":

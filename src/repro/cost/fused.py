@@ -37,16 +37,18 @@ bit-identical to a cold search, so a missing trace merely costs a future
 bandwidth-sweep re-score its shortcut.
 
 The path is opt-in via ``REPRO_FUSED_EVAL=1`` or
-``CostEvaluator(fused_eval=True)`` and is restricted to
-latency-objective mappers exposing ``candidate_plan`` (the built-in
-top-N and random mappers); anything else — including int64-unsafe
-candidate sets, which fall back per layer — takes the existing paths.
+``CostEvaluator(fused_eval=True)`` (the campaign service always passes
+the latter) and is restricted to latency-objective mappers exposing
+``candidate_plan`` (the built-in top-N and random mappers); anything
+else — including int64-unsafe candidate sets, which fall back per
+layer — takes the existing paths.  A block is always evaluated in the
+calling process.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +63,6 @@ from repro.workloads.layers import LOOP_DIMS, LayerShape, Operand
 __all__ = [
     "supports_fused",
     "FusedBlockEvaluation",
-    "ShardedBlockEvaluation",
     "evaluate_fused_block",
     "search_layers_fused",
 ]
@@ -390,98 +391,11 @@ def evaluate_fused_block(
     return FusedBlockEvaluation(block, config)
 
 
-class _BlockRows:
-    """A zero-copy row-range view over a fused block's SoA arrays.
-
-    Duck-types the :class:`FusedCandidateBlock` attributes that
-    :class:`FusedBlockEvaluation.__init__` consumes (the kernels are
-    row-elementwise, so evaluating a slice produces bitwise the same
-    per-row values as evaluating the full block).
-    """
-
-    __slots__ = (
-        "dram", "spm", "spatial", "rf", "dram_code", "spm_code",
-        "stride", "dwise", "opcode", "macs", "operators", "_n",
-    )
-
-    def __init__(self, block, start: int, stop: int):
-        rows = slice(start, stop)
-        self.dram = block.dram[rows]
-        self.spm = block.spm[rows]
-        self.spatial = block.spatial[rows]
-        self.rf = block.rf[rows]
-        self.dram_code = block.dram_code[rows]
-        self.spm_code = block.spm_code[rows]
-        self.stride = block.stride[rows]
-        self.dwise = block.dwise[rows]
-        self.opcode = block.opcode[rows]
-        self.macs = block.macs[rows]
-        self.operators = block.operators
-        self._n = stop - start
-
-    def __len__(self) -> int:
-        return self._n
-
-
-class ShardedBlockEvaluation(FusedBlockEvaluation):
-    """A block evaluation assembled from worker-computed shard results.
-
-    The shared-memory fleet (:mod:`repro.perf.shm_fleet`) computes the
-    decision arrays — per-row latency, feasibility, and infeasibility
-    code — on sibling processes; winner *selection* (the masked argmin
-    inherited from :meth:`FusedBlockEvaluation.layer_result`) happens in
-    the parent over those arrays, so it is deterministic regardless of
-    worker scheduling.  Winner *materialization* re-runs the kernels on
-    a one-row slice of the block (:class:`_BlockRows`): the kernels are
-    row-elementwise, so the ``ExecutionInfo``/``InfeasibleMapping``
-    objects are bit-identical to the single-process fused path — only
-    one row per layer pays the scalar materialization cost.
-    """
-
-    def __init__(
-        self,
-        block: FusedCandidateBlock,
-        config: AcceleratorConfig,
-        latency: np.ndarray,
-        fail_code: np.ndarray,
-        feasible: np.ndarray,
-    ):
-        # Deliberately skip FusedBlockEvaluation.__init__: the decision
-        # arrays already exist; everything else is derived per winner row.
-        self.block = block
-        self.config = config
-        self.latency = latency
-        self.fail_code = fail_code
-        self.feasible = feasible
-        self._row_cache: Dict[int, FusedBlockEvaluation] = {}
-
-    def _row_evaluation(self, row: int) -> FusedBlockEvaluation:
-        cached = self._row_cache.get(row)
-        if cached is None:
-            cached = FusedBlockEvaluation(
-                _BlockRows(self.block, row, row + 1), self.config
-            )
-            self._row_cache[row] = cached
-        return cached
-
-    def execution_info(self, row: int, layer: LayerShape) -> ExecutionInfo:
-        return self._row_evaluation(row).execution_info(0, layer)
-
-    def infeasibility(self, row: int) -> InfeasibleMapping:
-        return self._row_evaluation(row).infeasibility(0)
-
-
 def search_layers_fused(
     mapper,
     layers: Sequence[LayerShape],
     config: AcceleratorConfig,
     stats: Optional[BatchEvalStats] = None,
-    sharder: Optional[
-        Callable[
-            [FusedCandidateBlock, AcceleratorConfig],
-            Optional[FusedBlockEvaluation],
-        ]
-    ] = None,
 ) -> Tuple[List[Tuple[LayerShape, MappingResult]], List[LayerShape]]:
     """Resolve many layers' mapping searches through one fused block.
 
@@ -490,12 +404,6 @@ def search_layers_fused(
     fused, plus the layers handed back for the per-layer path (empty
     plan or int64-unsafe candidate set — the scalar reference computes
     those in arbitrary-precision ints).
-
-    ``sharder`` (the ``REPRO_SHM_EVAL`` hook) is offered the block
-    before the in-process evaluation; it returns an evaluation computed
-    elsewhere — :class:`ShardedBlockEvaluation` from the shared-memory
-    fleet — or None to decline (block too small, fleet unavailable),
-    which falls through to the inline :class:`FusedBlockEvaluation`.
     """
     started = time.perf_counter()
     fused_layers: List[LayerShape] = []
@@ -513,9 +421,7 @@ def search_layers_fused(
     if not fused_layers:
         return [], remaining
     block = FusedCandidateBlock.from_layer_batches(fused_layers, batches)
-    evaluation = sharder(block, config) if sharder is not None else None
-    if evaluation is None:
-        evaluation = FusedBlockEvaluation(block, config)
+    evaluation = FusedBlockEvaluation(block, config)
     fused: List[Tuple[LayerShape, MappingResult]] = []
     feasible_total = 0
     for index, layer in enumerate(fused_layers):

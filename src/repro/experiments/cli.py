@@ -181,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the campaign service: accept DSE submissions over HTTP "
-             "and interleave tenants' campaigns over one shared worker "
-             "fleet",
+             "and interleave tenants' campaigns",
     )
     serve.add_argument(
         "--spool", default="service-spool", metavar="DIR",

@@ -123,23 +123,6 @@ def format_run_summary(result, evaluator=None) -> str:
                     lines.append(fused)
             else:
                 lines.append("batch eval: disabled (scalar reference path)")
-        fleet = perf.get("shm_fleet")
-        if fleet:
-            shm = (
-                f"shm fleet: {fleet['blocks_sharded']} blocks sharded x "
-                f"{fleet['shards']} shards "
-                f"({fleet['shards_dispatched']} dispatched, "
-                f"{fleet['warm_hits']} warm hits, "
-                f"{fleet['shm_bytes'] / 1e6:.1f} MB shared)"
-            )
-            if fleet["shard_resubmissions"]:
-                shm += f", {fleet['shard_resubmissions']} resubmissions"
-            if fleet["blocks_inline"] or fleet["block_fallbacks"]:
-                shm += (
-                    f", {fleet['blocks_inline'] + fleet['block_fallbacks']} "
-                    "blocks inline"
-                )
-            lines.append(shm)
     return "\n".join(lines)
 
 

@@ -13,15 +13,12 @@ bit-identical results versus the serial/cold path:
 * :mod:`repro.perf.cache_plane` — a cross-process append-only segment
   store (``REPRO_CACHE_PLANE``) the mapping cache writes through to, so
   concurrently running processes share search outcomes;
-* :mod:`repro.perf.shm_fleet` — a persistent warm worker fleet
-  (``REPRO_SHM_EVAL``) that shards fused candidate blocks zero-copy
-  over shared memory, scaling one campaign step across cores;
 * :mod:`repro.perf.instrumentation` — per-stage timers and counters so
   speedups are measured, not asserted.
 
 :mod:`repro.perf.knobs` centralizes the validated environment switches
-(``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, ``REPRO_CACHE_PLANE``,
-``REPRO_SHM_EVAL``, ``REPRO_FUSED_SHARDS``, ``REPRO_SHM_MIN_ROWS``).
+(``REPRO_FUSED_EVAL``, ``REPRO_EXECUTOR``, ``REPRO_TREE_COMPILE``,
+``REPRO_CACHE_PLANE``, and the ``REPRO_SERVICE_*`` admission knobs).
 See ``docs/performance.md`` for the knobs and measured numbers.
 """
 
@@ -30,9 +27,7 @@ from repro.perf.instrumentation import BatchEvalStats, StageTimers
 from repro.perf.knobs import (
     cache_plane_dir,
     fused_eval_enabled,
-    fused_shards,
-    shm_eval_enabled,
-    shm_min_shard_rows,
+    resolve_executor_mode,
     tree_compile_enabled,
 )
 from repro.perf.mapping_cache import (
@@ -41,13 +36,7 @@ from repro.perf.mapping_cache import (
     MappingCache,
     shared_cache,
 )
-from repro.perf.parallel import (
-    WorkerPool,
-    parallel_map,
-    resolve_executor_mode,
-    resolve_jobs,
-)
-from repro.perf.shm_fleet import FleetStats, ShmFleet, shared_fleet
+from repro.perf.parallel import WorkerPool, parallel_map, resolve_jobs
 from repro.perf.signature import (
     config_signature,
     layer_signature,
@@ -63,20 +52,14 @@ __all__ = [
     "StageTimers",
     "cache_plane_dir",
     "fused_eval_enabled",
-    "fused_shards",
-    "shm_eval_enabled",
-    "shm_min_shard_rows",
+    "resolve_executor_mode",
     "tree_compile_enabled",
-    "FleetStats",
-    "ShmFleet",
-    "shared_fleet",
     "CacheStats",
     "CachingMapper",
     "MappingCache",
     "shared_cache",
     "WorkerPool",
     "parallel_map",
-    "resolve_executor_mode",
     "resolve_jobs",
     "config_signature",
     "layer_signature",

@@ -14,19 +14,12 @@ Knobs resolved here:
 * ``REPRO_TREE_COMPILE`` — postfix-compiled bottleneck-tree evaluation
   (:mod:`repro.core.bottleneck.compile`).  Default on; ``0`` selects
   the recursive reference walk.
+* ``REPRO_EXECUTOR`` — worker-pool executor kind for ``REPRO_JOBS > 1``
+  (:mod:`repro.perf.parallel`): ``process`` (default) or ``thread``.
 * ``REPRO_CACHE_PLANE`` — directory of the cross-process mapping-cache
   plane (:mod:`repro.perf.cache_plane`).  Unset/empty/``0`` disables;
   an unusable value (e.g. a path that exists as a regular file) warns
   and disables instead of failing the campaign.
-* ``REPRO_SHM_EVAL`` — shard fused cross-layer blocks over the
-  persistent shared-memory worker fleet (:mod:`repro.perf.shm_fleet`).
-  Default off (opt-in); implies the fused path.
-* ``REPRO_FUSED_SHARDS`` — shard count for ``REPRO_SHM_EVAL`` (default:
-  the resolved ``REPRO_JOBS`` worker count; ``auto``/``0`` selects
-  ``os.cpu_count()``).
-* ``REPRO_SHM_MIN_ROWS`` — minimum candidate rows per shard before a
-  block is worth dispatching to the fleet (adaptive shard sizing; tiny
-  steps evaluate in-process to skip the dispatch overhead).
 * ``REPRO_SERVICE_MAX_CONCURRENT`` — campaign-service admission cap:
   how many campaigns interleave at once (:mod:`repro.service`).
 * ``REPRO_SERVICE_STEP_QUANTUM`` — acquisition attempts granted per
@@ -54,10 +47,8 @@ __all__ = [
     "env_flag",
     "fused_eval_enabled",
     "tree_compile_enabled",
+    "resolve_executor_mode",
     "cache_plane_dir",
-    "shm_eval_enabled",
-    "fused_shards",
-    "shm_min_shard_rows",
     "service_max_concurrent",
     "service_step_quantum",
     "service_max_queue",
@@ -137,79 +128,35 @@ def tree_compile_enabled(override: Optional[bool] = None) -> bool:
     return env_flag("REPRO_TREE_COMPILE", True, override)
 
 
-def shm_eval_enabled(override: Optional[bool] = None) -> bool:
-    """Whether fused blocks are sharded over the shared-memory worker
-    fleet (:mod:`repro.perf.shm_fleet`).
+_EXECUTOR_MODES = ("process", "thread")
 
-    Opt-in: defaults off.  Enabling it implies the fused cross-layer
-    path — the fleet shards the same :class:`FusedCandidateBlock` the
-    single-process fused evaluation would build, and results stay
-    bit-identical to it (and to the scalar reference).
+
+def resolve_executor_mode(mode: Optional[str] = None) -> str:
+    """The worker-pool executor kind: ``process`` or ``thread``.
+
+    An explicit ``mode`` wins and must name a known kind (anything else
+    is a caller bug and raises ``ValueError``); otherwise
+    ``REPRO_EXECUTOR`` is read case-insensitively.  A junk environment
+    value warns once and falls back to ``process``, so even a serial
+    campaign (which never builds an executor) cannot abort on it.
     """
-    return env_flag("REPRO_SHM_EVAL", False, override)
-
-
-def fused_shards(override: Optional[int] = None) -> int:
-    """The shard count used when ``REPRO_SHM_EVAL`` is on.
-
-    Explicit ``override`` wins, then ``REPRO_FUSED_SHARDS``
-    (``auto``/``0`` select ``os.cpu_count()``), then the resolved
-    ``REPRO_JOBS`` worker count — so an unconfigured fleet matches the
-    parallelism the campaign already asked for.  Junk values warn once
-    and fall back to that default.  Always at least 1.
-    """
-    from repro.perf.parallel import resolve_jobs
-
-    if override is not None:
-        return max(1, int(override))
-    raw = os.environ.get("REPRO_FUSED_SHARDS")
+    if mode:
+        value = mode.strip().lower()
+        if value not in _EXECUTOR_MODES:
+            raise ValueError(f"unknown executor mode {mode!r}")
+        return value
+    raw = os.environ.get("REPRO_EXECUTOR")
     if raw is None:
-        return max(1, resolve_jobs(None))
+        return "process"
     value = raw.strip().lower()
-    if value in {"auto", "0"}:
-        return max(1, os.cpu_count() or 1)
-    try:
-        shards = int(value)
-    except ValueError:
-        shards = -1
-    if shards < 0:
-        _warn_once(
-            "REPRO_FUSED_SHARDS",
-            raw,
-            "falling back to the resolved REPRO_JOBS worker count — use "
-            "a positive integer or 'auto'",
-        )
-        return max(1, resolve_jobs(None))
-    return max(1, shards)
-
-
-def shm_min_shard_rows(override: Optional[int] = None) -> int:
-    """Minimum candidate rows per shard (``REPRO_SHM_MIN_ROWS``).
-
-    Blocks smaller than one shard's worth of rows evaluate in-process:
-    the fleet's dispatch overhead (segment creation + IPC) only pays
-    for itself on wide blocks.  Junk values warn once and fall back to
-    the default (4096 rows).  Always at least 1.
-    """
-    default = 4096
-    if override is not None:
-        return max(1, int(override))
-    raw = os.environ.get("REPRO_SHM_MIN_ROWS")
-    if raw is None:
-        return default
-    try:
-        rows = int(raw.strip())
-    except ValueError:
-        rows = 0
-    if rows <= 0:
-        _warn_once(
-            "REPRO_SHM_MIN_ROWS",
-            raw,
-            f"falling back to the default minimum shard size ({default} "
-            "rows) — use a positive integer",
-        )
-        return default
-    return rows
+    if value in _EXECUTOR_MODES:
+        return value
+    _warn_once(
+        "REPRO_EXECUTOR",
+        raw,
+        "falling back to the process pool — use 'process' or 'thread'",
+    )
+    return "process"
 
 
 def _positive_int_knob(name: str, default: int, override: Optional[int]) -> int:
@@ -243,8 +190,8 @@ def _positive_int_knob(name: str, default: int, override: Optional[int]) -> int:
 def service_max_concurrent(override: Optional[int] = None) -> int:
     """Campaign-service admission cap (``REPRO_SERVICE_MAX_CONCURRENT``).
 
-    How many campaigns may be resident (interleaving over the shared
-    worker fleet) at once; further submissions wait in submission order.
+    How many campaigns may be resident (interleaving slice by slice) at
+    once; further submissions wait in submission order.
     Junk values warn once and fall back to the default (4).
     """
     return _positive_int_knob("REPRO_SERVICE_MAX_CONCURRENT", 4, override)

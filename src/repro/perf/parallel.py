@@ -10,7 +10,9 @@ the one knob that controls all of them:
   ``auto`` selects ``os.cpu_count()``.
 * ``REPRO_EXECUTOR`` — ``process`` (default; real speedup for the
   pure-Python cost model) or ``thread`` (cheaper startup, useful when
-  the work releases the GIL or for testing).
+  the work releases the GIL or for testing).  Parsed by
+  :func:`repro.perf.knobs.resolve_executor_mode`: a junk value warns
+  once and selects ``process``.
 
 Work is always dispatched and collected in input order, so parallel
 results are deterministic regardless of completion order.
@@ -24,15 +26,10 @@ task that crashed in every worker.  Fault-free runs take none of these
 paths and stay bit-identical to the unsupervised pipeline.
 
 The pool here is *per-task* parallelism: each dispatched job pickles its
-payload and cold workers re-derive warm state per campaign.  For the
-fused cross-layer evaluation there is a cheaper substrate —
-:mod:`repro.perf.shm_fleet` shards one SoA block zero-copy over a
-persistent warm worker fleet (``REPRO_SHM_EVAL``), and
-``REPRO_FUSED_SHARDS`` defaults to this module's :func:`resolve_jobs`
-so both layers agree on the hardware's worker budget.  When the fused
-path is enabled and the mapper supports it, the evaluator routes the
-step through the fleet and this pool only picks up layers the fused
-path hands back.
+payload and cold workers re-derive warm state per campaign.  When the
+fused cross-layer path is enabled and the mapper supports it, the
+evaluator resolves a whole step in-process (:mod:`repro.cost.fused`)
+and this pool only picks up layers the fused path hands back.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
+from repro.perf.knobs import resolve_executor_mode
 from repro.resilience.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
@@ -57,7 +55,7 @@ from repro.resilience.errors import (
 from repro.resilience.fault_injection import attempt_scope
 from repro.resilience.supervisor import RetryPolicy
 
-__all__ = ["resolve_jobs", "resolve_executor_mode", "parallel_map", "WorkerPool"]
+__all__ = ["resolve_jobs", "parallel_map", "WorkerPool"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -89,15 +87,6 @@ def resolve_jobs(jobs: Optional[object] = None) -> int:
     if jobs == 0:
         return os.cpu_count() or 1
     return max(1, int(jobs))
-
-
-def resolve_executor_mode(mode: Optional[str] = None) -> str:
-    """Resolve the executor kind (``process`` / ``thread``)."""
-    mode = mode or os.environ.get("REPRO_EXECUTOR", "process")
-    mode = mode.strip().lower()
-    if mode not in ("process", "thread"):
-        raise ValueError(f"unknown executor mode {mode!r}")
-    return mode
 
 
 def _supervised_task(

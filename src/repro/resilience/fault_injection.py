@@ -21,10 +21,7 @@
 * ``site`` — a named injection point: ``evaluate`` (the cost evaluator,
   keyed by the design point), ``mapper`` (the per-layer mapping search,
   keyed by the layer name), ``cache-load`` / ``cache-save`` (mapping
-  cache persistence, keyed by the file path), ``shm`` (a shared-memory
-  fleet worker evaluating one shard, keyed by
-  ``shard-<start>-<stop>`` — ``kill`` faults here SIGKILL the persistent
-  worker, exercising shard resubmission), plus the four *service-layer*
+  cache persistence, keyed by the file path), plus the four *service-layer*
   sites wired into :mod:`repro.service`: ``submit`` (after the spooled
   submission record is written, keyed by the idempotency key / campaign
   id), ``slice`` (between scheduler slices, keyed by the campaign id),
@@ -91,7 +88,6 @@ FAULT_SITES = (
     "mapper",
     "cache-load",
     "cache-save",
-    "shm",
     "submit",
     "slice",
     "spool-write",

@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_BACKOFF_BASE",
     "DEFAULT_MAX_FAILURE_RATE",
     "RetryPolicy",
-    "ShardSupervisor",
     "FailureRateBreaker",
     "resolve_task_timeout",
 ]
@@ -123,42 +122,6 @@ class RetryPolicy:
         delay = self.backoff_seconds(signature, attempt)
         if delay > 0:
             time.sleep(delay)
-
-
-class ShardSupervisor:
-    """Per-shard attempt ledger for the shared-memory fleet.
-
-    Each shard of a fused block gets its own retry budget from the
-    shared :class:`RetryPolicy`.  On a worker crash or timeout the fleet
-    asks :meth:`record_failure`; the answer is either ``"resubmit"``
-    (the shard goes to a sibling worker after the policy's deterministic
-    backoff) or ``"fallback"`` (the retry budget is spent — evaluate the
-    shard serially in the parent, which can never crash the campaign).
-    """
-
-    RESUBMIT = "resubmit"
-    FALLBACK = "fallback"
-
-    def __init__(self, policy: RetryPolicy):
-        self.policy = policy
-        self._attempts: Dict[int, int] = {}
-
-    def attempt(self, shard_index: int) -> int:
-        """1-based attempt number the shard is currently on."""
-        return self._attempts.get(shard_index, 0) + 1
-
-    def record_failure(self, shard_index: int, signature: str) -> str:
-        """Charge one failed attempt; decide resubmit vs serial fallback.
-
-        Sleeps the policy's deterministic backoff before answering
-        ``"resubmit"`` so a flapping worker does not get hammered.
-        """
-        attempts = self._attempts.get(shard_index, 0) + 1
-        self._attempts[shard_index] = attempts
-        if attempts > self.policy.max_retries:
-            return self.FALLBACK
-        self.policy.sleep_before_retry(signature, attempts)
-        return self.RESUBMIT
 
 
 class FailureRateBreaker:

@@ -8,8 +8,8 @@ Layers, bottom-up:
 * :mod:`repro.service.scheduler` — :class:`CampaignScheduler`,
   deterministic weighted-fair interleaving with per-tenant step quotas.
 * :mod:`repro.service.service` — :class:`CampaignService`, the asyncio
-  submit/status/cancel/result/stream-journal surface over one shared
-  worker fleet, with a crash-safe per-campaign spool.
+  submit/status/cancel/result/stream-journal surface, with a crash-safe
+  per-campaign spool.
 * :mod:`repro.service.http` / :mod:`repro.service.client` — a
   stdlib-only JSON endpoint and its client (``repro-experiments serve``
   / ``submit``).

@@ -8,7 +8,7 @@ dependencies — delegating every operation to an in-process
 =======  =================================  =================================
 Method   Path                               Meaning
 =======  =================================  =================================
-GET      ``/v1/healthz``                    health: load, counters, fleet
+GET      ``/v1/healthz``                    health: load, counters
 POST     ``/v1/campaigns``                  submit (body: CampaignSpec JSON;
                                             ``X-Repro-Deadline`` header sets
                                             ``deadline_s`` when the body

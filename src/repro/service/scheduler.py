@@ -2,11 +2,11 @@
 
 The scheduler decides *which campaign runs next and for how many steps*;
 it never runs anything itself.  The :class:`~repro.service.service
-.CampaignService` asks for one :class:`Slice` at a time, executes it on
-the shared worker fleet, reports the outcome, and asks again — so the
-interleaving of N campaigns is a pure function of the submission
-sequence and the per-slice outcomes, never of wall-clock, thread timing,
-or dict iteration order.  Same submissions ⇒ same slice sequence ⇒ the
+.CampaignService` asks for one :class:`Slice` at a time, executes it,
+reports the outcome, and asks again — so the interleaving of N
+campaigns is a pure function of the submission sequence and the
+per-slice outcomes, never of wall-clock, thread timing, or dict
+iteration order.  Same submissions ⇒ same slice sequence ⇒ the
 per-campaign event streams (and therefore journals) are identical to
 each campaign running alone.
 

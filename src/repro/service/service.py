@@ -1,19 +1,19 @@
-"""The campaign service: async DSE-as-a-service over one shared fleet.
+"""The campaign service: async multi-tenant DSE-as-a-service.
 
 :class:`CampaignService` accepts campaign submissions from multiple
-tenants and interleaves their acquisition attempts over the process-wide
-shared-memory worker fleet (:func:`repro.perf.shm_fleet.shared_fleet` is
-the default executor plane: every campaign's fused blocks dispatch to
-the same warm workers).  Scheduling is delegated to the deterministic
-:class:`~repro.service.scheduler.CampaignScheduler`; execution is
-delegated to :class:`~repro.service.machine.CampaignStateMachine`, the
-same object a straight ``ExplainableDSE.run()`` drives — so a campaign
-that ran through the service is bit-identical to one that ran alone.
+tenants and interleaves their acquisition attempts in one process; each
+campaign evaluates its design points through the in-process fused
+cross-layer kernels (:mod:`repro.cost.fused`).  Scheduling is delegated
+to the deterministic :class:`~repro.service.scheduler.CampaignScheduler`;
+execution is delegated to
+:class:`~repro.service.machine.CampaignStateMachine`, the same object a
+straight ``ExplainableDSE.run()`` drives — so a campaign that ran
+through the service is bit-identical to one that ran alone.
 
 Slices execute strictly one at a time (``asyncio.to_thread`` keeps the
-event loop responsive while a slice computes): parallelism comes from
-the fleet *within* a step, and the one-slice-at-a-time rule is what
-makes the interleaving — and therefore every journal — deterministic.
+event loop responsive while a slice computes), and the
+one-slice-at-a-time rule is what makes the interleaving — and therefore
+every journal — deterministic.
 
 Every campaign gets its own spool directory keyed by campaign id::
 
@@ -100,12 +100,10 @@ class ServiceOverloadError(ServiceError):
 class CampaignSpec:
     """One campaign submission.
 
-    ``shm_eval`` defaults on: service campaigns share the process-wide
-    warm worker fleet unless a submission opts out.  ``tenant_quota``
-    is the tenant's total step budget (``None`` defers to the service
-    default, ``0`` means unlimited) and ``tenant_weight`` scales the
-    steps granted per scheduler turn; both update the tenant record at
-    submission time.
+    ``tenant_quota`` is the tenant's total step budget (``None`` defers
+    to the service default, ``0`` means unlimited) and ``tenant_weight``
+    scales the steps granted per scheduler turn; both update the tenant
+    record at submission time.
 
     ``deadline_s`` is the campaign's wall-clock *processing* budget:
     the cumulative time the service may spend executing its slices.
@@ -128,7 +126,6 @@ class CampaignSpec:
     top_n: int = 150
     tenant_weight: Optional[int] = None
     tenant_quota: Optional[int] = None
-    shm_eval: bool = True
     deadline_s: Optional[float] = None
     idempotency_key: Optional[str] = None
 
@@ -147,7 +144,7 @@ def default_campaign_factory(spec: CampaignSpec):
     Edge design space, Table 1 constraints, and a fresh evaluator per
     campaign (own mapping cache — interleaved campaigns must not warm
     each other's caches, or their journals would diverge from solo
-    runs).  ``shm_eval=True`` routes fused blocks to the shared fleet.
+    runs).  Every campaign runs the fused cross-layer path.
     """
     # Heavy imports stay out of module import time (and out of the
     # machine/scheduler import graph).
@@ -161,7 +158,7 @@ def default_campaign_factory(spec: CampaignSpec):
         mapping_mode=spec.mapping_mode,
         top_n=spec.top_n,
         objective=spec.objective,
-        shm_eval=spec.shm_eval,
+        fused_eval=True,
         # An explicit private cache: CachingMapper would otherwise fall
         # back to the process-global shared_cache(), whose entry gauge
         # (and, for same-model campaigns, hits) leaks into RunSummary
@@ -208,7 +205,7 @@ _TERMINAL = {"finished", "cancelled", "failed", "expired"}
 
 
 class CampaignService:
-    """Async multi-tenant campaign service over one shared worker fleet.
+    """Async multi-tenant campaign service.
 
     Args:
         spool_dir: Root of the per-campaign spool (created on start;
@@ -281,8 +278,6 @@ class CampaignService:
             "dedup_hits": 0,
             "slice_faults": 0,
             "spool_write_faults": 0,
-            "fleet_restarts": 0,
-            "fleet_wedged": 0,
         }
 
     # -- lifecycle -----------------------------------------------------------
@@ -554,12 +549,7 @@ class CampaignService:
         return self.status(campaign_id)
 
     def healthz(self) -> Dict[str, Any]:
-        """Service health: load, overload state, resilience counters,
-        and the shared fleet's worker census (``None`` when no shared
-        fleet has been spawned in this process)."""
-        from repro.perf import shm_fleet as _shm
-
-        fleet = getattr(_shm, "_SHARED", None)
+        """Service health: load, overload state, resilience counters."""
         active = sum(
             1 for r in self._records.values() if r.status not in _TERMINAL
         )
@@ -574,7 +564,6 @@ class CampaignService:
             "overload_slice_s": self.overload_slice_s,
             "pressure": self.scheduler.pressure,
             "counters": dict(self.counters),
-            "fleet": fleet.health() if fleet is not None else None,
         }
 
     def list_campaigns(self) -> List[Dict[str, Any]]:
@@ -717,7 +706,6 @@ class CampaignService:
             self._persist_tenants()
             if record.status in _TERMINAL:
                 record.done_event.set()
-            self._heartbeat_fleet()
 
     # -- deadlines & overload ------------------------------------------------
 
@@ -753,27 +741,6 @@ class CampaignService:
         else:
             self._ewma_slice_s = 0.3 * elapsed + 0.7 * self._ewma_slice_s
         self.scheduler.pressure = self._ewma_slice_s > self.overload_slice_s
-
-    def _heartbeat_fleet(self) -> None:
-        """Between slices, ping the shared fleet's workers and replace
-        dead or wedged ones.  The fleet is strictly idle here (slices
-        run one at a time and each drains its own dispatches), so any
-        worker that fails to answer a ping is wedged, not busy."""
-        from repro.perf import shm_fleet as _shm
-
-        fleet = getattr(_shm, "_SHARED", None)
-        if fleet is None:
-            return
-        try:
-            report = fleet.heartbeat()
-        except Exception as exc:  # pragma: no cover - defensive
-            warnings.warn(
-                f"fleet heartbeat failed: {type(exc).__name__}: {exc}",
-                RuntimeWarning,
-            )
-            return
-        self.counters["fleet_wedged"] += report.get("wedged", 0)
-        self.counters["fleet_restarts"] += report.get("respawned", 0)
 
     def _sweep_cancellations(self) -> None:
         """Settle cancel requests for campaigns not currently sliced —

@@ -3,11 +3,9 @@
 Runs the *same* DSE campaign through each accelerated configuration the
 perf/telemetry/resilience layers added — vectorized batch scoring, warm
 mapping cache, parallel workers, checkpoint-resume, fused cross-layer
-evaluation (``REPRO_FUSED_EVAL``), shared-memory sharded fused
-evaluation over the persistent worker fleet (``REPRO_SHM_EVAL``),
-compiled bottleneck trees (``REPRO_TREE_COMPILE``), and the
-cross-process cache plane (``REPRO_CACHE_PLANE``) — and asserts the
-outputs are identical to the
+evaluation (``REPRO_FUSED_EVAL``), compiled bottleneck trees
+(``REPRO_TREE_COMPILE``), and the cross-process cache plane
+(``REPRO_CACHE_PLANE``) — and asserts the outputs are identical to the
 serial/scalar/cold-cache/recursive reference:
 
 * **results** (trial points/costs, explanations, incumbent, budget
@@ -308,27 +306,6 @@ def run_differential(
         )
     )
 
-    say("differential: shared-memory sharded fused evaluation (REPRO_SHM_EVAL)")
-    from repro.perf.shm_fleet import ShmFleet
-
-    fleet = ShmFleet()
-    try:
-        outcomes.append(
-            campaign(
-                "shm",
-                _evaluator(
-                    workload,
-                    batch_eval=True,
-                    shm_eval=True,
-                    fused_shards=2,
-                    shm_min_rows=1,
-                    shm_fleet=fleet,
-                ),
-            )
-        )
-    finally:
-        fleet.shutdown()
-
     say("differential: compiled bottleneck trees (REPRO_TREE_COMPILE path)")
     compiled = campaign(
         "compiled-tree",
@@ -369,26 +346,18 @@ def run_differential(
     )
 
     say("differential: all fast paths combined")
-    all_on_fleet = ShmFleet()
-    try:
-        outcomes.append(
-            campaign(
-                "all-on",
-                _evaluator(
-                    workload,
-                    batch_eval=True,
-                    fused_eval=True,
-                    shm_eval=True,
-                    fused_shards=2,
-                    shm_min_rows=1,
-                    shm_fleet=all_on_fleet,
-                    cache=MappingCache(plane=CachePlane(str(plane_dir))),
-                ),
-                env={"REPRO_TREE_COMPILE": "1"},
-            )
+    outcomes.append(
+        campaign(
+            "all-on",
+            _evaluator(
+                workload,
+                batch_eval=True,
+                fused_eval=True,
+                cache=MappingCache(plane=CachePlane(str(plane_dir))),
+            ),
+            env={"REPRO_TREE_COMPILE": "1"},
         )
-    finally:
-        all_on_fleet.shutdown()
+    )
 
     report = DifferentialReport(variants=[o.name for o in outcomes])
     for outcome in outcomes[1:]:

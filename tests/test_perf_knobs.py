@@ -1,8 +1,8 @@
 """Validation tests for the fast-path environment knobs.
 
 ``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, ``REPRO_BATCH_EVAL``,
-``REPRO_MAPPING_CACHE``, ``REPRO_CACHE_PLANE``, ``REPRO_SHM_EVAL``,
-``REPRO_FUSED_SHARDS``, and ``REPRO_SHM_MIN_ROWS`` follow the
+``REPRO_MAPPING_CACHE``, ``REPRO_CACHE_PLANE``, ``REPRO_EXECUTOR``, and
+the service knobs follow the
 ``resolve_jobs`` contract: junk values never raise — they warn once
 (per knob, per value) and fall back to the safe path.  Valid
 values are memoized per raw string (hot paths re-read knobs), junk
@@ -27,9 +27,7 @@ def _clean_env(monkeypatch):
         "REPRO_BATCH_EVAL",
         "REPRO_MAPPING_CACHE",
         "REPRO_CACHE_PLANE",
-        "REPRO_SHM_EVAL",
-        "REPRO_FUSED_SHARDS",
-        "REPRO_SHM_MIN_ROWS",
+        "REPRO_EXECUTOR",
         "REPRO_JOBS",
         "REPRO_SERVICE_MAX_CONCURRENT",
         "REPRO_SERVICE_STEP_QUANTUM",
@@ -140,70 +138,33 @@ class TestDefaultOnPathKnobs:
             assert path_on(tiny_workload) is True
 
 
-class TestShmKnobs:
-    def test_shm_eval_defaults_off(self):
-        assert knobs.shm_eval_enabled() is False
-
-    def test_shm_eval_env_and_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_EVAL", "1")
-        assert knobs.shm_eval_enabled() is True
-        assert knobs.shm_eval_enabled(override=False) is False
-
-    def test_shm_eval_junk_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_EVAL", "warp-speed")
+class TestExecutorKnob:
+    def test_junk_warns_once_and_serial_campaign_runs(
+        self, monkeypatch, tiny_workload
+    ):
+        """A junk ``REPRO_EXECUTOR`` selects the process pool with one
+        warning; a serial evaluator never builds an executor, so it must
+        not abort on the value."""
+        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
         knobs._WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="REPRO_SHM_EVAL"):
-            assert knobs.shm_eval_enabled() is False
+        with pytest.warns(RuntimeWarning, match="REPRO_EXECUTOR"):
+            evaluator = CostEvaluator(
+                tiny_workload, TopNMapper(top_n=8), jobs=1
+            )
+        assert evaluator.perf_summary()["executor"] == "process"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert knobs.resolve_executor_mode() == "process"
 
-    def test_fused_shards_defaults_to_resolved_jobs(self, monkeypatch):
-        assert knobs.fused_shards() == 1  # REPRO_JOBS default is serial
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert knobs.fused_shards() == 3
-
-    def test_fused_shards_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_SHARDS", "5")
-        assert knobs.fused_shards() == 5
-
-    @pytest.mark.parametrize("raw", ["auto", "0", "AUTO"])
-    def test_fused_shards_auto_selects_cpu_count(self, monkeypatch, raw):
-        import os
-
-        monkeypatch.setenv("REPRO_FUSED_SHARDS", raw)
-        assert knobs.fused_shards() == max(1, os.cpu_count() or 1)
-
-    def test_fused_shards_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_SHARDS", "5")
-        assert knobs.fused_shards(2) == 2
-        assert knobs.fused_shards(0) == 1  # clamped to at least one
-
-    def test_fused_shards_junk_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_SHARDS", "many")
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        knobs._WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="REPRO_FUSED_SHARDS"):
-            assert knobs.fused_shards() == 2
-
-    def test_fused_shards_negative_warns(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_SHARDS", "-4")
-        knobs._WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="REPRO_FUSED_SHARDS"):
-            assert knobs.fused_shards() == 1
-
-    def test_min_rows_default(self):
-        assert knobs.shm_min_shard_rows() == 4096
-
-    def test_min_rows_env_and_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_ROWS", "128")
-        assert knobs.shm_min_shard_rows() == 128
-        assert knobs.shm_min_shard_rows(7) == 7
-        assert knobs.shm_min_shard_rows(0) == 1  # clamped
-
-    @pytest.mark.parametrize("raw", ["tiny", "-1", "0"])
-    def test_min_rows_junk_warns_and_falls_back(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SHM_MIN_ROWS", raw)
-        knobs._WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="REPRO_SHM_MIN_ROWS"):
-            assert knobs.shm_min_shard_rows() == 4096
+    @pytest.mark.parametrize(
+        "raw,mode", [("THREAD", "thread"), (" Process ", "process")]
+    )
+    def test_env_is_case_insensitive_and_explicit_mode_wins(
+        self, monkeypatch, raw, mode
+    ):
+        monkeypatch.setenv("REPRO_EXECUTOR", raw)
+        assert knobs.resolve_executor_mode() == mode
+        assert knobs.resolve_executor_mode("thread") == "thread"
 
 
 class TestServiceKnobs:

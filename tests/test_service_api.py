@@ -540,10 +540,22 @@ class TestSpecRoundTrip:
             iterations=7,
             tenant_weight=2,
             tenant_quota=30,
-            shm_eval=False,
         )
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_ignores_unknown_keys(self):
-        spec = CampaignSpec.from_dict({"model": "m", "bogus": 1})
+        # Spooled submission records and existing clients' bodies still
+        # carry the retired ``shm_eval`` field.
+        spec = CampaignSpec.from_dict(
+            {"model": "m", "bogus": 1, "shm_eval": False}
+        )
         assert spec.model == "m"
+
+    def test_default_factory_runs_fused(self):
+        from repro.service.service import default_campaign_factory
+
+        dse = default_campaign_factory(
+            CampaignSpec(model="resnet18", iterations=1)
+        )
+        batch = dse.evaluator.perf_summary()["batch_eval"]
+        assert batch["fused_enabled"] is True

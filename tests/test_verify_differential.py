@@ -12,7 +12,6 @@ ALL_VARIANTS = [
     "warm-cache",
     "resume",
     "fused",
-    "shm",
     "compiled-tree",
     "cache-plane",
     "all-on",
@@ -22,7 +21,7 @@ ALL_VARIANTS = [
 class TestDifferentialMatrix:
     def test_full_matrix_is_identical(self, tmp_path):
         """Acceptance criterion: batch, parallel, warm-cache, resumed,
-        fused, shm-sharded, compiled-tree, and cache-plane campaigns all
+        fused, compiled-tree, and cache-plane campaigns all
         reproduce the serial reference — results exactly, journals up to
         RunSummary perf counters (raw bytes for jobs2 and compiled-tree)."""
         report = run_differential(tmp_path, max_evaluations=12)
