@@ -115,7 +115,6 @@ def _plane_chaos(workload, point) -> dict:
             fused_eval=True,
         )
         reference = first.evaluate(point)
-        first.close()
 
         segments = [
             name for name in os.listdir(plane_dir) if name.endswith(".seg")
@@ -141,7 +140,6 @@ def _plane_chaos(workload, point) -> dict:
             if "cache-plane segment is corrupt" in str(w.message)
         ]
         plane_stats = second.mapping_cache.plane.stats
-        second.close()
         return {
             "segments_corrupted": len(segments),
             "segments_quarantined": plane_stats.segments_quarantined,

@@ -1,20 +1,21 @@
 """CI chaos smoke test: a campaign under injected faults matches the
-fault-free serial reference.
+fault-free reference.
 
 Drives the resilience story end-to-end through the CLI::
 
     PYTHONPATH=src python benchmarks/chaos_smoke.py --out BENCH_chaos.json
 
-1. Run a fault-free serial reference campaign (``--save``, no
-   ``REPRO_JOBS``, no ``REPRO_FAULT_INJECT``).
+1. Run a fault-free reference campaign (``--save``, no
+   ``REPRO_FAULT_INJECT``).
 2. Run the same campaign with deterministic faults injected
    (``REPRO_FAULT_INJECT``, default a 5% crash rate at the evaluate
-   site) and a parallel mapper pool (``REPRO_JOBS=4``), tracing to a
-   journal.
-3. Assert the chaos run completed, that worker supervision retried the
-   injected faults back to health (same incumbent point and costs, same
-   trial trajectory), and write a quarantine report listing every
-   ``CandidateFailed`` event the journal recorded.
+   site), tracing to a journal.  A crash at the ``mapper`` site fails
+   the design point's evaluation, so it is retried at the evaluate
+   level too.
+3. Assert the chaos run completed, that the evaluator's retry policy
+   brought the injected faults back to health (same incumbent point and
+   costs, same trial trajectory), and write a quarantine report listing
+   every ``CandidateFailed`` event the journal recorded.
 
 Faults are hash-based and keyed on (seed, site, key, attempt), so a
 retry re-rolls the decision and the smoke is fully reproducible: the
@@ -41,8 +42,6 @@ def _env(extra=None, drop=()):
     env = dict(os.environ)
     for name in (
         "REPRO_FAULT_INJECT",
-        "REPRO_JOBS",
-        "REPRO_TASK_TIMEOUT",
         "REPRO_MAX_RETRIES",
         "REPRO_RETRY_BACKOFF",
         "REPRO_MAX_FAILURE_RATE",
@@ -86,14 +85,7 @@ def _read_journal_records(journal: Path):
     return records
 
 
-def run(
-    model: str,
-    iterations: int,
-    faults: str,
-    jobs: int,
-    workdir: Path,
-    task_timeout: float = 0.0,
-) -> dict:
+def run(model: str, iterations: int, faults: str, workdir: Path) -> dict:
     reference_json = workdir / "reference.json"
     chaos_json = workdir / "chaos.json"
     journal = workdir / "chaos.jsonl"
@@ -105,14 +97,9 @@ def run(
     if reference.returncode not in (0, 1):
         raise RuntimeError(f"reference run failed:\n{reference.stderr}")
 
-    extra = {
-        "REPRO_FAULT_INJECT": faults,
-        "REPRO_JOBS": str(jobs),
-        "REPRO_RETRY_BACKOFF": "0.01",
-    }
-    if task_timeout:
-        extra["REPRO_TASK_TIMEOUT"] = str(task_timeout)
-    chaos_env = _env(extra=extra)
+    chaos_env = _env(
+        extra={"REPRO_FAULT_INJECT": faults, "REPRO_RETRY_BACKOFF": "0.01"}
+    )
     chaos = _repro(
         [*explore, "--save", str(chaos_json), "--trace", str(journal)],
         chaos_env,
@@ -133,8 +120,6 @@ def run(
         "iterations": iterations,
         "python": platform.python_version(),
         "faults": faults,
-        "jobs": jobs,
-        "task_timeout": task_timeout or None,
         "chaos_completed": chaos_completed,
         "chaos_returncode": chaos.returncode,
         "candidate_failures": len(failures),
@@ -181,31 +166,13 @@ def main() -> int:
         "(default: %(default)s)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=4, help="REPRO_JOBS for the chaos run"
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=0.0,
-        help="REPRO_TASK_TIMEOUT for the chaos run (0 = no timeout); "
-        "set this below a hang fault's for= duration to exercise the "
-        "worker-timeout path",
-    )
-    parser.add_argument(
         "--out",
         default="BENCH_chaos.json",
         help="quarantine-report artifact path (default: %(default)s)",
     )
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmp:
-        record = run(
-            args.model,
-            args.iterations,
-            args.faults,
-            args.jobs,
-            Path(tmp),
-            task_timeout=args.task_timeout,
-        )
+        record = run(args.model, args.iterations, args.faults, Path(tmp))
     with open(args.out, "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")

@@ -9,8 +9,8 @@ cold evaluator on every point and (b) finish the sweep at least 2x
 faster (measured ~9x: the bandwidth sweep re-scores recorded traces
 instead of re-running the top-N search per layer).
 
-``REPRO_JOBS=1`` (the default) keeps both runs serial, so the numbers
-are reproducible run to run.
+Both runs execute serially in this process, so the numbers are
+reproducible run to run.
 """
 
 from __future__ import annotations

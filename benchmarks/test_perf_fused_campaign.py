@@ -8,8 +8,8 @@ layer and (b) finish the step at least 3x faster (measured ~4x: the
 per-layer kernel invocations collapse into a handful of whole-campaign
 array passes, and candidate generation is memoized in tuple domain).
 
-``REPRO_JOBS=1`` (the default) keeps both runs serial, so the numbers
-are reproducible run to run.
+Both runs execute serially in this process, so the numbers are
+reproducible run to run.
 """
 
 from __future__ import annotations

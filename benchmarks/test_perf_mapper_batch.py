@@ -8,8 +8,8 @@ point of a DSE run).  The batch path must (a) produce bit-identical
 the sweep at least 3x faster (measured ~5-6x: candidate generation is
 shared; the scoring loop itself vectorizes ~20x).
 
-``REPRO_JOBS=1`` (the default) keeps both runs serial, so the numbers
-are reproducible run to run.
+Both runs execute serially in this process, so the numbers are
+reproducible run to run.
 """
 
 from __future__ import annotations

@@ -16,19 +16,17 @@ Below the design-point cache sits the performance layer
 :class:`~repro.perf.mapping_cache.MappingCache` keyed by what the mapper
 actually reads (so sweeps over mapping-irrelevant parameters re-score
 cached candidates instead of re-searching), and the remaining layer
-searches of a design point either resolve together in one in-process
-fused cross-layer block (:mod:`repro.cost.fused`) or run on a
-``REPRO_JOBS``-controlled worker pool.  All of these are bit-identical
-to the serial/cold path.
+searches of a design point resolve together in one fused cross-layer
+block (:mod:`repro.cost.fused`) when that path is enabled, then one by
+one through the mapper.  Every layer search runs in the evaluating
+process, and all of these paths are bit-identical to the cold path.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.arch.accelerator import AcceleratorConfig, config_from_point
@@ -40,7 +38,6 @@ from repro.cost.technology import TECH_45NM, TechnologyModel
 from repro.perf.instrumentation import StageTimers
 from repro.perf.knobs import env_flag, fused_eval_enabled, tree_compile_enabled
 from repro.perf.mapping_cache import CachingMapper, MappingCache, shared_cache
-from repro.perf.parallel import WorkerPool
 from repro.perf.signature import supports_tracing
 from repro.resilience.errors import MapperFailureError, ReproError, is_retryable
 from repro.resilience.fault_injection import attempt_scope, inject
@@ -55,32 +52,6 @@ __all__ = ["Evaluation", "CostEvaluator"]
 
 #: Mapper protocol: (layer, config) -> MappingResult.
 Mapper = Callable[[LayerShape, AcceleratorConfig], "MappingResult"]
-
-
-def _search_layer_job(mapper, config: AcceleratorConfig, layer: LayerShape):
-    """Worker-side layer search; module-level so process pools can pickle
-    it.  Returns ``(result, trace_or_None, batch_stats_delta_or_None)`` so
-    the parent can seed its mapping cache — and merge the batch-eval
-    counters, which otherwise stay on the worker's pickled mapper copy —
-    with outcomes computed in workers."""
-    inject("mapper", key=layer.name)
-    stats = getattr(mapper, "batch_stats", None)
-    before = copy.copy(stats) if stats is not None else None
-    try:
-        if supports_tracing(mapper):
-            result, trace = mapper.search_with_trace(layer, config)
-        else:
-            result, trace = mapper(layer, config), None
-    except (KeyboardInterrupt, SystemExit, ReproError):
-        raise
-    except Exception as exc:
-        raise MapperFailureError(
-            f"mapping search failed: {type(exc).__name__}: {exc}",
-            layer=layer.name,
-            cause=type(exc).__name__,
-        ) from exc
-    delta = stats.delta_since(before) if stats is not None else None
-    return result, trace, delta
 
 
 @dataclass(frozen=True)
@@ -126,10 +97,6 @@ class CostEvaluator:
         tech: Technology model for energy/area/power.
         freq_mhz: Accelerator clock; Table 1 fixes 500 MHz.
         bytes_per_element: Data precision (int16 -> 2).
-        jobs: Worker count for per-layer mapping searches; None reads
-            ``REPRO_JOBS`` (default 1 = serial, bit-identical legacy path).
-        executor_mode: ``"process"`` / ``"thread"``; None reads
-            ``REPRO_EXECUTOR``.
         mapping_cache: Layer-level mapping cache to use; None selects the
             process-wide shared cache.
         use_mapping_cache: Force the layer cache on/off; None enables it
@@ -143,10 +110,8 @@ class CostEvaluator:
             one fused cross-layer kernel pass (:mod:`repro.cost.fused`)
             instead of per-layer mapper calls.  ``None`` (default) defers
             to ``REPRO_FUSED_EVAL`` (default off); results are
-            bit-identical either way.  When enabled and the mapper
-            supports the candidate-plan protocol, the fused path takes
-            precedence over the ``REPRO_JOBS`` worker pool — the pool
-            still picks up any layers the fused path hands back.
+            bit-identical either way.  Layers the fused path hands back
+            go through the per-layer loop.
 
     All environment knobs are resolved **once, here** — per-campaign,
     not per step — so the hot evaluation loop never re-reads the
@@ -160,8 +125,6 @@ class CostEvaluator:
         tech: TechnologyModel = TECH_45NM,
         freq_mhz: int = 500,
         bytes_per_element: int = 2,
-        jobs: Optional[object] = None,
-        executor_mode: Optional[str] = None,
         mapping_cache: Optional[MappingCache] = None,
         use_mapping_cache: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
@@ -178,7 +141,6 @@ class CostEvaluator:
         self.calls = 0  # total evaluate() calls (cache hits included)
         self.total_seconds = 0.0
         self.timers = StageTimers()
-        self._pool = WorkerPool(jobs=jobs, mode=executor_mode)
         self.retry_policy = RetryPolicy.from_env()
 
         # Knob resolution is hoisted out of the per-step loop: one env
@@ -202,10 +164,6 @@ class CostEvaluator:
             self._caching_mapper = CachingMapper(
                 mapper, mapping_cache if mapping_cache is not None else shared_cache()
             )
-
-    @property
-    def jobs(self) -> int:
-        return self._pool.jobs
 
     @property
     def mapping_cache(self) -> Optional[MappingCache]:
@@ -267,11 +225,11 @@ class CostEvaluator:
     ) -> Dict[str, "MappingResult"]:
         """Optimize every unique layer's mapping on ``config``.
 
-        Cache hits (exact or re-scored) are resolved in-process; the
-        fused cross-layer path (when enabled and supported) resolves the
-        rest in one block, and anything handed back runs serially or on
-        the worker pool.  Results are keyed by layer name in workload
-        order either way.
+        Cache hits (exact or re-scored) are resolved first; the fused
+        cross-layer path (when enabled and supported) resolves the rest
+        in one block, and anything it hands back runs through the mapper
+        one layer at a time.  Results are keyed by layer name in
+        workload order.
         """
         cm = self._caching_mapper
         results: Dict[str, "MappingResult"] = {}
@@ -284,36 +242,19 @@ class CostEvaluator:
                 pending.append(layer)
 
         pending = self._optimize_layers_fused(config, pending, results)
-        if self._pool.parallel and len(pending) > 1:
-            job = partial(_search_layer_job, cm.mapper if cm else self.mapper, config)
-            outcomes = self._pool.map(job, pending)
-            # Thread workers record batch-eval counters into the shared
-            # mapper directly; only process workers need the delta merged.
-            merge_stats = (
-                self.batch_eval_stats if self._pool.mode == "process" else None
-            )
-            for layer, (result, trace, stats_delta) in zip(pending, outcomes):
-                if merge_stats is not None and stats_delta is not None:
-                    merge_stats.merge(stats_delta)
-                if cm is not None:
-                    cm.misses += 1
-                    cm.cache.stats.misses += 1
-                    cm.store(layer, config, result, trace)
-                results[layer.name] = result
-        else:
-            mapper = cm if cm is not None else self.mapper
-            for layer in pending:
-                inject("mapper", key=layer.name)
-                try:
-                    results[layer.name] = mapper(layer, config)
-                except (KeyboardInterrupt, SystemExit, ReproError):
-                    raise
-                except Exception as exc:
-                    raise MapperFailureError(
-                        f"mapping search failed: {type(exc).__name__}: {exc}",
-                        layer=layer.name,
-                        cause=type(exc).__name__,
-                    ) from exc
+        mapper = cm if cm is not None else self.mapper
+        for layer in pending:
+            inject("mapper", key=layer.name)
+            try:
+                results[layer.name] = mapper(layer, config)
+            except (KeyboardInterrupt, SystemExit, ReproError):
+                raise
+            except Exception as exc:
+                raise MapperFailureError(
+                    f"mapping search failed: {type(exc).__name__}: {exc}",
+                    layer=layer.name,
+                    cause=type(exc).__name__,
+                ) from exc
         return {
             layer.name: results[layer.name] for layer in self.workload.layers
         }
@@ -511,8 +452,6 @@ class CostEvaluator:
             "calls": self.calls,
             "total_seconds": self.total_seconds,
             "evaluations_per_second": self.evaluations_per_second,
-            "jobs": self.jobs,
-            "executor": self._pool.mode,
             "point_cache_entries": self.cache_size(),
             "stages": self.timers.as_dict(),
             "mapping_cache": {
@@ -542,13 +481,3 @@ class CostEvaluator:
         stats = self.batch_eval_stats
         if stats is not None:
             stats.reset()
-
-    def close(self) -> None:
-        """Release the worker pool (no-op on the serial path)."""
-        self._pool.close()
-
-    def __enter__(self) -> "CostEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(reads PATH.ckpt, verifies it against the journal, and "
              "continues appending to both)",
     )
-    _add_jobs_argument(explore)
     _add_batch_eval_argument(explore)
 
     compare = sub.add_parser(
@@ -110,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("model", choices=MODEL_NAMES)
     compare.add_argument("--iterations", type=int, default=40)
-    _add_jobs_argument(compare)
     _add_batch_eval_argument(compare)
 
     experiment = sub.add_parser(
@@ -128,7 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--out", default=None, help="write the 'all' report to this file"
     )
-    _add_jobs_argument(experiment)
+    experiment.add_argument(
+        "--jobs",
+        default=None,
+        metavar="N",
+        help="worker count for the technique x model matrix "
+             "('auto' = all cores; default: $REPRO_JOBS or 1 = serial)",
+    )
     _add_batch_eval_argument(experiment)
 
     report = sub.add_parser(
@@ -225,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="slice-latency watermark; above it the scheduler quantum is "
              "clamped to one attempt (default: 2.0)",
     )
-    _add_jobs_argument(serve)
 
     submit = sub.add_parser(
         "submit", help="submit a campaign to a running campaign service"
@@ -305,21 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", default=None,
         help="write the frontier snapshot as JSON to PATH",
     )
-    _add_jobs_argument(pareto)
     _add_batch_eval_argument(pareto)
 
     sub.add_parser("list-models", help="list the benchmark models")
     return parser
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        default=None,
-        metavar="N",
-        help="worker count for the parallel evaluation pipeline "
-             "('auto' = all cores; default: $REPRO_JOBS or 1 = serial)",
-    )
 
 
 def _add_batch_eval_argument(parser: argparse.ArgumentParser) -> None:
@@ -331,14 +323,6 @@ def _add_batch_eval_argument(parser: argparse.ArgumentParser) -> None:
              "(bit-identical to the scalar path; default: "
              "$REPRO_BATCH_EVAL or on)",
     )
-
-
-def _apply_jobs(args) -> None:
-    """Propagate ``--jobs`` to the pipeline via ``REPRO_JOBS`` so every
-    evaluator and harness constructed downstream picks it up."""
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        os.environ["REPRO_JOBS"] = str(jobs)
 
 
 def _apply_batch_eval(args) -> None:
@@ -542,7 +526,7 @@ def _cmd_experiment(args) -> int:
     if args.name == "all":
         from repro.experiments.report_all import generate_report
 
-        runner = ComparisonRunner(iterations=args.iterations)
+        runner = ComparisonRunner(iterations=args.iterations, jobs=args.jobs)
         models = args.models.split(",") if args.models else None
         report = generate_report(runner, models=models)
         text = report.format()
@@ -556,7 +540,7 @@ def _cmd_experiment(args) -> int:
     if args.name in STANDALONE_EXPERIMENTS:
         result = STANDALONE_EXPERIMENTS[args.name](args)
     else:
-        runner = ComparisonRunner(iterations=args.iterations)
+        runner = ComparisonRunner(iterations=args.iterations, jobs=args.jobs)
         kwargs = {}
         if args.models:
             kwargs["models"] = args.models.split(",")
@@ -687,9 +671,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "submit":
         return _cmd_submit(args)
     if args.command == "serve":
-        _apply_jobs(args)
         return _cmd_serve(args)
-    _apply_jobs(args)
     _apply_batch_eval(args)
     try:
         if args.command == "explore":

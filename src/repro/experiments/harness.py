@@ -6,10 +6,11 @@ process: an 11-model x 10-technique comparison is executed once and every
 experiment module reads from it.
 
 Runs are independent of each other, so :meth:`ComparisonRunner.run_matrix`
-can execute them on a ``REPRO_JOBS``-controlled worker pool
-(:mod:`repro.perf.parallel`).  Results are collected in submission order
-and every run is seeded independently of scheduling, so the parallel
-matrix is identical to the serial one.
+can execute them on a worker pool (:mod:`repro.perf.parallel`) sized by
+``jobs`` (``--jobs`` on ``repro experiment``) or ``REPRO_JOBS``; this is
+the only pool in the pipeline.  Results are collected in submission
+order and every run is seeded independently of scheduling, so the
+parallel matrix is identical to the serial one.
 """
 
 from __future__ import annotations

@@ -67,8 +67,8 @@ def format_run_summary(result, evaluator=None) -> str:
     Args:
         result: A :class:`repro.core.dse.result.DSEResult`.
         evaluator: The :class:`repro.cost.evaluator.CostEvaluator` the
-            run used; adds evaluations/sec, worker count, and the
-            layer-level mapping-cache hit-rate to the summary.
+            run used; adds evaluations/sec and the layer-level
+            mapping-cache hit-rate to the summary.
     """
     lines = [
         f"{result.technique} on {result.model}: "
@@ -82,8 +82,7 @@ def format_run_summary(result, evaluator=None) -> str:
         lines.append(
             f"cost model: {perf['evaluations']} unique evaluations in "
             f"{perf['total_seconds']:.2f}s "
-            f"({perf['evaluations_per_second']:.1f} eval/s, "
-            f"jobs={perf['jobs']})"
+            f"({perf['evaluations_per_second']:.1f} eval/s)"
         )
         if cache["enabled"]:
             lines.append(

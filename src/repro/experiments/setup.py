@@ -106,7 +106,6 @@ def make_evaluator(
     seed: int = 0,
     objective: str = "latency",
     batch_eval: Optional[bool] = None,
-    jobs: Optional[object] = None,
     **evaluator_kwargs,
 ) -> CostEvaluator:
     """Build a cost evaluator for a model with the chosen mapper.
@@ -127,10 +126,8 @@ def make_evaluator(
         batch_eval: Vectorized candidate scoring for the searching
             mappers (None defers to ``REPRO_BATCH_EVAL``, default on;
             bit-identical either way).
-        jobs: Per-layer mapping-search worker count (None reads
-            ``REPRO_JOBS``; 1 = serial).
         evaluator_kwargs: Forwarded to :class:`CostEvaluator` (e.g.
-            ``mapping_cache``, ``use_mapping_cache``, ``executor_mode``).
+            ``mapping_cache``, ``use_mapping_cache``, ``fused_eval``).
     """
     workload = load_workload(model)
     if mapping_mode == "fixed":
@@ -148,7 +145,7 @@ def make_evaluator(
         )
     else:
         raise ValueError(f"unknown mapping mode {mapping_mode!r}")
-    return CostEvaluator(workload, mapper, jobs=jobs, **evaluator_kwargs)
+    return CostEvaluator(workload, mapper, **evaluator_kwargs)
 
 
 #: Baseline technique registry: label -> optimizer class.

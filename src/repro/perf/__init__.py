@@ -1,6 +1,7 @@
-"""Performance layer: layer-level mapping cache + parallel evaluation.
+"""Performance layer: layer-level mapping cache, experiment-matrix pool,
+and instrumentation.
 
-Three independent accelerations of the codesign hot path, all preserving
+Independent accelerations of the codesign hot path, all preserving
 bit-identical results versus the serial/cold path:
 
 * :mod:`repro.perf.mapping_cache` — a shared (layer, config-signature,
@@ -8,8 +9,8 @@ bit-identical results versus the serial/cold path:
   tier, so sweeps over mapping-irrelevant parameters (off-chip
   bandwidth, clock) re-score instead of re-search;
 * :mod:`repro.perf.parallel` — a ``REPRO_JOBS``-controlled
-  process/thread pool abstraction with a serial fallback used for
-  per-layer mapping optimization and (technique x model) harness runs;
+  process/thread pool abstraction with a serial fallback, used for the
+  (technique x model) runs of the experiment matrix;
 * :mod:`repro.perf.cache_plane` — a cross-process append-only segment
   store (``REPRO_CACHE_PLANE``) the mapping cache writes through to, so
   concurrently running processes share search outcomes;
@@ -17,8 +18,9 @@ bit-identical results versus the serial/cold path:
   speedups are measured, not asserted.
 
 :mod:`repro.perf.knobs` centralizes the validated environment switches
-(``REPRO_FUSED_EVAL``, ``REPRO_EXECUTOR``, ``REPRO_TREE_COMPILE``,
-``REPRO_CACHE_PLANE``, and the ``REPRO_SERVICE_*`` admission knobs).
+(``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, the mapping-cache
+capacities, ``REPRO_CACHE_PLANE``, and the ``REPRO_SERVICE_*``
+admission knobs).
 See ``docs/performance.md`` for the knobs and measured numbers.
 """
 

@@ -26,7 +26,7 @@ class BatchEvalStats:
     vectorized batch kernels versus the scalar reference path (selected
     by ``REPRO_BATCH_EVAL=0`` or an int64-overflow fallback), and the
     wall-clock each path consumed.  Plain attributes only, so instances
-    pickle cleanly with their mapper into worker processes.
+    pickle cleanly with their mapper.
     """
 
     def __init__(self) -> None:
@@ -94,52 +94,6 @@ class BatchEvalStats:
         if self.fused_seconds <= 0:
             return 0.0
         return self.fused_candidates / self.fused_seconds
-
-    def delta_since(self, before: "BatchEvalStats") -> "BatchEvalStats":
-        """Counters accrued since ``before`` (a ``copy.copy`` snapshot).
-
-        Process-pool workers search on a *pickled copy* of the mapper, so
-        the parent's stats never see their recordings; jobs return this
-        delta for the parent to :meth:`merge` (thread pools record into
-        the shared instance directly and must not merge again).
-        """
-        delta = BatchEvalStats()
-        delta.batches = self.batches - before.batches
-        delta.batch_candidates = self.batch_candidates - before.batch_candidates
-        delta.batch_feasible = self.batch_feasible - before.batch_feasible
-        delta.batch_seconds = self.batch_seconds - before.batch_seconds
-        delta.scalar_searches = self.scalar_searches - before.scalar_searches
-        delta.scalar_candidates = (
-            self.scalar_candidates - before.scalar_candidates
-        )
-        delta.scalar_seconds = self.scalar_seconds - before.scalar_seconds
-        delta.int64_fallbacks = self.int64_fallbacks - before.int64_fallbacks
-        delta.fused_blocks = self.fused_blocks - before.fused_blocks
-        delta.fused_layers = self.fused_layers - before.fused_layers
-        delta.fused_candidates = (
-            self.fused_candidates - before.fused_candidates
-        )
-        delta.fused_feasible = self.fused_feasible - before.fused_feasible
-        delta.fused_seconds = self.fused_seconds - before.fused_seconds
-        delta.fused_fallbacks = self.fused_fallbacks - before.fused_fallbacks
-        return delta
-
-    def merge(self, other: "BatchEvalStats") -> None:
-        """Fold another instance in (e.g. counters from a worker)."""
-        self.batches += other.batches
-        self.batch_candidates += other.batch_candidates
-        self.batch_feasible += other.batch_feasible
-        self.batch_seconds += other.batch_seconds
-        self.scalar_searches += other.scalar_searches
-        self.scalar_candidates += other.scalar_candidates
-        self.scalar_seconds += other.scalar_seconds
-        self.int64_fallbacks += other.int64_fallbacks
-        self.fused_blocks += other.fused_blocks
-        self.fused_layers += other.fused_layers
-        self.fused_candidates += other.fused_candidates
-        self.fused_feasible += other.fused_feasible
-        self.fused_seconds += other.fused_seconds
-        self.fused_fallbacks += other.fused_fallbacks
 
     def reset(self) -> None:
         self.__init__()

@@ -14,8 +14,9 @@ Knobs resolved here:
 * ``REPRO_TREE_COMPILE`` — postfix-compiled bottleneck-tree evaluation
   (:mod:`repro.core.bottleneck.compile`).  Default on; ``0`` selects
   the recursive reference walk.
-* ``REPRO_EXECUTOR`` — worker-pool executor kind for ``REPRO_JOBS > 1``
-  (:mod:`repro.perf.parallel`): ``process`` (default) or ``thread``.
+* ``REPRO_MAPPING_CACHE_RESULTS`` / ``REPRO_MAPPING_CACHE_TRACES`` —
+  LRU capacities of the mapping cache's exact and re-score tiers
+  (:mod:`repro.perf.mapping_cache`); positive integers.
 * ``REPRO_CACHE_PLANE`` — directory of the cross-process mapping-cache
   plane (:mod:`repro.perf.cache_plane`).  Unset/empty/``0`` disables;
   an unusable value (e.g. a path that exists as a regular file) warns
@@ -48,6 +49,8 @@ __all__ = [
     "fused_eval_enabled",
     "tree_compile_enabled",
     "resolve_executor_mode",
+    "mapping_cache_results",
+    "mapping_cache_traces",
     "cache_plane_dir",
     "service_max_concurrent",
     "service_step_quantum",
@@ -132,35 +135,19 @@ _EXECUTOR_MODES = ("process", "thread")
 
 
 def resolve_executor_mode(mode: Optional[str] = None) -> str:
-    """The worker-pool executor kind: ``process`` or ``thread``.
-
-    An explicit ``mode`` wins and must name a known kind (anything else
-    is a caller bug and raises ``ValueError``); otherwise
-    ``REPRO_EXECUTOR`` is read case-insensitively.  A junk environment
-    value warns once and falls back to ``process``, so even a serial
-    campaign (which never builds an executor) cannot abort on it.
-    """
-    if mode:
-        value = mode.strip().lower()
-        if value not in _EXECUTOR_MODES:
-            raise ValueError(f"unknown executor mode {mode!r}")
-        return value
-    raw = os.environ.get("REPRO_EXECUTOR")
-    if raw is None:
+    """The worker-pool executor kind: ``process`` (the default) or
+    ``thread``.  An explicit ``mode`` must name a known kind (anything
+    else is a caller bug and raises ``ValueError``)."""
+    if not mode:
         return "process"
-    value = raw.strip().lower()
-    if value in _EXECUTOR_MODES:
-        return value
-    _warn_once(
-        "REPRO_EXECUTOR",
-        raw,
-        "falling back to the process pool — use 'process' or 'thread'",
-    )
-    return "process"
+    value = mode.strip().lower()
+    if value not in _EXECUTOR_MODES:
+        raise ValueError(f"unknown executor mode {mode!r}")
+    return value
 
 
 def _positive_int_knob(name: str, default: int, override: Optional[int]) -> int:
-    """Shared parser for positive-integer service knobs: explicit
+    """Shared parser for positive-integer knobs: explicit
     ``override`` wins, junk values warn once and fall back to
     ``default``, results are always at least 1."""
     if override is not None:
@@ -185,6 +172,20 @@ def _positive_int_knob(name: str, default: int, override: Optional[int]) -> int:
         return default
     _INT_CACHE[(name, raw)] = value
     return value
+
+
+def mapping_cache_results() -> int:
+    """Exact-tier capacity of a :class:`~repro.perf.mapping_cache.MappingCache`
+    (``REPRO_MAPPING_CACHE_RESULTS``, default 32768).  Junk values and
+    values below 1 warn once and fall back to the default."""
+    return _positive_int_knob("REPRO_MAPPING_CACHE_RESULTS", 32768, None)
+
+
+def mapping_cache_traces() -> int:
+    """Re-score-tier capacity of a :class:`~repro.perf.mapping_cache.MappingCache`
+    (``REPRO_MAPPING_CACHE_TRACES``, default 1024).  Junk values and
+    values below 1 warn once and fall back to the default."""
+    return _positive_int_knob("REPRO_MAPPING_CACHE_TRACES", 1024, None)
 
 
 def service_max_concurrent(override: Optional[int] = None) -> int:

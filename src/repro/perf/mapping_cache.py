@@ -37,7 +37,11 @@ from repro.arch.accelerator import AcceleratorConfig
 from repro.resilience.errors import CacheCorruptionError, as_repro_error
 from repro.resilience.fault_injection import inject
 from repro.perf.cache_plane import KIND_RESULT, KIND_TRACE, CachePlane
-from repro.perf.knobs import cache_plane_dir
+from repro.perf.knobs import (
+    cache_plane_dir,
+    mapping_cache_results,
+    mapping_cache_traces,
+)
 from repro.perf.signature import (
     config_signature,
     layer_signature,
@@ -57,13 +61,6 @@ __all__ = ["CacheStats", "MappingCache", "CachingMapper", "shared_cache"]
 PERSIST_FILENAME = "mapping_cache.pkl"
 #: On-disk format version; bump when signatures or traces change shape.
 PERSIST_VERSION = 1
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
 
 
 @dataclass
@@ -100,9 +97,11 @@ class MappingCache:
     """LRU-bounded two-tier store of mapping-search outcomes.
 
     Args:
-        max_results: Exact-tier capacity (one ``MappingResult`` each).
+        max_results: Exact-tier capacity (one ``MappingResult`` each);
+            None reads ``REPRO_MAPPING_CACHE_RESULTS``.
         max_traces: Re-score-tier capacity; traces hold up to ``top_n``
             ``(mapping, execution)`` pairs, so this tier is kept small.
+            None reads ``REPRO_MAPPING_CACHE_TRACES``.
         persist_path: Pickle file to warm-start from (loaded when it
             exists) and to :meth:`save` to.
         plane: Optional cross-process :class:`CachePlane`; both tiers
@@ -117,15 +116,17 @@ class MappingCache:
         persist_path: Optional[str] = None,
         plane: Optional[CachePlane] = None,
     ):
+        for name, value in (
+            ("max_results", max_results),
+            ("max_traces", max_traces),
+        ):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
         self.max_results = (
-            _env_int("REPRO_MAPPING_CACHE_RESULTS", 32768)
-            if max_results is None
-            else max_results
+            mapping_cache_results() if max_results is None else max_results
         )
         self.max_traces = (
-            _env_int("REPRO_MAPPING_CACHE_TRACES", 1024)
-            if max_traces is None
-            else max_traces
+            mapping_cache_traces() if max_traces is None else max_traces
         )
         self.persist_path = persist_path
         self.plane = plane

@@ -1,18 +1,14 @@
 """Executor abstraction: opt-in parallelism with a bit-identical serial path.
 
-The mapping-space walk is embarrassingly parallel across layers,
-candidates, and (technique x model) harness runs.  This module provides
-the one knob that controls all of them:
+The one pool in the pipeline runs independent (technique x model)
+campaigns of :meth:`repro.experiments.harness.ComparisonRunner.run_matrix`.
+Layer searches never go through it: they run in the evaluating process.
 
-* ``REPRO_JOBS`` — worker count.  Unset or ``1`` selects the serial
-  path, which executes exactly the same code as before this layer
-  existed (bit-identical results, no pools, no pickling).  ``0`` or
+* ``REPRO_JOBS`` — worker count of that pool.  Unset or ``1`` selects
+  the serial path (a plain loop: no pool, no pickling).  ``0`` or
   ``auto`` selects ``os.cpu_count()``.
-* ``REPRO_EXECUTOR`` — ``process`` (default; real speedup for the
-  pure-Python cost model) or ``thread`` (cheaper startup, useful when
-  the work releases the GIL or for testing).  Parsed by
-  :func:`repro.perf.knobs.resolve_executor_mode`: a junk value warns
-  once and selects ``process``.
+* ``WorkerPool(mode=...)`` picks ``process`` (the default) or
+  ``thread`` executors.
 
 Work is always dispatched and collected in input order, so parallel
 results are deterministic regardless of completion order.
@@ -24,12 +20,6 @@ deterministic exponential backoff (``REPRO_MAX_RETRIES``,
 pool or a hung worker, and a last-resort in-parent serial fallback for a
 task that crashed in every worker.  Fault-free runs take none of these
 paths and stay bit-identical to the unsupervised pipeline.
-
-The pool here is *per-task* parallelism: each dispatched job pickles its
-payload and cold workers re-derive warm state per campaign.  When the
-fused cross-layer path is enabled and the mapper supports it, the
-evaluator resolves a whole step in-process (:mod:`repro.cost.fused`)
-and this pool only picks up layers the fused path hands back.
 """
 
 from __future__ import annotations
@@ -111,7 +101,7 @@ class WorkerPool:
 
     Args:
         jobs: Worker count (None reads ``REPRO_JOBS``).
-        mode: ``process``/``thread`` (None reads ``REPRO_EXECUTOR``).
+        mode: ``process``/``thread`` (None selects ``process``).
         task_timeout: Per-task seconds before a worker is declared hung
             (None reads ``REPRO_TASK_TIMEOUT``; 0/unset disables).
         max_retries: Per-task retry budget (None reads

@@ -12,11 +12,11 @@ across search algorithms.
 
 Design rules:
 
-* **Deterministic payloads only.**  Events never carry wall-clock times,
-  worker counts, or rates, so a serial (``REPRO_JOBS=1``) and a parallel
-  run of the same campaign emit byte-identical journals.  Wall-clock
-  lives in :attr:`~repro.telemetry.tracer.Tracer.timings` (span timers)
-  and in ``perf_summary()`` / ``--perf``, never in the journal.
+* **Deterministic payloads only.**  Events never carry wall-clock times
+  or rates, so two runs of the same campaign emit byte-identical
+  journals.  Wall-clock lives in
+  :attr:`~repro.telemetry.tracer.Tracer.timings` (span timers) and in
+  ``perf_summary()`` / ``--perf``, never in the journal.
 * **JSON-native field types.**  Fields are ints, floats, bools, strings,
   lists, and string-keyed dicts, so ``event == decode_event(encode_event
   (event))`` holds exactly.  Non-finite floats are encoded as tagged
@@ -374,20 +374,20 @@ def decode_event(record: Dict[str, Any]) -> Any:
 
 # -- perf-counter sampling ----------------------------------------------------
 
-#: perf_summary() keys that vary run-to-run (wall clock, worker config)
-#: and therefore must not enter the journal.  ``tree_compile`` counters
+#: perf_summary() keys that vary run-to-run (wall clock) and therefore
+#: must not enter the journal.  ``tree_compile`` counters
 #: are process-global (the program memo outlives any one campaign) and
 #: ``plane`` counters depend on which processes warmed the shared cache
 #: plane first, so neither is run-deterministic.
-_VOLATILE_KEYS = frozenset({"jobs", "executor", "stages", "tree_compile", "plane"})
+_VOLATILE_KEYS = frozenset({"stages", "tree_compile", "plane"})
 
 
 def deterministic_perf_counters(summary: Dict[str, Any]) -> Dict[str, Any]:
     """The run-invariant subset of ``CostEvaluator.perf_summary()``.
 
-    Drops every timing-derived entry (keys containing ``"second"``) and
-    the worker-pool configuration, keeping the cache/batch-eval counters
-    that are bit-identical between serial and parallel runs.
+    Drops every timing-derived entry (keys containing ``"second"``),
+    keeping the cache/batch-eval counters that are bit-identical between
+    runs of the same campaign.
     """
     out: Dict[str, Any] = {}
     for key, value in summary.items():

@@ -9,7 +9,7 @@ keep the fast production paths honest:
 * :mod:`repro.verify.invariants` — reusable bottleneck-tree algebra
   assertions (recomputation, argmax, mitigation monotonicity);
 * :mod:`repro.verify.differential` — the fast-path campaign matrix
-  (batch / parallel / warm-cache / resume vs the serial reference);
+  (batch / warm-cache / resume / fused / ... vs the reference);
 * :mod:`repro.verify.goldens` — pinned reference traces under
   ``tests/goldens/``;
 * :mod:`repro.verify.fuzzer` — the seeded design-point/mapping fuzzer

@@ -6,9 +6,8 @@ and once inverted through :class:`~repro.optim.protocol.DriverLoop`
 (ask, evaluate externally, tell).  Both runs must produce an identical
 result fingerprint and an identical canonical journal (RunSummary perf
 counters stripped; the driver's own :class:`AskIssued` /
-:class:`TellRecorded` bookkeeping events removed), across the same
-evaluation-pipeline variants the main differential matrix covers: cold
-vs warm mapping cache and serial vs two parallel mapping workers.
+:class:`TellRecorded` bookkeeping events removed), with a cold and a
+warm mapping cache.
 
 The protocol inversion touches only *who calls the evaluator* — the
 acquisition decisions, RNG draws, and budget checks execute in the same
@@ -67,12 +66,10 @@ _BASELINES = (
 #: Every engine the leg proves equivalent, in run order.
 ENGINE_NAMES = tuple(name for name, _ in _BASELINES) + ("explainable",)
 
-#: (cell label, warm mapping cache?, mapping-search workers or None).
+#: (cell label, warm mapping cache?).
 _CELLS = (
-    ("cold-serial", False, None),
-    ("warm-serial", True, None),
-    ("cold-jobs2", False, 2),
-    ("warm-jobs2", True, 2),
+    ("cold-serial", False),
+    ("warm-serial", True),
 )
 
 
@@ -103,14 +100,11 @@ def run_ask_tell(
     space = build_edge_design_space()
     say = log if log is not None else (lambda message: None)
     report = AskTellReport(
-        engines=list(ENGINE_NAMES), cells=[cell for cell, _, _ in _CELLS]
+        engines=list(ENGINE_NAMES), cells=[cell for cell, _ in _CELLS]
     )
 
-    def evaluator(cache, jobs):
-        kwargs = {}
-        if jobs is not None:
-            kwargs.update(jobs=jobs, executor_mode="thread")
-        return _evaluator(workload, batch_eval=False, cache=cache, **kwargs)
+    def evaluator(cache):
+        return _evaluator(workload, batch_eval=False, cache=cache)
 
     def outcome(journal: Path, runner: Callable[[Tracer], object]):
         tracer = Tracer(JsonlSink(journal))
@@ -121,13 +115,13 @@ def run_ask_tell(
             tracer.close()
         return _fingerprint(result), _canonical_journal(journal)
 
-    for cell, warm, jobs in _CELLS:
+    for cell, warm in _CELLS:
         say(f"ask-tell: cell {cell}")
         for name, cls in _BASELINES:
             def build(tracer, cache):
                 return cls(
                     space,
-                    evaluator(cache, jobs),
+                    evaluator(cache),
                     _constraints(),
                     max_evaluations=max_evaluations,
                     seed=_SEED,
@@ -135,11 +129,7 @@ def run_ask_tell(
                 )
 
             def run_built(tracer, cache, drive):
-                optimizer = build(tracer, cache)
-                try:
-                    return drive(optimizer)
-                finally:
-                    optimizer.evaluator.close()
+                return drive(build(tracer, cache))
 
             cache = MappingCache()
             if warm:
@@ -160,20 +150,15 @@ def run_ask_tell(
             )
             _compare(report, cell, name, legacy, proto)
 
-        def build_dse(cache):
-            return ExplainableDSE(
-                space,
-                evaluator(cache, jobs),
-                _constraints(),
-                max_evaluations=max_evaluations,
-            )
-
         def run_dse(cache, drive):
-            dse = build_dse(cache)
-            try:
-                return drive(dse)
-            finally:
-                dse.evaluator.close()
+            return drive(
+                ExplainableDSE(
+                    space,
+                    evaluator(cache),
+                    _constraints(),
+                    max_evaluations=max_evaluations,
+                )
+            )
 
         cache = MappingCache()
         if warm:

@@ -2,16 +2,16 @@
 
 Runs the *same* DSE campaign through each accelerated configuration the
 perf/telemetry/resilience layers added — vectorized batch scoring, warm
-mapping cache, parallel workers, checkpoint-resume, fused cross-layer
-evaluation (``REPRO_FUSED_EVAL``), compiled bottleneck trees
+mapping cache, checkpoint-resume, fused cross-layer evaluation
+(``REPRO_FUSED_EVAL``), compiled bottleneck trees
 (``REPRO_TREE_COMPILE``), and the cross-process cache plane
 (``REPRO_CACHE_PLANE``) — and asserts the outputs are identical to the
-serial/scalar/cold-cache/recursive reference:
+scalar/cold-cache/recursive reference:
 
 * **results** (trial points/costs, explanations, incumbent, budget
   accounting) must be byte-identical for every variant;
 * **journals** must be byte-identical for variants that share the
-  reference's counter values (parallel workers, compiled trees);
+  reference's counter values (compiled trees);
 * for variants whose ``RunSummary`` perf counters legitimately differ
   (batch kernels count batches, warm caches count hits, resumed runs
   split counters across two evaluator lifetimes), the journals must be
@@ -204,7 +204,6 @@ def run_differential(
                 ).run(tracer=tracer)
         finally:
             tracer.close()
-            evaluator.close()
         return VariantOutcome(
             name=name,
             fingerprint=_fingerprint(result),
@@ -213,20 +212,12 @@ def run_differential(
             expect_raw_identity=False,
         )
 
-    say("differential: baseline (serial, scalar, cold cache)")
+    say("differential: baseline (scalar, cold cache)")
     baseline = campaign("baseline", _evaluator(workload, batch_eval=False))
     outcomes = [baseline]
 
     say("differential: batch kernels (REPRO_BATCH_EVAL path)")
     outcomes.append(campaign("batch", _evaluator(workload, batch_eval=True)))
-
-    say("differential: parallel workers (jobs=2, thread executor)")
-    jobs = campaign(
-        "jobs2",
-        _evaluator(workload, batch_eval=False, jobs=2, executor_mode="thread"),
-    )
-    jobs.expect_raw_identity = True
-    outcomes.append(jobs)
 
     say("differential: warm mapping cache (second run on a shared cache)")
     shared = MappingCache()
@@ -267,7 +258,6 @@ def run_differential(
             pass
         finally:
             tracer.close()
-            killable.close()
         if Path(ckpt).exists():
             break
         kill_at += 2
@@ -287,7 +277,6 @@ def run_differential(
             ).run(tracer=resumed_tracer, checkpoint_path=ckpt, resume_from=ckpt)
     finally:
         resumed_tracer.close()
-        evaluator.close()
     outcomes.append(
         VariantOutcome(
             name="resume",
@@ -326,12 +315,9 @@ def run_differential(
             batch_eval=False,
             cache=MappingCache(plane=CachePlane(str(plane_dir))),
         )
-        try:
-            ExplainableDSE(
-                space, prefill, _constraints(), max_evaluations=max_evaluations
-            ).run()
-        finally:
-            prefill.close()
+        ExplainableDSE(
+            space, prefill, _constraints(), max_evaluations=max_evaluations
+        ).run()
     # A fresh in-memory cache plus a fresh plane handle on the same
     # directory stands in for a second concurrent process.
     outcomes.append(

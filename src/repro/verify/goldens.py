@@ -77,7 +77,6 @@ def run_golden_campaign(workdir: Path) -> Tuple[bytes, str]:
         ).run(tracer=tracer)
     finally:
         tracer.close()
-        evaluator.close()
     return _canonical_journal(journal), _fingerprint(result)
 
 

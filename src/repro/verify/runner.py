@@ -5,11 +5,11 @@ Stage order (cheapest diagnostics first):
 1. **sweep** — exhaustive tiny-space differential against the oracle;
 2. **invariants** — bottleneck-tree algebra on trees built from real
    mapper-optimized executions;
-3. **differential** — the fast-path campaign matrix (batch / parallel /
-   warm cache / resume) against the serial reference;
+3. **differential** — the fast-path campaign matrix (batch / warm cache /
+   resume / fused / compiled trees / cache plane) against the reference;
 4. **ask-tell** — every engine (eight baselines + Explainable-DSE)
    driven through the inverted :class:`~repro.optim.protocol.DriverLoop`
-   against its legacy ``run()``, across cache/parallelism variants;
+   against its legacy ``run()``, with a cold and a warm mapping cache;
 5. **service** — N campaigns through the campaign service (interleaved,
    service stopped and resumed mid-run) against solo runs;
 6. **goldens** — the reference campaign against the pinned traces under

@@ -97,7 +97,6 @@ def _solo_references(workdir: Path) -> Dict[int, tuple]:
             ).run(tracer=tracer)
         finally:
             tracer.close()
-            evaluator.close()
         references[index] = (_fingerprint(result), _canonical_journal(journal))
     return references
 

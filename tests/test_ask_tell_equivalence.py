@@ -3,8 +3,8 @@
 Every engine (the eight black-box baselines and Explainable-DSE) must
 produce a bit-identical campaign — result fingerprint and canonical
 journal — whether it drives its own loop (``run()``) or is driven
-externally through :class:`repro.optim.DriverLoop`, across cold/warm
-mapping caches and serial/parallel (two-worker) mapping search.  Plus
+externally through :class:`repro.optim.DriverLoop`, with a cold and a
+warm mapping cache.  Plus
 the protocol's negative paths: ``ask(n <= 0)`` and stale tells raise
 ``ValueError``.
 """
@@ -48,13 +48,10 @@ BASELINES = [
     LocalSearch,
 ]
 
-#: (id, warm mapping cache?, mapping-search workers or None).  The jobs
-#: cells take the same evaluator path REPRO_JOBS=2 selects.
+#: (id, warm mapping cache?).
 CELLS = [
-    ("cold-serial", False, None),
-    ("warm-serial", True, None),
-    ("cold-jobs2", False, 2),
-    ("warm-jobs2", True, 2),
+    ("cold-serial", False),
+    ("warm-serial", True),
 ]
 
 
@@ -65,11 +62,8 @@ def _constraints():
     ]
 
 
-def _evaluator(workload, cache, jobs):
-    kwargs = {"mapping_cache": cache}
-    if jobs is not None:
-        kwargs.update(jobs=jobs, executor_mode="thread")
-    return CostEvaluator(workload, TopNMapper(top_n=50), **kwargs)
+def _evaluator(workload, cache):
+    return CostEvaluator(workload, TopNMapper(top_n=50), mapping_cache=cache)
 
 
 def _outcome(journal, runner):
@@ -82,19 +76,17 @@ def _outcome(journal, runner):
     return result_fingerprint(result), _canonical_journal(journal)
 
 
-@pytest.mark.parametrize(
-    "cell,warm,jobs", CELLS, ids=[cell[0] for cell in CELLS]
-)
+@pytest.mark.parametrize("cell,warm", CELLS, ids=[cell[0] for cell in CELLS])
 @pytest.mark.parametrize("cls", BASELINES, ids=[cls.name for cls in BASELINES])
 def test_baseline_protocol_matches_legacy(
-    tmp_path, edge_space, tiny_workload, cls, cell, warm, jobs
+    tmp_path, edge_space, tiny_workload, cls, cell, warm
 ):
     cache = MappingCache()
 
     def build(tracer):
         return cls(
             edge_space,
-            _evaluator(tiny_workload, cache, jobs),
+            _evaluator(tiny_workload, cache),
             _constraints(),
             max_evaluations=BUDGET,
             seed=SEED,
@@ -111,18 +103,16 @@ def test_baseline_protocol_matches_legacy(
     assert legacy[1] == proto[1], "canonical journal diverged"
 
 
-@pytest.mark.parametrize(
-    "cell,warm,jobs", CELLS, ids=[cell[0] for cell in CELLS]
-)
+@pytest.mark.parametrize("cell,warm", CELLS, ids=[cell[0] for cell in CELLS])
 def test_explainable_protocol_matches_legacy(
-    tmp_path, edge_space, tiny_workload, cell, warm, jobs
+    tmp_path, edge_space, tiny_workload, cell, warm
 ):
     cache = MappingCache()
 
     def build():
         return ExplainableDSE(
             edge_space,
-            _evaluator(tiny_workload, cache, jobs),
+            _evaluator(tiny_workload, cache),
             _constraints(),
             max_evaluations=BUDGET,
         )
@@ -147,7 +137,7 @@ def test_batched_driver_matches_legacy(edge_space, tiny_workload, tmp_path):
     def build(tracer=None):
         return RandomSearch(
             edge_space,
-            _evaluator(tiny_workload, MappingCache(), None),
+            _evaluator(tiny_workload, MappingCache()),
             _constraints(),
             max_evaluations=BUDGET,
             seed=SEED,
@@ -162,7 +152,7 @@ class TestProtocolGuards:
     def _engine(self, edge_space, tiny_workload, cls=RandomSearch):
         engine = cls(
             edge_space,
-            _evaluator(tiny_workload, MappingCache(), None),
+            _evaluator(tiny_workload, MappingCache()),
             _constraints(),
             max_evaluations=BUDGET,
             seed=SEED,
@@ -184,7 +174,7 @@ class TestProtocolGuards:
     ):
         dse = ExplainableDSE(
             edge_space,
-            _evaluator(tiny_workload, MappingCache(), None),
+            _evaluator(tiny_workload, MappingCache()),
             _constraints(),
             max_evaluations=BUDGET,
         )
@@ -226,7 +216,7 @@ class TestProtocolGuards:
     def test_explainable_stale_tell_raises(self, edge_space, tiny_workload):
         dse = ExplainableDSE(
             edge_space,
-            _evaluator(tiny_workload, MappingCache(), None),
+            _evaluator(tiny_workload, MappingCache()),
             _constraints(),
             max_evaluations=BUDGET,
         )
@@ -292,7 +282,7 @@ class TestDriverLoopPaths:
     def _dse(self, edge_space, tiny_workload):
         return ExplainableDSE(
             edge_space,
-            _evaluator(tiny_workload, MappingCache(), None),
+            _evaluator(tiny_workload, MappingCache()),
             _constraints(),
             max_evaluations=BUDGET,
         )
@@ -321,7 +311,7 @@ class TestDriverLoopPaths:
     ):
         engine = RandomSearch(
             edge_space,
-            _evaluator(tiny_workload, MappingCache(), None),
+            _evaluator(tiny_workload, MappingCache()),
             _constraints(),
             max_evaluations=BUDGET,
             seed=SEED,

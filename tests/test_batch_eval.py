@@ -360,11 +360,6 @@ class TestStatsAndSummary:
         assert stats.batches == 1
         assert stats.batch_candidates_per_second == pytest.approx(200.0)
         assert stats.scalar_candidates_per_second == pytest.approx(25.0)
-        other = BatchEvalStats()
-        other.record_batch(10, 5, 0.1)
-        stats.merge(other)
-        assert stats.batches == 2
-        assert stats.batch_candidates == 110
         as_dict = stats.as_dict()
         assert as_dict["int64_fallbacks"] == 1
         assert as_dict["scalar_searches"] == 1
@@ -416,32 +411,6 @@ class TestStatsAndSummary:
         assert section["batch_candidates"] > 0
         evaluator.reset_counters()
         assert evaluator.perf_summary()["batch_eval"]["batches"] == 0
-
-    @pytest.mark.parametrize("executor_mode", ["process", "thread"])
-    def test_worker_pool_stats_flow_back(
-        self, tiny_workload, mid_point, executor_mode
-    ):
-        """Batch counters from pool workers reach the parent exactly once."""
-        serial = CostEvaluator(
-            tiny_workload,
-            TopNMapper(top_n=40, batch_eval=True),
-            use_mapping_cache=False,
-        )
-        serial.evaluate(mid_point)
-        pooled = CostEvaluator(
-            tiny_workload,
-            TopNMapper(top_n=40, batch_eval=True),
-            jobs=2,
-            executor_mode=executor_mode,
-            use_mapping_cache=False,
-        )
-        pooled.evaluate(mid_point)
-        expected = serial.batch_eval_stats
-        got = pooled.batch_eval_stats
-        assert got.batches == expected.batches
-        assert got.batch_candidates == expected.batch_candidates
-        assert got.batch_feasible == expected.batch_feasible
-        assert got.scalar_searches == expected.scalar_searches
 
     def test_perf_summary_unsupported_mapper(self, tiny_workload, mid_point):
         evaluator = CostEvaluator(tiny_workload, FixedDataflowMapper())

@@ -202,7 +202,6 @@ class TestMappingCacheWriteThrough:
         )
         cold = first.evaluate(mid_point)
         assert first.mapping_cache_misses == len(resnet18.layers)
-        first.close()
 
         second = CostEvaluator(
             resnet18,
@@ -220,7 +219,6 @@ class TestMappingCacheWriteThrough:
         plane_section = second.perf_summary()["mapping_cache"]["plane"]
         assert plane_section["enabled"] is True
         assert plane_section["hits"] > 0
-        second.close()
 
     def test_plane_disabled_section_is_constant(self, resnet18, mid_point):
         evaluator = CostEvaluator(
@@ -228,7 +226,6 @@ class TestMappingCacheWriteThrough:
         )
         section = evaluator.perf_summary()["mapping_cache"]["plane"]
         assert section == {"enabled": False}
-        evaluator.close()
 
     def test_plane_section_is_journal_volatile(self):
         from repro.telemetry.events import deterministic_perf_counters
@@ -251,7 +248,6 @@ class TestMappingCacheWriteThrough:
             mapping_cache=MappingCache(plane=CachePlane(str(plane_dir))),
         )
         expected = reference.evaluate(mid_point)
-        reference.close()
 
         for name in _segments(plane_dir):
             raw = bytearray((plane_dir / name).read_bytes())
@@ -271,7 +267,6 @@ class TestMappingCacheWriteThrough:
         )
         assert recomputed.costs == expected.costs
         assert damaged.mapping_cache_misses == len(resnet18.layers)
-        damaged.close()
 
 
 class TestSharedCacheWiring:

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import os
+from unittest import mock
+
 import pytest
 
+from repro.experiments import cli
 from repro.experiments.cli import build_parser, main
 
 
@@ -74,6 +78,36 @@ class TestCommands:
         )
         assert code == 0
         assert "Fig. 9" in capsys.readouterr().out
+
+
+class _RunnerBuilt(Exception):
+    pass
+
+
+class TestJobs:
+    def test_experiment_passes_jobs_to_the_matrix_runner(self, monkeypatch):
+        """``--jobs`` sizes the matrix pool as a parameter; it must not
+        leak into the environment, where every evaluator would see it."""
+        seen = {}
+
+        def runner_stub(**kwargs):
+            seen.update(kwargs)
+            raise _RunnerBuilt
+
+        monkeypatch.setattr(cli, "ComparisonRunner", runner_stub)
+        with mock.patch.dict(os.environ):
+            os.environ.pop("REPRO_JOBS", None)
+            with pytest.raises(_RunnerBuilt):
+                main(["experiment", "fig9", "--models", "resnet18",
+                      "--iterations", "2", "--jobs", "2"])
+            assert "REPRO_JOBS" not in os.environ
+        assert seen == {"iterations": 2, "jobs": "2"}
+
+    @pytest.mark.parametrize("command", ["explore", "compare"])
+    def test_single_model_commands_reject_jobs(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "resnet18", "--jobs", "2"])
+        assert excinfo.value.code == 2
 
 
 class TestTraceResumeReport:

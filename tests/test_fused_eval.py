@@ -167,10 +167,7 @@ class TestEvaluatorIntegration:
         evaluator = CostEvaluator(
             workload, TopNMapper(top_n=50), use_mapping_cache=False, **kwargs
         )
-        try:
-            return evaluator.evaluate(point), evaluator
-        finally:
-            evaluator.close()
+        return evaluator.evaluate(point), evaluator
 
     def test_design_point_costs_identical(self, resnet18, mid_point):
         reference, _ = self._evaluate(resnet18, mid_point, fused_eval=False)
@@ -204,33 +201,26 @@ class TestEvaluatorIntegration:
             mapping_cache=MappingCache(),
             fused_eval=True,
         )
-        try:
-            evaluator.evaluate(mid_point)
-            assert evaluator.mapping_cache_misses == len(resnet18.layers)
-            assert evaluator.mapping_cache.size() == len(resnet18.layers)
-            # a re-evaluation of the same config is served from the cache
-            evaluator2 = CostEvaluator(
-                resnet18,
-                TopNMapper(top_n=50),
-                mapping_cache=evaluator.mapping_cache,
-                fused_eval=True,
-            )
-            reference = CostEvaluator(
-                resnet18,
-                TopNMapper(top_n=50),
-                use_mapping_cache=False,
-                fused_eval=False,
-            )
-            try:
-                warm = evaluator2.evaluate(mid_point)
-                cold = reference.evaluate(mid_point)
-                assert evaluator2.mapping_cache_hits == len(resnet18.layers)
-                assert warm.costs == cold.costs
-            finally:
-                evaluator2.close()
-                reference.close()
-        finally:
-            evaluator.close()
+        evaluator.evaluate(mid_point)
+        assert evaluator.mapping_cache_misses == len(resnet18.layers)
+        assert evaluator.mapping_cache.size() == len(resnet18.layers)
+        # a re-evaluation of the same config is served from the cache
+        evaluator2 = CostEvaluator(
+            resnet18,
+            TopNMapper(top_n=50),
+            mapping_cache=evaluator.mapping_cache,
+            fused_eval=True,
+        )
+        reference = CostEvaluator(
+            resnet18,
+            TopNMapper(top_n=50),
+            use_mapping_cache=False,
+            fused_eval=False,
+        )
+        warm = evaluator2.evaluate(mid_point)
+        cold = reference.evaluate(mid_point)
+        assert evaluator2.mapping_cache_hits == len(resnet18.layers)
+        assert warm.costs == cold.costs
 
     def test_unsupported_mapper_falls_back_silently(self, resnet18, mid_point):
         fixed = FixedDataflowMapper()
@@ -241,14 +231,10 @@ class TestEvaluatorIntegration:
         reference = CostEvaluator(
             resnet18, FixedDataflowMapper(), use_mapping_cache=False
         )
-        try:
-            assert (
-                evaluator.evaluate(mid_point).costs
-                == reference.evaluate(mid_point).costs
-            )
-        finally:
-            evaluator.close()
-            reference.close()
+        assert (
+            evaluator.evaluate(mid_point).costs
+            == reference.evaluate(mid_point).costs
+        )
 
     def test_fused_failure_warns_and_uses_reference_path(
         self, resnet18, mid_point, monkeypatch
@@ -268,21 +254,17 @@ class TestEvaluatorIntegration:
         reference = CostEvaluator(
             resnet18, TopNMapper(top_n=50), use_mapping_cache=False
         )
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = evaluator.evaluate(mid_point)
-            assert any(
-                "fused cross-layer evaluation failed" in str(w.message)
-                for w in caught
-            )
-            assert result.costs == reference.evaluate(mid_point).costs
-            assert evaluator.batch_eval_stats.fused_fallbacks == len(
-                resnet18.layers
-            )
-        finally:
-            evaluator.close()
-            reference.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = evaluator.evaluate(mid_point)
+        assert any(
+            "fused cross-layer evaluation failed" in str(w.message)
+            for w in caught
+        )
+        assert result.costs == reference.evaluate(mid_point).costs
+        assert evaluator.batch_eval_stats.fused_fallbacks == len(
+            resnet18.layers
+        )
 
     def test_perf_summary_reports_fused_flags(self, resnet18, mid_point):
         _, evaluator = self._evaluate(resnet18, mid_point, fused_eval=True)
@@ -293,7 +275,6 @@ class TestEvaluatorIntegration:
             resnet18, TopNMapper(top_n=50), use_mapping_cache=False
         )
         assert off.perf_summary()["batch_eval"]["fused_enabled"] is False
-        off.close()
 
 
 class TestSupportsFused:

@@ -1,8 +1,8 @@
 """Validation tests for the fast-path environment knobs.
 
 ``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, ``REPRO_BATCH_EVAL``,
-``REPRO_MAPPING_CACHE``, ``REPRO_CACHE_PLANE``, ``REPRO_EXECUTOR``, and
-the service knobs follow the
+``REPRO_MAPPING_CACHE``, the mapping-cache capacities,
+``REPRO_CACHE_PLANE``, and the service knobs follow the
 ``resolve_jobs`` contract: junk values never raise — they warn once
 (per knob, per value) and fall back to the safe path.  Valid
 values are memoized per raw string (hot paths re-read knobs), junk
@@ -13,10 +13,12 @@ import warnings
 
 import pytest
 
+from repro.core.dse.constraints import Constraint
+from repro.core.dse.explainable import ExplainableDSE
 from repro.cost.batch import batch_eval_enabled
 from repro.cost.evaluator import CostEvaluator
 from repro.mapping.mapper import TopNMapper
-from repro.perf import knobs
+from repro.perf import MappingCache, knobs
 
 
 @pytest.fixture(autouse=True)
@@ -27,7 +29,8 @@ def _clean_env(monkeypatch):
         "REPRO_BATCH_EVAL",
         "REPRO_MAPPING_CACHE",
         "REPRO_CACHE_PLANE",
-        "REPRO_EXECUTOR",
+        "REPRO_MAPPING_CACHE_RESULTS",
+        "REPRO_MAPPING_CACHE_TRACES",
         "REPRO_JOBS",
         "REPRO_SERVICE_MAX_CONCURRENT",
         "REPRO_SERVICE_STEP_QUANTUM",
@@ -138,33 +141,58 @@ class TestDefaultOnPathKnobs:
             assert path_on(tiny_workload) is True
 
 
-class TestExecutorKnob:
-    def test_junk_warns_once_and_serial_campaign_runs(
-        self, monkeypatch, tiny_workload
+class TestMappingCacheCapacityKnobs:
+    @pytest.mark.parametrize(
+        "name,attr,default",
+        [("REPRO_MAPPING_CACHE_RESULTS", "max_results", 32768),
+         ("REPRO_MAPPING_CACHE_TRACES", "max_traces", 1024)],
+        ids=["results", "traces"],
+    )
+    @pytest.mark.parametrize("raw", ["-1", "0", "lots"])
+    def test_invalid_env_warns_once_and_uses_default(
+        self, monkeypatch, name, attr, default, raw
     ):
-        """A junk ``REPRO_EXECUTOR`` selects the process pool with one
-        warning; a serial evaluator never builds an executor, so it must
-        not abort on the value."""
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
+        monkeypatch.setenv(name, raw)
         knobs._WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="REPRO_EXECUTOR"):
-            evaluator = CostEvaluator(
-                tiny_workload, TopNMapper(top_n=8), jobs=1
-            )
-        assert evaluator.perf_summary()["executor"] == "process"
+        with pytest.warns(RuntimeWarning, match=name):
+            assert getattr(MappingCache(), attr) == default
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert knobs.resolve_executor_mode() == "process"
+            assert getattr(MappingCache(), attr) == default
 
-    @pytest.mark.parametrize(
-        "raw,mode", [("THREAD", "thread"), (" Process ", "process")]
-    )
-    def test_env_is_case_insensitive_and_explicit_mode_wins(
-        self, monkeypatch, raw, mode
+    def test_valid_env_values(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_RESULTS", "64")
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_TRACES", "8")
+        cache = MappingCache()
+        assert (cache.max_results, cache.max_traces) == (64, 8)
+
+    @pytest.mark.parametrize("kwargs", [{"max_results": 0},
+                                        {"max_traces": -3}])
+    def test_explicit_capacity_below_one_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="at least 1"):
+            MappingCache(**kwargs)
+
+    def test_negative_capacity_campaign_completes(
+        self, monkeypatch, edge_space, tiny_workload
     ):
-        monkeypatch.setenv("REPRO_EXECUTOR", raw)
-        assert knobs.resolve_executor_mode() == mode
-        assert knobs.resolve_executor_mode("thread") == "thread"
+        """A negative capacity used to pop from an empty LRU on the first
+        store, failing every layer search with ``KeyError``."""
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_RESULTS", "-1")
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_TRACES", "-1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cache = MappingCache()
+        evaluator = CostEvaluator(
+            tiny_workload, TopNMapper(top_n=8), mapping_cache=cache
+        )
+        result = ExplainableDSE(
+            edge_space,
+            evaluator,
+            [Constraint("area", "area_mm2", 75.0)],
+            max_evaluations=2,
+        ).run()
+        assert result.evaluations == 2
+        assert not any(t.note.startswith("quarantined") for t in result.trials)
 
 
 class TestServiceKnobs:

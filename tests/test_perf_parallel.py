@@ -1,4 +1,5 @@
-"""Tests for the parallel evaluation pipeline (repro.perf.parallel).
+"""Tests for the worker pool (repro.perf.parallel) and the experiment
+matrix that runs on it.
 
 Parallel paths must be bit-identical to the serial fallback, and the
 random mapper's "deterministic" stream must actually be deterministic
@@ -11,10 +12,9 @@ import sys
 
 import pytest
 
-from repro.cost.evaluator import CostEvaluator
 from repro.experiments.harness import PAPER_TECHNIQUES, ComparisonRunner
-from repro.mapping.mapper import TopNMapper, _stable_seed
-from repro.perf import MappingCache, WorkerPool, parallel_map, resolve_jobs
+from repro.mapping.mapper import _stable_seed
+from repro.perf import WorkerPool, parallel_map, resolve_jobs
 
 
 def _square(x):
@@ -62,55 +62,6 @@ class TestParallelMap:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(jobs=2, mode="coroutine")
-
-
-class TestParallelEvaluatorIdentity:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_parallel_costs_identical_to_serial(
-        self, mode, tiny_workload, mid_point
-    ):
-        """Property: serial and parallel CostEvaluator produce identical
-        Evaluation.costs for the same points."""
-        serial = CostEvaluator(
-            tiny_workload, TopNMapper(top_n=30), jobs=1,
-            use_mapping_cache=False,
-        )
-        parallel = CostEvaluator(
-            tiny_workload, TopNMapper(top_n=30), jobs=2, executor_mode=mode,
-            use_mapping_cache=False,
-        )
-        points = []
-        for pes in (512, 1024):
-            p = dict(mid_point)
-            p["pes"] = pes
-            points.append(p)
-        try:
-            for point in points:
-                a = serial.evaluate(point)
-                b = parallel.evaluate(point)
-                assert a.costs == b.costs
-                assert list(a.layer_results) == list(b.layer_results)
-        finally:
-            parallel.close()
-
-    def test_parallel_workers_seed_parent_cache(
-        self, tiny_workload, mid_point
-    ):
-        evaluator = CostEvaluator(
-            tiny_workload, TopNMapper(top_n=30), jobs=2,
-            executor_mode="thread", mapping_cache=MappingCache(),
-        )
-        try:
-            evaluator.evaluate(mid_point)
-            assert evaluator.mapping_cache_misses == len(tiny_workload.layers)
-            assert evaluator.mapping_cache_size() == len(tiny_workload.layers)
-            evaluator.evaluate(dict(mid_point))  # point-cache hit
-            variant = dict(mid_point)
-            variant["offchip_bw_mbps"] = 1024
-            evaluator.evaluate(variant)  # re-score hits, no new searches
-            assert evaluator.mapping_cache_hits == len(tiny_workload.layers)
-        finally:
-            evaluator.close()
 
 
 class TestParallelHarnessIdentity:

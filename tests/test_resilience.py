@@ -505,11 +505,6 @@ class TestEvaluatorSupervision:
             evaluator.evaluate(mid_point)
         assert info.value.context.get("key") == layer
 
-    def test_evaluator_context_manager(self, tiny_workload):
-        with _make_evaluator(tiny_workload) as evaluator:
-            assert evaluator.retry_policy.max_retries >= 0
-        assert evaluator._pool._executor is None
-
 
 # -- self-healing cache persistence ------------------------------------------
 

@@ -300,8 +300,6 @@ class TestDeterministicCounters:
             "evaluations": 4,
             "total_seconds": 1.5,
             "evaluations_per_second": 2.7,
-            "jobs": 8,
-            "executor": "thread",
             "stages": {"mapping": {}},
             "mapping_cache": {"hits": 3, "seconds_saved": 0.2},
         }
@@ -323,14 +321,11 @@ def _constraints():
     ]
 
 
-def _make_evaluator(workload, **kwargs):
+def _make_evaluator(workload):
     # A private MappingCache per evaluator: the process-wide shared cache
     # would couple the compared runs.
     return CostEvaluator(
-        workload,
-        TopNMapper(top_n=60),
-        mapping_cache=MappingCache(),
-        **kwargs,
+        workload, TopNMapper(top_n=60), mapping_cache=MappingCache()
     )
 
 
@@ -374,34 +369,6 @@ class TestCampaignDeterminism:
         ).run(tracer=tracer)
         assert _result_fingerprint(untraced) == _result_fingerprint(traced)
         assert tracer.events_emitted > 0
-
-    def _journal_bytes(self, tmp_path, name, tiny_workload, edge_space,
-                       jobs, executor):
-        journal = tmp_path / f"{name}.jsonl"
-        evaluator = _make_evaluator(
-            tiny_workload, jobs=jobs, executor_mode=executor
-        )
-        tracer = Tracer(JsonlSink(journal))
-        try:
-            ExplainableDSE(
-                edge_space, evaluator, _constraints(), max_evaluations=15
-            ).run(tracer=tracer)
-        finally:
-            tracer.close()
-            evaluator.close()
-        return journal.read_bytes()
-
-    def test_parallel_journal_byte_identical_to_serial(
-        self, tmp_path, edge_space, tiny_workload
-    ):
-        """REPRO_JOBS>1 must not change the journal (satellite 1)."""
-        serial = self._journal_bytes(
-            tmp_path, "serial", tiny_workload, edge_space, 1, None
-        )
-        parallel = self._journal_bytes(
-            tmp_path, "parallel", tiny_workload, edge_space, 2, "thread"
-        )
-        assert serial == parallel
 
     def test_run_summary_carries_perf_counters(
         self, tmp_path, edge_space, tiny_workload

@@ -8,7 +8,6 @@ from repro.verify.differential import _canonical_journal, run_differential
 ALL_VARIANTS = [
     "baseline",
     "batch",
-    "jobs2",
     "warm-cache",
     "resume",
     "fused",
@@ -20,10 +19,10 @@ ALL_VARIANTS = [
 
 class TestDifferentialMatrix:
     def test_full_matrix_is_identical(self, tmp_path):
-        """Acceptance criterion: batch, parallel, warm-cache, resumed,
-        fused, compiled-tree, and cache-plane campaigns all
-        reproduce the serial reference — results exactly, journals up to
-        RunSummary perf counters (raw bytes for jobs2 and compiled-tree)."""
+        """Acceptance criterion: batch, warm-cache, resumed, fused,
+        compiled-tree, and cache-plane campaigns all reproduce the
+        reference — results exactly, journals up to RunSummary perf
+        counters (raw bytes for compiled-tree)."""
         report = run_differential(tmp_path, max_evaluations=12)
         assert report.variants == ALL_VARIANTS
         assert report.mismatches == []

@@ -86,12 +86,9 @@ class TestDirectComparisons:
         in workload order) matches the production evaluator exactly."""
         workload = tiny_verify_workload()
         evaluator = CostEvaluator(workload, TopNMapper(top_n=20))
-        try:
-            for point in list(tiny_space().grid(2))[:6]:
-                evaluation = evaluator.evaluate(point)
-                assert compare_evaluation(evaluation, workload) == []
-        finally:
-            evaluator.close()
+        for point in list(tiny_space().grid(2))[:6]:
+            evaluation = evaluator.evaluate(point)
+            assert compare_evaluation(evaluation, workload) == []
 
 
 class TestOracleLimits:
