@@ -422,13 +422,7 @@ class ExplainableDSE:
         step: int = 0,
         candidate_index: int = -1,
     ) -> Evaluation:
-        """Record one successful evaluation: trial ledger + event.
-
-        Shared by :meth:`_evaluate` (inline evaluation) and the ask/tell
-        protocol (:class:`repro.optim.protocol.ExplainableEngine`), whose
-        driver evaluates externally and tells the result back — both
-        paths must write byte-identical ledgers and journals.
-        """
+        """Record one successful evaluation: trial ledger + event."""
         utilizations = {
             c.name: c.utilization(evaluation.costs) for c in self.constraints
         }

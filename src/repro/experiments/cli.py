@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="run Explainable-DSE on one benchmark model"
     )
     explore.add_argument("model", choices=MODEL_NAMES)
-    explore.add_argument("--iterations", type=int, default=60)
+    explore.add_argument("--iterations", type=_positive_int, default=60)
     explore.add_argument(
         "--mapping", choices=("codesign", "fixed"), default="codesign"
     )
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="compare all techniques on one model (Fig. 3 slice)"
     )
     compare.add_argument("model", choices=MODEL_NAMES)
-    compare.add_argument("--iterations", type=int, default=40)
+    compare.add_argument("--iterations", type=_positive_int, default=40)
     _add_batch_eval_argument(compare)
 
     experiment = sub.add_parser(
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted({**MATRIX_EXPERIMENTS, **STANDALONE_EXPERIMENTS})
         + ["all"],
     )
-    experiment.add_argument("--iterations", type=int, default=60)
+    experiment.add_argument("--iterations", type=_positive_int, default=60)
     experiment.add_argument(
         "--models", default=None, help="comma-separated model subset"
     )
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="service base URL, e.g. http://127.0.0.1:8321",
     )
     submit.add_argument("--tenant", default="default")
-    submit.add_argument("--iterations", type=int, default=40)
+    submit.add_argument("--iterations", type=_positive_int, default=40)
     submit.add_argument(
         "--mapping", choices=("codesign", "fixed"), default="codesign"
     )
@@ -278,20 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     pareto = sub.add_parser(
         "pareto",
-        help="multi-objective frontier: drive Explainable-DSE through the "
-             "ask/tell protocol with a journaled Pareto archive, or "
-             "replay an existing frontier journal",
+        help="multi-objective frontier: run Explainable-DSE and feed its "
+             "trials into a journaled Pareto archive, or replay an "
+             "existing frontier journal",
     )
     pareto.add_argument(
         "model", nargs="?", choices=MODEL_NAMES, default=None,
         help="benchmark model to explore (omit with --replay)",
     )
-    pareto.add_argument("--iterations", type=int, default=40)
+    pareto.add_argument("--iterations", type=_positive_int, default=40)
     pareto.add_argument(
         "--mapping", choices=("codesign", "fixed"), default="codesign"
     )
     pareto.add_argument(
-        "--capacity", type=int, default=64, metavar="N",
+        "--capacity", type=_positive_int, default=64, metavar="N",
         help="frontier size cap; crowding-pruned beyond it (default: 64)",
     )
     pareto.add_argument(
@@ -312,6 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-models", help="list the benchmark models")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_batch_eval_argument(parser: argparse.ArgumentParser) -> None:
@@ -465,7 +478,7 @@ def _cmd_report(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_pareto(args, parser: argparse.ArgumentParser) -> int:
     import json as _json
 
-    from repro.experiments.pareto import format_frontier
+    from repro.experiments.pareto import archive_from_results, format_frontier
     from repro.optim.archive import ParetoArchive
 
     if args.replay is not None:
@@ -481,30 +494,18 @@ def _cmd_pareto(args, parser: argparse.ArgumentParser) -> int:
         from repro.experiments.setup import (
             build_edge_design_space,
             edge_constraints,
-            make_evaluator,
         )
-        from repro.optim import DriverLoop, ExplainableEngine, ParetoArchive
 
-        evaluator = make_evaluator(args.model, mapping_mode=args.mapping)
-        dse = ExplainableDSE(
+        result = ExplainableDSE(
             build_edge_design_space(),
-            evaluator,
+            make_evaluator(args.model, mapping_mode=args.mapping),
             edge_constraints(args.model),
             max_evaluations=args.iterations,
+        ).run()
+        archive = archive_from_results(
+            [result], capacity=args.capacity, journal_path=args.journal
         )
-        archive = ParetoArchive(
-            capacity=args.capacity,
-            journal_path=args.journal,
-            truncate=args.journal is not None,
-        )
-        result = DriverLoop(
-            ExplainableEngine(dse), archive=archive
-        ).run(None)
-        archive.flush()
-        print(
-            f"explainable on {args.model}: {result.evaluations} "
-            f"evaluations via ask/tell"
-        )
+        print(f"explainable on {args.model}: {result.evaluations} evaluations")
         if args.journal:
             print(f"frontier journal: {args.journal}")
     print(format_frontier(archive))

@@ -1,4 +1,8 @@
-"""Non-explainable baseline optimizers the paper compares against."""
+"""Non-explainable baseline optimizers the paper compares against.
+
+Every baseline is an ask/tell :class:`SearchEngine`, and its ``run()``
+is :class:`DriverLoop` over it — the one driver of every baseline.
+"""
 
 from repro.optim.annealing import SimulatedAnnealing
 from repro.optim.archive import (
@@ -17,7 +21,6 @@ from repro.optim.local_search import LocalSearch
 from repro.optim.protocol import (
     DriverLoop,
     EvalResult,
-    ExplainableEngine,
     Proposal,
     SearchEngine,
 )
@@ -30,7 +33,6 @@ __all__ = [
     "DEFAULT_OBJECTIVES",
     "DriverLoop",
     "EvalResult",
-    "ExplainableEngine",
     "FrontierEntry",
     "GaussianProcess",
     "GeneticAlgorithm",

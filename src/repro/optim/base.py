@@ -11,16 +11,10 @@ generator* (:meth:`BaselineOptimizer._propose`): a generator that yields
 :class:`~repro.optim.protocol.Proposal` objects (or lists of them, for
 result-independent batches like a GA generation) and receives the
 corresponding :class:`~repro.cost.evaluator.Evaluation` (or list) back at
-the yield.  The same generator is driven two ways:
-
-* ``run()`` — the legacy inline loop: evaluate each proposal immediately
-  (:meth:`_optimize` is the generic driver).
-* ``ask()``/``tell()`` — the inverted :class:`~repro.optim.protocol
-  .SearchEngine` protocol: an external driver evaluates.
-
-Because both paths execute the identical generator code, budget checks,
-and RNG draws, they are bit-identical by construction — and proven so by
-``tests/test_ask_tell_equivalence.py``.
+the yield.  :class:`BaselineOptimizer` serves that generator through the
+ask/tell :class:`~repro.optim.protocol.SearchEngine` protocol, and
+``run()`` is :class:`~repro.optim.protocol.DriverLoop` over it: one
+driver, whether the caller is ``run()`` or an external evaluator.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from repro.arch.design_space import DesignPoint, DesignSpace
 from repro.core.dse.constraints import Constraint, all_satisfied
 from repro.core.dse.result import DSEResult, TrialRecord, select_best
 from repro.cost.evaluator import CostEvaluator, Evaluation
-from repro.optim.protocol import EvalResult, Proposal, SearchEngine
+from repro.optim.protocol import DriverLoop, EvalResult, Proposal, SearchEngine
 from repro.telemetry.events import (
     CandidateEvaluated,
     IncumbentUpdated,
@@ -86,15 +80,12 @@ class BaselineOptimizer(SearchEngine):
 
     Subclasses implement :meth:`_propose`, a generator yielding
     :class:`Proposal` requests; the budget is enforced at evaluation
-    boundaries (an exhausted budget raises :class:`_BudgetExhausted` in
-    the inline path, or ends the ask/tell stream in the protocol path).
+    boundaries (an exhausted budget ends the ask/tell stream, abandoning
+    whatever the generator still holds unevaluated).
     """
 
     #: Short label used in experiment tables.
     name = "baseline"
-
-    class _BudgetExhausted(Exception):
-        pass
 
     def __init__(
         self,
@@ -133,13 +124,7 @@ class BaselineOptimizer(SearchEngine):
 
     def run(self, initial_point: Optional[DesignPoint] = None) -> DSEResult:
         """Run the optimizer until the evaluation budget is exhausted."""
-        started = time.perf_counter()
-        self._reset()
-        try:
-            self._optimize(initial_point)
-        except BaselineOptimizer._BudgetExhausted:
-            pass
-        return self._finalize(started)
+        return DriverLoop(self).run(initial_point)
 
     def _reset(self) -> None:
         self._trials = []
@@ -147,7 +132,7 @@ class BaselineOptimizer(SearchEngine):
         self._best_feasible = math.inf
 
     def _finalize(self, started: float) -> DSEResult:
-        """Shared run epilogue: best selection, summary event, result."""
+        """Run epilogue: best selection, summary event, result."""
         best = select_best(
             self._trials, self.constraints, objective=self.objective
         )
@@ -174,31 +159,6 @@ class BaselineOptimizer(SearchEngine):
             evaluations=self.evaluator.evaluations - self._base_evaluations,
             wall_seconds=time.perf_counter() - started,
         )
-
-    def _optimize(self, initial_point: Optional[DesignPoint]) -> None:
-        """The inline driver: evaluate each proposal as it is yielded.
-
-        A mid-batch budget exhaustion raises out of the evaluation —
-        abandoning the generator mid-yield, exactly as the imperative
-        loops used to unwind.
-        """
-        gen = self._propose(initial_point)
-        try:
-            request = next(gen)
-        except StopIteration:
-            return
-        while True:
-            reply: Union[Evaluation, List[Evaluation]]
-            if isinstance(request, Proposal):
-                reply = self._evaluate(request.point, note=request.note)
-            else:
-                reply = [
-                    self._evaluate(p.point, note=p.note) for p in request
-                ]
-            try:
-                request = gen.send(reply)
-            except StopIteration:
-                return
 
     @abc.abstractmethod
     def _propose(
@@ -230,10 +190,6 @@ class BaselineOptimizer(SearchEngine):
             raise RuntimeError("result() is only valid once finished")
         return self._final
 
-    @property
-    def step_hint(self) -> int:
-        return len(self._trials) + 1
-
     def ask(self, n: int) -> List[DesignPoint]:
         if n <= 0:
             raise ValueError(f"ask(n) requires n >= 1, got {n}")
@@ -246,8 +202,8 @@ class BaselineOptimizer(SearchEngine):
             # only (never advance the generator past unanswered asks).
             return self._serve(n)
         if self.budget_left <= 0:
-            # The legacy raise-before-evaluate: whatever the generator
-            # still holds is abandoned unevaluated.
+            # Out of budget: whatever the generator still holds is
+            # abandoned unevaluated.
             self._conclude()
             return []
         while not self._pending and not self._done:
@@ -277,7 +233,7 @@ class BaselineOptimizer(SearchEngine):
                 else:
                     reply = self._replies[0] if self._replies else None
                 request = self._gen.send(reply)
-        except (StopIteration, BaselineOptimizer._BudgetExhausted):
+        except StopIteration:
             self._conclude()
             return
         self._replies = []
@@ -309,10 +265,6 @@ class BaselineOptimizer(SearchEngine):
                     "(or out of ask order)"
                 )
             self._outstanding.pop(0)
-            if res.error is not None:
-                # Baselines have no quarantine path: failures propagate,
-                # as they did from the legacy inline loop.
-                raise res.error
             self._record(proposal.point, res.evaluation, proposal.note)
             self._replies.append(res.evaluation)
 
@@ -330,31 +282,17 @@ class BaselineOptimizer(SearchEngine):
 
     @property
     def budget_left(self) -> int:
+        """Evaluations left; re-evaluations of cached points are free
+        (matching how iteration counts are reported for the paper's
+        baselines)."""
         return self.max_evaluations - (
             self.evaluator.evaluations - self._base_evaluations
         )
 
-    def _evaluate(self, point: DesignPoint, note: str = "") -> Evaluation:
-        """Evaluate one point, recording a trial; raises when out of budget.
-
-        Re-evaluations of cached points do not consume budget (matching how
-        iteration counts are reported for the paper's baselines).
-        """
-        if self.budget_left <= 0:
-            raise BaselineOptimizer._BudgetExhausted()
-        evaluation = self.evaluator.evaluate(point)
-        self._record(point, evaluation, note)
-        return evaluation
-
     def _record(
         self, point: DesignPoint, evaluation: Evaluation, note: str
     ) -> None:
-        """Record one evaluation: trial ledger, events, incumbent.
-
-        Shared verbatim by the inline path (:meth:`_evaluate`) and the
-        ask/tell path (:meth:`tell`), which is what makes the two
-        drivers journal-identical.
-        """
+        """Record one told evaluation: trial ledger, events, incumbent."""
         utilizations = {
             c.name: c.utilization(evaluation.costs) for c in self.constraints
         }

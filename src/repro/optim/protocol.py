@@ -1,29 +1,21 @@
 """The ask/tell optimizer protocol: inverted-control search engines.
 
-Every optimizer in the reproduction — the eight black-box baselines and
-Explainable-DSE itself — historically owned its run loop: ``run()`` called
-the evaluator inline until the budget ran out.  That makes the engines
-impossible to multiplex under one harness (the campaign service wants to
-interleave *attempts*, an external proposer wants to bring its own
-evaluator) and impossible to compare step-for-step.  This module inverts
-the control flow, the way Optuna-style multi-objective DSE frameworks and
-LLM-DSE's external-agent loop do (see PAPERS.md):
+Every black-box baseline in the reproduction is a :class:`SearchEngine`:
+instead of owning a run loop that calls the evaluator inline, it proposes
+points and is told their costs, the way Optuna-style multi-objective DSE
+frameworks and LLM-DSE's external-agent loop do (see PAPERS.md).  That
+lets a caller bring its own evaluator and batch evaluations.
 
 * :class:`SearchEngine` — the protocol: ``start()``, ``ask(n)`` returning
   up to ``n`` design points, ``tell(results)`` returning their costs,
   ``finished``/``result()``.
-* :class:`DriverLoop` — the deterministic reference driver: asks, charges
-  the engine's evaluator, tells, and journals :class:`~repro.telemetry
-  .events.AskIssued` / :class:`~repro.telemetry.events.TellRecorded`
-  protocol events.  Driving an engine with it is proven bit-identical
-  (result fingerprint + canonical journal) to the engine's legacy
-  ``run()`` by ``tests/test_ask_tell_equivalence.py`` and the
-  ``repro.verify`` ask-tell leg.
-* :class:`ExplainableEngine` — Explainable-DSE behind the same protocol,
-  implemented over the :class:`~repro.service.machine
-  .CampaignStateMachine` attempt split (``begin_attempt`` /
-  ``finish_attempt``), so the analysis/acquisition/update decisions stay
-  in exactly one place.
+* :class:`DriverLoop` — the one driver: asks, charges the engine's
+  evaluator, tells.  A baseline's ``run()`` *is* ``DriverLoop(engine)``;
+  ``tests/goldens/baselines.json`` pins one campaign per engine.
+
+Explainable-DSE is not a :class:`SearchEngine`: its one driver is
+:meth:`repro.service.machine.CampaignStateMachine.step`, which
+``ExplainableDSE.run()`` and the campaign service both call.
 
 Determinism contract: ``ask`` serves candidates in the engine's canonical
 acquisition order, capped at the remaining budget, and ``tell`` must
@@ -35,20 +27,17 @@ tells from a confused driver must never corrupt a journal.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.arch.design_space import DesignPoint
 from repro.core.dse.result import DSEResult
-from repro.telemetry.events import AskIssued, TellRecorded
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "Proposal",
     "EvalResult",
     "SearchEngine",
     "DriverLoop",
-    "ExplainableEngine",
 ]
 
 
@@ -64,38 +53,23 @@ class Proposal:
 class EvalResult:
     """One evaluation outcome a driver tells back to an engine.
 
-    Exactly one of ``evaluation`` / ``error`` is set.  Engines that do
-    not declare ``captures_failures`` never receive an ``error`` — the
-    driver lets the failure propagate instead, matching the legacy
-    behaviour of the baselines (only Explainable-DSE quarantines).
+    Failed evaluations are never told: the exception propagates out of
+    the driver (baselines have no quarantine path).
     """
 
     point: Dict[str, Any]
-    evaluation: Any = None
-    error: Optional[BaseException] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
+    evaluation: Any
 
 
 class SearchEngine(abc.ABC):
-    """The ask/tell protocol every optimizer implements.
+    """The ask/tell protocol every baseline optimizer implements.
 
     Lifecycle: ``start(initial_point)`` once, then repeat ``ask(n)`` /
-    ``tell(results)`` until ``finished``; ``result()`` yields the same
-    :class:`~repro.core.dse.result.DSEResult` the legacy ``run()``
-    returned.  ``ask`` may return fewer than ``n`` points (budget cap)
-    and returns ``[]`` only once the engine is finished.
+    ``tell(results)`` until ``finished``; ``result()`` yields the
+    campaign's :class:`~repro.core.dse.result.DSEResult`.  ``ask`` may
+    return fewer than ``n`` points (budget cap) and returns ``[]`` only
+    once the engine is finished.
     """
-
-    #: Whether ``tell`` accepts :class:`EvalResult` with ``error`` set
-    #: (quarantine semantics).  Engines without it are handed failures
-    #: by re-raise.
-    captures_failures = False
-
-    #: Telemetry tracer protocol events are journaled through.
-    tracer: Tracer = NULL_TRACER
 
     @abc.abstractmethod
     def start(self, initial_point: Optional[DesignPoint] = None) -> None:
@@ -120,38 +94,18 @@ class SearchEngine(abc.ABC):
     def result(self) -> DSEResult:
         """The search outcome; only valid once ``finished``."""
 
-    @property
-    def step_hint(self) -> int:
-        """The engine's current step counter, for protocol telemetry."""
-        return 0
-
 
 class DriverLoop:
-    """The deterministic reference driver for any :class:`SearchEngine`.
+    """The driver of every :class:`SearchEngine`.
 
     Asks for up to ``batch_size`` points, evaluates each through
     ``evaluator`` (default: the engine's own, so budget charging is
-    automatic), tells the results back in ask order, and journals one
-    :class:`AskIssued` / :class:`TellRecorded` pair per round through the
-    engine's tracer.  When the engine ``captures_failures``, evaluation
-    exceptions are delivered as :class:`EvalResult` errors instead of
-    propagating — the engine quarantines them exactly as its legacy loop
-    did.
-
-    ``archive``, when given, is fed every trial of the final result (an
-    object with ``insert_trial``, e.g. :class:`repro.optim.archive
-    .ParetoArchive`); archive inserts are idempotent, so feeding from
-    the result covers engine-internal evaluations (initial points) too.
+    automatic) and tells the results back in ask order.  An evaluation
+    exception propagates.
     """
 
     def __init__(
-        self,
-        engine: SearchEngine,
-        evaluator=None,
-        *,
-        batch_size: int = 1,
-        archive=None,
-        tracer: Optional[Tracer] = None,
+        self, engine: SearchEngine, evaluator=None, *, batch_size: int = 1
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -160,23 +114,13 @@ class DriverLoop:
             evaluator if evaluator is not None else engine.evaluator
         )
         self.batch_size = batch_size
-        self.archive = archive
-        self.tracer = tracer if tracer is not None else engine.tracer
 
     def run(self, initial_point: Optional[DesignPoint] = None) -> DSEResult:
         """Drive the engine to completion; returns its result."""
         engine = self.engine
         engine.start(initial_point)
         while not engine.finished:
-            step = engine.step_hint
             points = engine.ask(self.batch_size)
-            self.tracer.emit(
-                AskIssued(
-                    step=step,
-                    requested=self.batch_size,
-                    returned=len(points),
-                )
-            )
             if not points:
                 if engine.finished:
                     break
@@ -184,204 +128,10 @@ class DriverLoop:
                     "ask/tell protocol stall: ask() returned no points "
                     "but the engine is not finished"
                 )
-            results: List[EvalResult] = []
-            failures = 0
-            for point in points:
-                if engine.captures_failures:
-                    try:
-                        evaluation = self.evaluator.evaluate(point)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        results.append(EvalResult(point=point, error=exc))
-                        failures += 1
-                        continue
-                else:
-                    evaluation = self.evaluator.evaluate(point)
-                results.append(EvalResult(point=point, evaluation=evaluation))
-            self.tracer.emit(
-                TellRecorded(
-                    step=step, count=len(results), failures=failures
-                )
+            engine.tell(
+                [
+                    EvalResult(point, self.evaluator.evaluate(point))
+                    for point in points
+                ]
             )
-            engine.tell(results)
-        result = engine.result()
-        if self.archive is not None:
-            for trial in result.trials:
-                self.archive.insert_trial(trial)
-        return result
-
-
-class ExplainableEngine(SearchEngine):
-    """Explainable-DSE behind the ask/tell protocol.
-
-    Wraps a :class:`~repro.service.machine.CampaignStateMachine` and
-    drives its attempt split: ``ask`` opens an attempt with
-    ``begin_attempt()`` and serves its candidate queue (budget-capped),
-    ``tell`` records each result through the DSE's own trial bookkeeping
-    (quarantining errors through the circuit breaker), and the attempt is
-    closed with ``finish_attempt()`` once its queue drains — so the
-    analysis, acquisition, and incumbent-update decisions are executed by
-    exactly the same code, in exactly the same order, as a legacy
-    ``run()``.
-    """
-
-    captures_failures = True
-
-    def __init__(self, dse, *, tracer: Optional[Tracer] = None, machine=None):
-        self.dse = dse
-        self.tracer = tracer if tracer is not None else dse.tracer
-        self.machine = machine
-        #: (candidate_index, candidate) not yet served this attempt.
-        self._queue: List[tuple] = []
-        #: (candidate_index, candidate) served, awaiting tell.
-        self._outstanding: List[tuple] = []
-        #: (candidate, evaluation) recorded this attempt.
-        self._evaluated: List[tuple] = []
-        self._open = False
-
-    @property
-    def evaluator(self):
-        return self.dse.evaluator
-
-    @property
-    def step_hint(self) -> int:
-        if self.machine is None:
-            return 0
-        return self.machine.attempt if self._open else self.machine.attempt + 1
-
-    def start(self, initial_point: Optional[DesignPoint] = None) -> None:
-        from repro.service.machine import CampaignStateMachine
-
-        if self.machine is None:
-            self.machine = CampaignStateMachine(
-                self.dse, initial_point, tracer=self.tracer
-            )
-        self._queue = []
-        self._outstanding = []
-        self._evaluated = []
-        self._open = False
-        self.machine.start()
-
-    @property
-    def finished(self) -> bool:
-        if self.machine is None:
-            return False
-        return self.machine.state.terminal
-
-    def result(self) -> DSEResult:
-        if self.machine is None:
-            raise RuntimeError("start() must be called before result()")
-        return self.machine.result()
-
-    def _budget_left(self) -> int:
-        return self.dse._budget_left(self.machine.base_evaluations)
-
-    def ask(self, n: int) -> List[DesignPoint]:
-        if n <= 0:
-            raise ValueError(f"ask(n) requires n >= 1, got {n}")
-        if self.machine is None:
-            raise RuntimeError("start() must be called before ask()")
-        from repro.service.machine import CampaignState
-
-        machine = self.machine
-        while True:
-            if self._outstanding:
-                # Results pending: serve more of the queue only while the
-                # budget allows (the legacy loop re-checks per candidate).
-                return self._serve(n)
-            if self._open:
-                if self._queue and self._budget_left() > 0:
-                    return self._serve(n)
-                # Queue drained, or budget ran out mid-attempt (the
-                # legacy per-candidate budget break): close the attempt.
-                self._conclude_attempt()
-                if machine.state is not CampaignState.RUNNING:
-                    return []
-                continue
-            if machine.state is not CampaignState.RUNNING:
-                return []
-            candidates = machine.begin_attempt()
-            if candidates is None:
-                # Terminated inside begin_attempt (budget exhausted or
-                # mitigation exhausted).
-                return []
-            self._open = True
-            self._queue = list(enumerate(candidates))
-            self._evaluated = []
-
-    def _serve(self, n: int) -> List[DesignPoint]:
-        count = min(n, max(0, self._budget_left()), len(self._queue))
-        served = self._queue[:count]
-        del self._queue[:count]
-        machine, dse = self.machine, self.dse
-        for _, candidate in served:
-            machine.tried_points.add(dse.space.point_key(candidate.point))
-        self._outstanding.extend(served)
-        return [dict(candidate.point) for _, candidate in served]
-
-    def _conclude_attempt(self) -> None:
-        """Run the attempt epilogue (update/patience/breaker); may raise
-        the breaker's systemic fault exactly like a legacy ``step()``."""
-        self._queue = []
-        self._outstanding = []
-        self._open = False
-        evaluated, self._evaluated = self._evaluated, []
-        self.machine.finish_attempt(evaluated)
-
-    def tell(self, results: Sequence[EvalResult]) -> None:
-        if self.machine is None:
-            raise RuntimeError("start() must be called before tell()")
-        results = list(results)
-        if not results:
-            return
-        if len(results) > len(self._outstanding):
-            raise ValueError(
-                f"tell() got {len(results)} results but only "
-                f"{len(self._outstanding)} points are outstanding"
-            )
-        machine, dse = self.machine, self.dse
-        attempt = machine.attempt
-        for res in results:
-            if machine.breaker.tripped:
-                # The legacy loop breaks at the tripped evaluation and
-                # discards the rest of the attempt.
-                break
-            index, candidate = self._outstanding[0]
-            if dse.space.point_key(res.point) != dse.space.point_key(
-                candidate.point
-            ):
-                raise ValueError(
-                    "stale tell: result for a point that was never asked "
-                    "(or out of ask order)"
-                )
-            self._outstanding.pop(0)
-            if res.error is not None:
-                dse._quarantine(
-                    candidate.point,
-                    res.error,
-                    machine.trials,
-                    note=candidate.reason,
-                    tracer=self.tracer,
-                    step=attempt,
-                    candidate_index=index,
-                )
-                machine.breaker.record_failure()
-            else:
-                machine.breaker.record_success()
-                dse._record_trial(
-                    candidate.point,
-                    res.evaluation,
-                    machine.trials,
-                    note=candidate.reason,
-                    tracer=self.tracer,
-                    step=attempt,
-                    candidate_index=index,
-                )
-                self._evaluated.append((candidate, res.evaluation))
-        if machine.breaker.tripped or not (
-            self._outstanding or (self._queue and self._budget_left() > 0)
-        ):
-            # Attempt complete (or aborted by the breaker): run the
-            # epilogue eagerly so ``finished`` is accurate after tell.
-            self._conclude_attempt()
+        return engine.result()

@@ -290,10 +290,10 @@ class CampaignStateMachine:
         The attempt is split into :meth:`begin_attempt` (budget gate,
         analysis, acquisition — paper steps 1-5), the candidate
         evaluation loop, and :meth:`finish_attempt` (incumbent update,
-        patience, breaker, checkpoint — step 6), so the ask/tell
-        protocol (:class:`repro.optim.protocol.ExplainableEngine`) can
-        interpose an external evaluator between the same two halves and
-        stay bit-identical by construction.
+        patience, breaker, checkpoint — step 6).  This method is the
+        one driver of an Explainable-DSE campaign; the split leaves room
+        to evaluate an attempt's candidates as one batch between the two
+        halves.
         """
         candidates = self.begin_attempt()
         if candidates is None:

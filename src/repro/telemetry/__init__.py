@@ -25,7 +25,6 @@ from repro.telemetry.checkpoint import (
 )
 from repro.telemetry.events import (
     SCHEMA_VERSION,
-    AskIssued,
     BottleneckIdentified,
     BudgetExhausted,
     CandidateEvaluated,
@@ -35,7 +34,6 @@ from repro.telemetry.events import (
     MitigationPredicted,
     RunSummary,
     StepStarted,
-    TellRecorded,
     TraceEventError,
     decode_event,
     deterministic_perf_counters,
@@ -57,7 +55,6 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "SCHEMA_VERSION",
-    "AskIssued",
     "BottleneckIdentified",
     "BudgetExhausted",
     "CampaignCheckpoint",
@@ -73,7 +70,6 @@ __all__ = [
     "RingBufferSink",
     "RunSummary",
     "StepStarted",
-    "TellRecorded",
     "TraceEventError",
     "Tracer",
     "decode_event",

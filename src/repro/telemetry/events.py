@@ -46,8 +46,6 @@ __all__ = [
     "IncumbentUpdated",
     "BudgetExhausted",
     "RunSummary",
-    "AskIssued",
-    "TellRecorded",
     "encode_event",
     "decode_event",
     "sort_key",
@@ -232,43 +230,6 @@ class RunSummary:
     _phase = 2
 
 
-@dataclass(frozen=True)
-class AskIssued:
-    """A driver asked an ask/tell engine for candidates (protocol-level).
-
-    Emitted by :class:`repro.optim.protocol.DriverLoop` before each batch
-    of evaluations.  ``requested`` is the driver's batch size; ``returned``
-    is how many points the engine actually served (budget-capped, possibly
-    zero on the terminal ask).  Protocol events describe the *driving* of
-    a search, not the search itself, so canonical journal comparisons
-    strip them (see ``repro.verify.differential``).
-    """
-
-    step: int
-    requested: int
-    returned: int
-    candidate_index: int = -1
-
-    _phase = 0
-
-
-@dataclass(frozen=True)
-class TellRecorded:
-    """A driver told evaluation results back to an ask/tell engine.
-
-    ``count`` is the number of results delivered; ``failures`` counts the
-    results that carried an evaluation error instead of costs (only
-    engines with ``captures_failures`` ever see a nonzero value).
-    """
-
-    step: int
-    count: int
-    failures: int = 0
-    candidate_index: int = -1
-
-    _phase = 2
-
-
 EVENT_TYPES: Tuple[type, ...] = (
     StepStarted,
     BottleneckIdentified,
@@ -279,8 +240,6 @@ EVENT_TYPES: Tuple[type, ...] = (
     IncumbentUpdated,
     BudgetExhausted,
     RunSummary,
-    AskIssued,
-    TellRecorded,
 )
 
 _REGISTRY: Dict[str, Type] = {cls.__name__: cls for cls in EVENT_TYPES}

@@ -142,16 +142,10 @@ def _fingerprint(result) -> str:
 
 
 def _canonical_journal(path: Path) -> bytes:
-    """Journal bytes with RunSummary perf counters stripped and
-    ask/tell bookkeeping events (:class:`AskIssued`,
-    :class:`TellRecorded`) removed — the protocol driver's own
-    telemetry, absent by definition from a legacy ``run()`` journal."""
-    from repro.telemetry import AskIssued, TellRecorded
-
+    """Journal bytes with RunSummary perf counters stripped: the
+    counter-free form every fast path must reproduce."""
     lines = []
     for event in read_journal(path):
-        if isinstance(event, (AskIssued, TellRecorded)):
-            continue
         if isinstance(event, RunSummary):
             event = dataclasses.replace(event, counters={})
         lines.append(json.dumps(encode_event(event), sort_keys=True))

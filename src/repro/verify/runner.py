@@ -7,14 +7,11 @@ Stage order (cheapest diagnostics first):
    mapper-optimized executions;
 3. **differential** — the fast-path campaign matrix (batch / warm cache /
    resume / fused / compiled trees / cache plane) against the reference;
-4. **ask-tell** — every engine (eight baselines + Explainable-DSE)
-   driven through the inverted :class:`~repro.optim.protocol.DriverLoop`
-   against its legacy ``run()``, with a cold and a warm mapping cache;
-5. **service** — N campaigns through the campaign service (interleaved,
+4. **service** — N campaigns through the campaign service (interleaved,
    service stopped and resumed mid-run) against solo runs;
-6. **goldens** — the reference campaign against the pinned traces under
+5. **goldens** — the reference campaign against the pinned traces under
    ``tests/goldens/`` (or regeneration with ``update_goldens=True``);
-7. **fuzz** — the seeded design-point/mapping fuzzer, shrunk failures
+6. **fuzz** — the seeded design-point/mapping fuzzer, shrunk failures
    written under ``failures_dir``.
 
 Used by ``python -m repro.experiments.cli verify`` and the CI `verify`
@@ -37,7 +34,6 @@ from repro.core.bottleneck.latency_model import (
     build_latency_tree,
 )
 from repro.mapping.mapper import TopNMapper
-from repro.verify.ask_tell import AskTellReport, run_ask_tell
 from repro.verify.checks import SweepReport, exhaustive_tiny_sweep
 from repro.verify.corpus import campaign_workload, tiny_verify_workload
 from repro.verify.differential import DifferentialReport, run_differential
@@ -57,7 +53,6 @@ class VerifyReport:
     invariant_trees: int = 0
     invariant_violations: List[str] = field(default_factory=list)
     differential: Optional[DifferentialReport] = None
-    ask_tell: Optional[AskTellReport] = None
     service: Optional[ServiceReport] = None
     goldens: Optional[GoldenReport] = None
     fuzz: Optional[FuzzReport] = None
@@ -69,7 +64,6 @@ class VerifyReport:
             (self.sweep is None or self.sweep.ok)
             and not self.invariant_violations
             and (self.differential is None or self.differential.ok)
-            and (self.ask_tell is None or self.ask_tell.ok)
             and (self.service is None or self.service.ok)
             and (self.goldens is None or self.goldens.ok)
             and (self.fuzz is None or self.fuzz.ok)
@@ -93,13 +87,6 @@ class VerifyReport:
                 f"differential: {len(self.differential.variants)} variants "
                 f"({', '.join(self.differential.variants)}), "
                 f"{len(self.differential.mismatches)} mismatches"
-            )
-        if self.ask_tell is not None:
-            lines.append(
-                f"ask-tell: {len(self.ask_tell.engines)} engines x "
-                f"{len(self.ask_tell.cells)} cells "
-                f"({self.ask_tell.comparisons} comparisons), "
-                f"{len(self.ask_tell.mismatches)} mismatches"
             )
         if self.service is not None:
             lines.append(
@@ -200,9 +187,6 @@ def run_verify(
 
         say("verify: differential campaign matrix")
         report.differential = run_differential(base / "differential", log=log)
-
-        say("verify: ask/tell protocol vs legacy run() for every engine")
-        report.ask_tell = run_ask_tell(base / "ask-tell", log=log)
 
         say("verify: campaign service differential (interleave + restart)")
         report.service = run_service_differential(base / "service", log=log)

@@ -1,25 +1,26 @@
-"""Ask/tell protocol equivalence: DriverLoop vs legacy ``run()``.
+"""Baseline goldens and the ask/tell protocol's guard rails.
 
-Every engine (the eight black-box baselines and Explainable-DSE) must
-produce a bit-identical campaign — result fingerprint and canonical
-journal — whether it drives its own loop (``run()``) or is driven
-externally through :class:`repro.optim.DriverLoop`, with a cold and a
-warm mapping cache.  Plus
-the protocol's negative paths: ``ask(n <= 0)`` and stale tells raise
-``ValueError``.
+Every baseline's ``run()`` is :class:`repro.optim.DriverLoop` over the
+engine's ask/tell state, so one campaign per engine pins the whole
+path: its result fingerprint and canonical journal (``RunSummary`` perf
+counters stripped) must hash to the values in
+``tests/goldens/baselines.json``.  Plus the protocol's negative paths:
+``ask(n <= 0)``, stale, unasked and excess tells raise ``ValueError``.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.dse.constraints import Constraint
-from repro.core.dse.explainable import ExplainableDSE
 from repro.cost.evaluator import CostEvaluator
 from repro.mapping.mapper import TopNMapper
 from repro.optim import (
     BayesianOptimization,
     DriverLoop,
     EvalResult,
-    ExplainableEngine,
     GeneticAlgorithm,
     GridSearch,
     HyperMapperDSE,
@@ -37,6 +38,8 @@ from repro.verify.differential import _canonical_journal
 BUDGET = 8
 SEED = 3
 
+GOLDENS = Path(__file__).parent / "goldens" / "baselines.json"
+
 BASELINES = [
     GridSearch,
     RandomSearch,
@@ -48,12 +51,6 @@ BASELINES = [
     LocalSearch,
 ]
 
-#: (id, warm mapping cache?).
-CELLS = [
-    ("cold-serial", False),
-    ("warm-serial", True),
-]
-
 
 def _constraints():
     return [
@@ -62,101 +59,55 @@ def _constraints():
     ]
 
 
-def _evaluator(workload, cache):
-    return CostEvaluator(workload, TopNMapper(top_n=50), mapping_cache=cache)
+def _engine(cls, edge_space, tiny_workload, tracer=None):
+    return cls(
+        edge_space,
+        CostEvaluator(
+            tiny_workload, TopNMapper(top_n=50), mapping_cache=MappingCache()
+        ),
+        _constraints(),
+        max_evaluations=BUDGET,
+        seed=SEED,
+        tracer=tracer,
+    )
 
 
-def _outcome(journal, runner):
-    """(fingerprint, canonical journal) of one traced campaign."""
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("cls", BASELINES, ids=[cls.name for cls in BASELINES])
+def test_baseline_run_matches_golden(tmp_path, edge_space, tiny_workload, cls):
+    journal = tmp_path / "run.jsonl"
     tracer = Tracer(JsonlSink(journal))
     try:
-        result = runner(tracer)
+        result = _engine(cls, edge_space, tiny_workload, tracer).run()
     finally:
         tracer.close()
-    return result_fingerprint(result), _canonical_journal(journal)
-
-
-@pytest.mark.parametrize("cell,warm", CELLS, ids=[cell[0] for cell in CELLS])
-@pytest.mark.parametrize("cls", BASELINES, ids=[cls.name for cls in BASELINES])
-def test_baseline_protocol_matches_legacy(
-    tmp_path, edge_space, tiny_workload, cls, cell, warm
-):
-    cache = MappingCache()
-
-    def build(tracer):
-        return cls(
-            edge_space,
-            _evaluator(tiny_workload, cache),
-            _constraints(),
-            max_evaluations=BUDGET,
-            seed=SEED,
-            tracer=tracer,
-        )
-
-    if warm:
-        build(None).run()
-    legacy = _outcome(tmp_path / "legacy.jsonl", lambda t: build(t).run())
-    proto = _outcome(
-        tmp_path / "proto.jsonl", lambda t: DriverLoop(build(t)).run(None)
+    observed = {
+        "fingerprint": _sha256(result_fingerprint(result).encode("utf-8")),
+        "journal": _sha256(_canonical_journal(journal)),
+    }
+    expected = json.loads(GOLDENS.read_text())[cls.name]
+    assert observed == expected, (
+        f"{cls.name} differs from {GOLDENS.name}; observed: "
+        f"{json.dumps(observed, sort_keys=True)}"
     )
-    assert legacy[0] == proto[0], "result fingerprint diverged"
-    assert legacy[1] == proto[1], "canonical journal diverged"
 
 
-@pytest.mark.parametrize("cell,warm", CELLS, ids=[cell[0] for cell in CELLS])
-def test_explainable_protocol_matches_legacy(
-    tmp_path, edge_space, tiny_workload, cell, warm
-):
-    cache = MappingCache()
-
-    def build():
-        return ExplainableDSE(
-            edge_space,
-            _evaluator(tiny_workload, cache),
-            _constraints(),
-            max_evaluations=BUDGET,
-        )
-
-    if warm:
-        build().run()
-    legacy = _outcome(
-        tmp_path / "legacy.jsonl", lambda t: build().run(tracer=t)
-    )
-    proto = _outcome(
-        tmp_path / "proto.jsonl",
-        lambda t: DriverLoop(ExplainableEngine(build(), tracer=t)).run(None),
-    )
-    assert legacy[0] == proto[0], "result fingerprint diverged"
-    assert legacy[1] == proto[1], "canonical journal diverged"
-
-
-def test_batched_driver_matches_legacy(edge_space, tiny_workload, tmp_path):
+def test_batched_driver_matches_legacy(edge_space, tiny_workload):
     """A batch_size > 1 driver serves the same FIFO stream, so the
-    campaign is unchanged."""
-
-    def build(tracer=None):
-        return RandomSearch(
-            edge_space,
-            _evaluator(tiny_workload, MappingCache()),
-            _constraints(),
-            max_evaluations=BUDGET,
-            seed=SEED,
-        )
-
-    legacy = build().run()
-    batched = DriverLoop(build(), batch_size=3).run(None)
-    assert result_fingerprint(legacy) == result_fingerprint(batched)
+    campaign equals ``run()`` (a batch_size 1 driver)."""
+    serial = _engine(RandomSearch, edge_space, tiny_workload).run()
+    batched = DriverLoop(
+        _engine(RandomSearch, edge_space, tiny_workload), batch_size=3
+    ).run(None)
+    assert result_fingerprint(serial) == result_fingerprint(batched)
 
 
 class TestProtocolGuards:
-    def _engine(self, edge_space, tiny_workload, cls=RandomSearch):
-        engine = cls(
-            edge_space,
-            _evaluator(tiny_workload, MappingCache()),
-            _constraints(),
-            max_evaluations=BUDGET,
-            seed=SEED,
-        )
+    def _engine(self, edge_space, tiny_workload):
+        engine = _engine(RandomSearch, edge_space, tiny_workload)
         engine.start(None)
         return engine
 
@@ -165,21 +116,6 @@ class TestProtocolGuards:
         self, edge_space, tiny_workload, n
     ):
         engine = self._engine(edge_space, tiny_workload)
-        with pytest.raises(ValueError):
-            engine.ask(n)
-
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_explainable_ask_nonpositive_raises(
-        self, edge_space, tiny_workload, n
-    ):
-        dse = ExplainableDSE(
-            edge_space,
-            _evaluator(tiny_workload, MappingCache()),
-            _constraints(),
-            max_evaluations=BUDGET,
-        )
-        engine = ExplainableEngine(dse)
-        engine.start(None)
         with pytest.raises(ValueError):
             engine.ask(n)
 
@@ -212,25 +148,6 @@ class TestProtocolGuards:
         ]
         with pytest.raises(ValueError):
             engine.tell(results)
-
-    def test_explainable_stale_tell_raises(self, edge_space, tiny_workload):
-        dse = ExplainableDSE(
-            edge_space,
-            _evaluator(tiny_workload, MappingCache()),
-            _constraints(),
-            max_evaluations=BUDGET,
-        )
-        engine = ExplainableEngine(dse)
-        engine.start(None)
-        points = engine.ask(1)
-        assert points
-        stale = dict(points[0])
-        name = edge_space.parameters[0].name
-        options = list(edge_space.parameters[0].values)
-        stale[name] = next(o for o in options if o != stale[name])
-        evaluation = engine.evaluator.evaluate(points[0])
-        with pytest.raises(ValueError, match="stale tell"):
-            engine.tell([EvalResult(point=stale, evaluation=evaluation)])
 
     def test_driver_rejects_bad_batch_size(self, edge_space, tiny_workload):
         engine = self._engine(edge_space, tiny_workload)
@@ -279,83 +196,16 @@ class _StallingEngine(SearchEngine):
 
 
 class TestDriverLoopPaths:
-    def _dse(self, edge_space, tiny_workload):
-        return ExplainableDSE(
-            edge_space,
-            _evaluator(tiny_workload, MappingCache()),
-            _constraints(),
-            max_evaluations=BUDGET,
-        )
-
-    def test_eval_result_ok(self):
-        assert EvalResult(point={}).ok
-        assert not EvalResult(point={}, error=RuntimeError("x")).ok
-
-    def test_driver_quarantines_captured_failures(
-        self, edge_space, tiny_workload
-    ):
-        """An evaluation exception under a captures_failures engine is
-        delivered as an EvalResult error and quarantined, not raised."""
-        dse = self._dse(edge_space, tiny_workload)
-        flaky = _FlakyEvaluator(dse.evaluator, fail_on={2})
-        result = DriverLoop(ExplainableEngine(dse), evaluator=flaky).run(None)
-        quarantined = [
-            t for t in result.trials if t.note.startswith("quarantined")
-        ]
-        assert len(quarantined) == 1
-        assert not quarantined[0].feasible
-        assert flaky.calls >= 2
-
     def test_driver_propagates_uncaptured_failures(
         self, edge_space, tiny_workload
     ):
-        engine = RandomSearch(
-            edge_space,
-            _evaluator(tiny_workload, MappingCache()),
-            _constraints(),
-            max_evaluations=BUDGET,
-            seed=SEED,
-        )
+        """Baselines have no quarantine: an evaluation failure raises
+        out of the driver."""
+        engine = _engine(RandomSearch, edge_space, tiny_workload)
         flaky = _FlakyEvaluator(engine.evaluator, fail_on={1})
         with pytest.raises(RuntimeError, match="injected failure"):
             DriverLoop(engine, evaluator=flaky).run(None)
 
-    def test_driver_feeds_archive(self, edge_space, tiny_workload):
-        from repro.experiments.pareto import archive_from_results
-        from repro.optim import ParetoArchive
-
-        def build():
-            return self._dse(edge_space, tiny_workload)
-
-        reference = build().run()
-        archive = ParetoArchive()
-        driven = DriverLoop(
-            ExplainableEngine(build()), archive=archive
-        ).run(None)
-        expected = archive_from_results([reference])
-        assert archive.snapshot() == expected.snapshot()
-        assert result_fingerprint(driven) == result_fingerprint(reference)
-
     def test_driver_detects_protocol_stall(self):
         with pytest.raises(RuntimeError, match="stall"):
             DriverLoop(_StallingEngine(), evaluator=object()).run(None)
-
-    def test_explainable_guards_before_start(self, edge_space, tiny_workload):
-        engine = ExplainableEngine(self._dse(edge_space, tiny_workload))
-        assert not engine.finished
-        assert engine.step_hint == 0
-        with pytest.raises(RuntimeError, match="start"):
-            engine.ask(1)
-        with pytest.raises(RuntimeError, match="start"):
-            engine.tell([EvalResult(point={})])
-        with pytest.raises(RuntimeError, match="start"):
-            engine.result()
-
-    def test_explainable_empty_tell_is_noop(self, edge_space, tiny_workload):
-        engine = ExplainableEngine(self._dse(edge_space, tiny_workload))
-        engine.start(None)
-        points = engine.ask(1)
-        assert points
-        engine.tell([])
-        evaluation = engine.evaluator.evaluate(points[0])
-        engine.tell([EvalResult(point=points[0], evaluation=evaluation)])

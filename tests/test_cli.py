@@ -1,12 +1,20 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 from unittest import mock
 
 import pytest
 
+from repro.core.dse.explainable import ExplainableDSE
 from repro.experiments import cli
 from repro.experiments.cli import build_parser, main
+from repro.experiments.pareto import archive_from_results, format_frontier
+from repro.experiments.setup import (
+    build_edge_design_space,
+    edge_constraints,
+    make_evaluator,
+)
 
 
 class TestParser:
@@ -31,6 +39,26 @@ class TestParser:
         assert args.name == "table7"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explore", "resnet18", "--iterations"],
+            ["compare", "resnet18", "--iterations"],
+            ["experiment", "fig9", "--iterations"],
+            ["submit", "resnet18", "--server", "http://127.0.0.1:1",
+             "--iterations"],
+            ["pareto", "resnet18", "--iterations"],
+            ["pareto", "resnet18", "--capacity"],
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[-1].lstrip('-')}",
+    )
+    def test_non_positive_counts_are_usage_errors(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + [value])
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_trace_and_resume_mutually_exclusive(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -78,6 +106,37 @@ class TestCommands:
         )
         assert code == 0
         assert "Fig. 9" in capsys.readouterr().out
+
+
+class TestPareto:
+    def test_frontier_is_the_archive_of_the_run(self, tmp_path, capsys):
+        journal, out = tmp_path / "f.jsonl", tmp_path / "f.json"
+        assert main(
+            ["pareto", "resnet18", "--iterations", "25",
+             "--journal", str(journal), "--out", str(out)]
+        ) == 0
+        printed = capsys.readouterr().out
+
+        result = ExplainableDSE(
+            build_edge_design_space(),
+            make_evaluator("resnet18"),
+            edge_constraints("resnet18"),
+            max_evaluations=25,
+        ).run()
+        expected_journal = tmp_path / "expected.jsonl"
+        expected = archive_from_results(
+            [result], journal_path=expected_journal
+        )
+        assert len(expected) > 0
+        assert out.read_text() == (
+            json.dumps(expected.snapshot(), indent=2) + "\n"
+        )
+        assert journal.read_bytes() == expected_journal.read_bytes()
+        frontier = format_frontier(expected)
+        assert frontier in printed
+
+        assert main(["pareto", "--replay", str(journal)]) == 0
+        assert frontier in capsys.readouterr().out
 
 
 class _RunnerBuilt(Exception):
