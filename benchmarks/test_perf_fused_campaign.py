@@ -2,11 +2,18 @@
 
 The workload the fused block was built for: one campaign step — a
 *cold* full-model TopNMapper search over every ResNet18 layer — with
-the per-layer batch kernels (the PR 2 fast path) as the reference.  The
-fused path must (a) produce bit-identical ``MappingResult``s on every
-layer and (b) finish the step at least 3x faster (measured ~4x: the
-per-layer kernel invocations collapse into a handful of whole-campaign
-array passes, and candidate generation is memoized in tuple domain).
+the scalar reference evaluator (``batch_eval=False``) as the baseline.
+The fused path must (a) produce bit-identical ``MappingResult``s on
+every layer and (b) finish the step at least 20x faster than the scalar
+reference (measured 35-74x on a 2-core x86 host: 290-410 ms scalar vs
+5.4-8.2 ms fused).
+
+The floor is set against the scalar path, which does not change, rather
+than against the per-layer batch path: that path now builds only each
+search's winner and runs within about 1.5x of fused, so a ratio over
+it would measure the batch path, not fused.  20x over scalar is the old
+"fused >= 3x over per-layer batch" bar at the time the batch path was
+5-6x faster than scalar.
 
 Both runs execute serially in this process, so the numbers are
 reproducible run to run.
@@ -22,15 +29,16 @@ from repro.mapping.mapper import TopNMapper
 
 TOP_N = 150
 REPS = 3
-MIN_SPEEDUP = 3.0
+#: Floor of fused over the scalar reference (not over the batch path).
+MIN_SPEEDUP = 20.0
 
 
-def _timed_batch_sweep(workload, config):
-    """Best-of-REPS per-layer batch search (fresh mapper per rep)."""
+def _timed_scalar_sweep(workload, config):
+    """Best-of-REPS scalar reference search (fresh mapper per rep)."""
     best_seconds = float("inf")
     results = None
     for _ in range(REPS):
-        mapper = TopNMapper(top_n=TOP_N, batch_eval=True)
+        mapper = TopNMapper(top_n=TOP_N, batch_eval=False)
         start = time.perf_counter()
         run = [mapper(layer, config) for layer in workload.layers]
         elapsed = time.perf_counter() - start
@@ -60,7 +68,7 @@ def _timed_fused_sweep(workload, config):
 def test_fused_campaign_speedup_resnet18(resnet18_workload, mid_point):
     config = config_from_point(mid_point)
 
-    batch_seconds, batch_results = _timed_batch_sweep(
+    scalar_seconds, scalar_results = _timed_scalar_sweep(
         resnet18_workload, config
     )
     fused_seconds, fused_results = _timed_fused_sweep(
@@ -68,20 +76,20 @@ def test_fused_campaign_speedup_resnet18(resnet18_workload, mid_point):
     )
 
     # Correctness first: the fusion must be invisible in the results.
-    for a, b in zip(batch_results, fused_results):
+    for a, b in zip(scalar_results, fused_results):
         assert a.mapping == b.mapping
         assert a.execution == b.execution
         assert a.candidates_evaluated == b.candidates_evaluated
         assert a.feasible_candidates == b.feasible_candidates
 
-    speedup = batch_seconds / fused_seconds
+    speedup = scalar_seconds / fused_seconds
     print(
-        f"\nbatch {batch_seconds * 1e3:.1f}ms, "
+        f"\nscalar {scalar_seconds * 1e3:.1f}ms, "
         f"fused {fused_seconds * 1e3:.1f}ms -> {speedup:.1f}x speedup "
         f"({len(resnet18_workload.layers)} layers, top_n={TOP_N})"
     )
     assert speedup >= MIN_SPEEDUP, (
-        f"fused campaign-step speedup {speedup:.2f}x below the "
-        f"{MIN_SPEEDUP}x acceptance floor (batch {batch_seconds:.3f}s, "
-        f"fused {fused_seconds:.3f}s)"
+        f"fused campaign-step speedup {speedup:.2f}x over the scalar "
+        f"reference is below the {MIN_SPEEDUP}x acceptance floor (scalar "
+        f"{scalar_seconds:.3f}s, fused {fused_seconds:.3f}s)"
     )

@@ -5,8 +5,10 @@ search (every ResNet18 layer, no mapping cache — the case the
 layer-level cache cannot help, e.g. the first visit to each design
 point of a DSE run).  The batch path must (a) produce bit-identical
 ``MappingResult``s to the scalar reference on every layer and (b) finish
-the sweep at least 3x faster (measured ~5-6x: candidate generation is
-shared; the scoring loop itself vectorizes ~20x).
+the sweep at least 3x faster (measured 23-47x on a 2-core x86 host,
+290-410 ms vs 8.5-12 ms: the kernels score the whole candidate set in
+array passes, and a latency search builds ``Mapping``/``ExecutionInfo``
+objects for its winner only).
 
 Both runs execute serially in this process, so the numbers are
 reproducible run to run.

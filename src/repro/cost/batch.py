@@ -59,6 +59,7 @@ from repro.workloads.layers import (
 __all__ = [
     "batch_eval_enabled",
     "int64_safe",
+    "latency_winner",
     "evaluate_layer_batch",
     "evaluate_layer_mappings_batch",
     "tile_elements_rows",
@@ -114,6 +115,31 @@ def int64_safe(batch: CandidateBatch, config: AcceleratorConfig) -> bool:
     totals = per_dim.astype(np.float64).prod(axis=1)
     scale = float(config.pes) * float(config.bytes_per_element) * 64.0
     return bool(float(totals.max()) * scale < 2.0**62)
+
+
+def latency_winner(
+    t_comp: np.ndarray,
+    t_noc: Dict[Operand, np.ndarray],
+    t_dma: np.ndarray,
+    feasible: Optional[np.ndarray] = None,
+) -> int:
+    """Row of the latency-optimal candidate: the first row at the minimum.
+
+    Latency is the chained ``np.maximum`` of ``t_comp``, the four
+    ``t_noc`` arrays and ``t_dma``.  Every term is a finite non-negative
+    float, so this equals ``ExecutionInfo.latency``'s ``max(...)``
+    exactly; ``np.argmin`` returns the first occurrence of the minimum,
+    which is the scalar first-strictly-best rule.  Rows where
+    ``feasible`` is False are masked to ``+inf``; the caller guarantees
+    at least one feasible row.
+    """
+    latency = t_comp
+    for op in _NOC_OPERANDS:
+        latency = np.maximum(latency, t_noc[op])
+    latency = np.maximum(latency, t_dma)
+    if feasible is not None:
+        latency = np.where(feasible, latency, np.inf)
+    return int(np.argmin(latency))
 
 
 def _prod_cols(arr: np.ndarray, cols: Sequence[int]) -> np.ndarray:
@@ -365,13 +391,15 @@ class BatchLayerEvaluation:
             ),
         }
         # Same float-addition order as ``sum(data_offchip.values())``.
-        offchip_total = (
+        # Kept: it is the only input of ``t_dma`` that a re-score on a
+        # new bandwidth or clock needs (``rescore_trace``).
+        self.offchip_total = (
             self.off_int[Operand.I].astype(np.float64)
             + self.off_int[Operand.W].astype(np.float64)
             + self.off_float[Operand.O]
             + self.off_float[Operand.PSUM]
         )
-        self.t_dma = offchip_total / config.dram_bytes_per_cycle
+        self.t_dma = self.offchip_total / config.dram_bytes_per_cycle
 
         # -- remaining (unexploited) reuse -----------------------------------
         self.reuse_rf: Dict[Operand, np.ndarray] = {}

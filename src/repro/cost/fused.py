@@ -1,13 +1,10 @@
 """Fused cross-layer candidate evaluation (campaign-wide SoA kernels).
 
-PR 2's batch kernels (:mod:`repro.cost.batch`) vectorize candidate
-scoring *within* one (layer, mapper-call): ``CostEvaluator`` still loops
-layers in Python, re-enters the mapper per layer, and — through the
-traced-search protocol — materializes ``Mapping``/``ExecutionInfo``
-objects for every feasible candidate even though only the winner reaches
-the :class:`~repro.mapping.mapper.MappingResult`.  This module collapses
-one design point's *entire* mapping stage into a handful of int64 array
-passes:
+The per-layer batch kernels (:mod:`repro.cost.batch`) vectorize
+candidate scoring *within* one (layer, mapper-call): ``CostEvaluator``
+still loops layers in Python and re-enters the mapper (and its kernels)
+once per layer.  This module collapses one design point's *entire*
+mapping stage into a handful of int64 array passes:
 
 1. every pending layer's candidate plan (``mapper.candidate_plan``, a
    ready int64 :class:`~repro.mapping.batch_candidates.CandidateBatch`)
@@ -17,8 +14,9 @@ passes:
 2. :class:`FusedBlockEvaluation` runs the latency/traffic/feasibility
    kernels once over all rows (the row-varying twins of the batch
    kernels live in :mod:`repro.cost.batch`);
-3. each layer's winner is selected by a masked argmin over its row range
-   and only *that* candidate is materialized back into
+3. each layer's winner is selected over its row range by
+   :func:`repro.cost.batch.latency_winner` (the rule the per-layer path
+   uses too) and only *that* candidate is materialized back into
    ``Mapping``/``ExecutionInfo`` objects.
 
 Exactness contract (asserted by ``tests/test_fused_eval.py``): results
@@ -30,11 +28,12 @@ and :meth:`FusedBlockEvaluation.infeasibility` reproduces the scalar
 :class:`InfeasibleMapping` reasons verbatim.
 
 What the fused path *skips* is the re-scorable
-:class:`~repro.mapping.mapper.SearchTrace` (all feasible candidates);
-layer results stored into the mapping cache therefore populate the exact
-tier only.  Correctness is unaffected — a re-score of a trace is
-bit-identical to a cold search, so a missing trace merely costs a future
-bandwidth-sweep re-score its shortcut.
+:class:`~repro.mapping.mapper.SearchTrace` (a per-layer search keeps
+its ``BatchLayerEvaluation`` arrays and feasible rows); layer results
+stored into the mapping cache therefore populate the exact tier only.
+Correctness is unaffected — a re-score of a trace is bit-identical to a
+cold search, so a missing trace merely costs a future bandwidth-sweep
+re-score its shortcut.
 
 The path is opt-in via ``REPRO_FUSED_EVAL=1`` or
 ``CostEvaluator(fused_eval=True)`` (the campaign service always passes
@@ -252,15 +251,6 @@ class FusedBlockEvaluation:
             self.t_comp > 0, block.macs / denominator, 0.0
         )
 
-        # -- latency objective ------------------------------------------------
-        # Scalar: ``max(t_comp, max(t_noc.values()), t_dma)``; all terms
-        # are finite non-negative floats, so the chained np.maximum is
-        # exactly the same value.
-        score = self.t_comp
-        for op in _NOC_OPERANDS:
-            score = np.maximum(score, self.t_noc[op])
-        self.latency = np.maximum(score, self.t_dma)
-
     def __len__(self) -> int:
         return len(self.block)
 
@@ -357,10 +347,9 @@ class FusedBlockEvaluation:
     def layer_result(self, layer_index: int) -> MappingResult:
         """The :class:`MappingResult` of layer ``layer_index``.
 
-        Winner selection is the first row of the layer's range achieving
-        the minimal latency among feasible rows (``np.argmin`` returns
-        the first occurrence of the minimum; infeasible rows are masked
-        to ``+inf``) — exactly the scalar first-strictly-best rule.
+        Winner selection is :func:`repro.cost.batch.latency_winner` over
+        the layer's row range: the first feasible row at the minimal
+        latency, exactly the scalar first-strictly-best rule.
         """
         rows = self.block.rows(layer_index)
         n = rows.stop - rows.start
@@ -373,8 +362,12 @@ class FusedBlockEvaluation:
                 candidates_evaluated=n,
                 feasible_candidates=0,
             )
-        scores = np.where(feasible, self.latency[rows], np.inf)
-        winner = int(np.argmin(scores))
+        winner = _batch.latency_winner(
+            self.t_comp[rows],
+            {op: self.t_noc[op][rows] for op in _NOC_OPERANDS},
+            self.t_dma[rows],
+            feasible,
+        )
         layer = self.block.layers[layer_index]
         return MappingResult(
             mapping=self.block.batches[layer_index].mapping(winner),

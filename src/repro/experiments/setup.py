@@ -9,7 +9,6 @@ every baseline technique.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.arch.accelerator import build_edge_design_space
@@ -33,6 +32,7 @@ from repro.optim import (
     ReinforcementLearningDSE,
     SimulatedAnnealing,
 )
+from repro.perf.knobs import numeric_knob
 from repro.workloads.registry import load_workload
 
 __all__ = [
@@ -78,8 +78,9 @@ def bench_scale() -> float:
 
     Benchmarks default to laptop-friendly budgets; set
     ``REPRO_BENCH_SCALE=10`` (or more) to approach the paper's budgets.
+    Junk and non-finite values warn once and keep the default.
     """
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+    return numeric_knob("REPRO_BENCH_SCALE", 1.0)
 
 
 def edge_constraints(model: str) -> List[Constraint]:

@@ -18,9 +18,11 @@ This module provides the batched alternative:
   vectorized kernels in :mod:`repro.cost.batch` consume.  The top-N
   mapper builds its batches directly as arrays.
 
-``Mapping`` objects are still materialized — lazily, per feasible
-candidate — because search traces and mapping results carry them, but
-the per-candidate dict bookkeeping disappears from the scoring loop.
+``Mapping`` objects are built only for the rows a caller asks for: a
+latency search or re-score builds its winner alone, and every feasible
+row is built only when an energy/EDP objective or a trace's
+``feasible`` pairs need them.  The per-candidate dict bookkeeping
+disappears from the scoring loop.
 """
 
 from __future__ import annotations

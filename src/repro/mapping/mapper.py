@@ -94,23 +94,81 @@ class MappingResult:
         return self.execution.latency if self.execution else float("inf")
 
 
-@dataclass(frozen=True)
 class SearchTrace:
     """Re-scorable record of one mapping search.
 
-    Holds every *feasible* ``(mapping, execution)`` pair in evaluation
-    order plus the total number of candidates the search consumed.  A
-    candidate's feasibility and every :class:`ExecutionInfo` field except
-    ``t_dma`` are independent of the off-chip bandwidth and clock, so a
-    trace recorded on one hardware configuration can be exactly re-scored
-    (:func:`rescore_trace`) on any configuration that differs only in
-    ``offchip_bw_mbps`` / ``freq_mhz`` — the layer-level mapping cache
-    relies on this to turn bandwidth sweeps into re-scores instead of
-    re-searches.
+    A candidate's feasibility and every :class:`ExecutionInfo` field
+    except ``t_dma`` are independent of the off-chip bandwidth and clock,
+    so a trace recorded on one hardware configuration can be exactly
+    re-scored (:func:`rescore_trace`) on any configuration that differs
+    only in ``offchip_bw_mbps`` / ``freq_mhz`` — the layer-level mapping
+    cache relies on this to turn bandwidth sweeps into re-scores instead
+    of re-searches.
+
+    Two shapes, one interface:
+
+    * ``SearchTrace(feasible, candidates_evaluated)`` holds the feasible
+      ``(mapping, execution)`` pairs in evaluation order (the scalar
+      reference loop and :class:`FixedDataflowMapper` build these);
+    * :meth:`from_batch` keeps a batch search's
+      :class:`~repro.cost.batch.BatchLayerEvaluation` and its feasible
+      row indices instead, so no object is built until one is asked
+      for.  :attr:`feasible` then materializes the pairs on first
+      access and caches them.
+
+    Both shapes re-score to the same result: the array re-score picks
+    its winner with :func:`repro.cost.batch.latency_winner`, whose
+    chained ``np.maximum`` equals ``ExecutionInfo.latency``'s
+    ``max(...)`` (every term is a finite non-negative float) and whose
+    ``np.argmin`` returns the first minimum, the first-strictly-best
+    rule of the object loop.
     """
 
-    feasible: Tuple[Tuple[Mapping, ExecutionInfo], ...]
-    candidates_evaluated: int
+    def __init__(
+        self,
+        feasible: Sequence[Tuple[Mapping, ExecutionInfo]],
+        candidates_evaluated: int,
+    ):
+        self._feasible = tuple(feasible)
+        self.candidates_evaluated = candidates_evaluated
+        #: The batch kernels' arrays and feasible rows, or None.
+        self.evaluation: Optional["_cost_batch.BatchLayerEvaluation"] = None
+        self.rows: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_batch(
+        cls,
+        evaluation: "_cost_batch.BatchLayerEvaluation",
+        rows: np.ndarray,
+    ) -> "SearchTrace":
+        """The trace of a batch search: its kernel arrays and the
+        positions of its feasible candidates, in candidate order."""
+        trace = cls((), len(evaluation))
+        trace._feasible = None
+        trace.evaluation = evaluation
+        trace.rows = rows
+        return trace
+
+    @property
+    def feasible(self) -> Tuple[Tuple[Mapping, ExecutionInfo], ...]:
+        """Every feasible ``(mapping, execution)`` pair, in evaluation
+        order (built from the kernel arrays on first access)."""
+        if self._feasible is None:
+            evaluation, rows = self.evaluation, self.rows
+            self._feasible = tuple(
+                zip(
+                    evaluation.batch.mappings(rows),
+                    evaluation.execution_infos(rows),
+                )
+            )
+        return self._feasible
+
+    @property
+    def feasible_count(self) -> int:
+        """Number of feasible candidates, without building any pair."""
+        if self.rows is not None:
+            return len(self.rows)
+        return len(self._feasible)
 
 
 def rescore_trace(
@@ -126,26 +184,51 @@ def rescore_trace(
     traffic with the same expression the latency model uses, so the
     returned result is bit-identical to a cold search on ``config``
     (provided ``config`` matches the traced one on every other field).
+
+    A latency re-score of a batch trace (:meth:`SearchTrace.from_batch`)
+    is one NumPy pass: ``t_dma' = offchip_total / dram_bytes_per_cycle``
+    over the kernel arrays — the expression a cold batch search on
+    ``config`` evaluates — then :func:`repro.cost.batch.latency_winner`
+    picks the first feasible row at the minimum, and only that winner is
+    built.  Other objectives, and object traces, loop over
+    :attr:`SearchTrace.feasible` with the objective's scorer; both
+    routes agree because the chained ``np.maximum`` equals
+    ``ExecutionInfo.latency`` and ``np.argmin`` keeps the first minimum.
     """
     scorer = _resolve_objective(objective)
     dram_bpc = config.dram_bytes_per_cycle
     best_exec: Optional[ExecutionInfo] = None
     best_mapping: Optional[Mapping] = None
-    best_score = float("inf")
-    for mapping, execution in trace.feasible:
-        rescored = replace(
-            execution, t_dma=sum(execution.data_offchip.values()) / dram_bpc
-        )
-        score = scorer(layer, rescored, config)
-        if score < best_score:
-            best_exec = rescored
-            best_mapping = mapping
-            best_score = score
+    evaluation = trace.evaluation
+    if evaluation is not None and objective == "latency":
+        if len(trace.rows):
+            t_dma = evaluation.offchip_total / dram_bpc
+            winner = _cost_batch.latency_winner(
+                evaluation.t_comp, evaluation.t_noc, t_dma,
+                evaluation.feasible,
+            )
+            best_mapping = evaluation.mapping(winner)
+            best_exec = replace(
+                evaluation.execution_infos((winner,))[0],
+                t_dma=float(t_dma[winner]),
+            )
+    else:
+        best_score = float("inf")
+        for mapping, execution in trace.feasible:
+            rescored = replace(
+                execution,
+                t_dma=sum(execution.data_offchip.values()) / dram_bpc,
+            )
+            score = scorer(layer, rescored, config)
+            if score < best_score:
+                best_exec = rescored
+                best_mapping = mapping
+                best_score = score
     return MappingResult(
         mapping=best_mapping,
         execution=best_exec,
         candidates_evaluated=trace.candidates_evaluated,
-        feasible_candidates=len(trace.feasible),
+        feasible_candidates=trace.feasible_count,
     )
 
 
@@ -445,35 +528,47 @@ def _best_of_traced_batch(
     layer: LayerShape,
     config: AcceleratorConfig,
     batch: CandidateBatch,
+    objective: str,
     scorer,
     stats: Optional[BatchEvalStats],
 ) -> Tuple[MappingResult, SearchTrace]:
     """Batched twin of the scalar loop in :func:`_best_of_traced`.
 
-    Scores the whole materialized candidate set through the vectorized
-    kernels, then reconstructs ``Mapping``/``ExecutionInfo`` objects for
-    the feasible candidates only (in candidate order, so the trace and
-    the first-strictly-best selection are bit-identical to the scalar
-    reference).
+    Scores the whole candidate set through the vectorized kernels and
+    keeps them as the trace (:meth:`SearchTrace.from_batch`).  The
+    latency objective picks its winner on the arrays
+    (:func:`repro.cost.batch.latency_winner`) and builds the
+    ``Mapping``/``ExecutionInfo`` of that one row; energy and EDP score
+    every feasible pair through :func:`_select_best`, because their
+    scorer reads whole ``ExecutionInfo`` objects.  Either way the result
+    is bit-identical to the scalar reference.
     """
     started = time.perf_counter()
     evaluation = _cost_batch.evaluate_layer_batch(layer, batch, config)
-    feasible = evaluation.feasible_indices
-    outcomes: List[Tuple[Mapping, ExecutionInfo]] = list(
-        zip(batch.mappings(feasible), evaluation.execution_infos(feasible))
-    )
-    best_mapping, best_exec = _select_best(layer, config, outcomes, scorer)
-    if stats is not None:
-        stats.record_batch(
-            len(batch), len(outcomes), time.perf_counter() - started
+    rows = evaluation.feasible_indices
+    trace = SearchTrace.from_batch(evaluation, rows)
+    best_mapping: Optional[Mapping] = None
+    best_exec: Optional[ExecutionInfo] = None
+    if objective != "latency":
+        best_mapping, best_exec = _select_best(
+            layer, config, trace.feasible, scorer
         )
+    elif len(rows):
+        winner = _cost_batch.latency_winner(
+            evaluation.t_comp, evaluation.t_noc, evaluation.t_dma,
+            evaluation.feasible,
+        )
+        best_mapping = batch.mapping(winner)
+        best_exec = evaluation.execution_infos((winner,))[0]
+    if stats is not None:
+        stats.record_batch(len(batch), len(rows), time.perf_counter() - started)
     result = MappingResult(
         mapping=best_mapping,
         execution=best_exec,
         candidates_evaluated=len(batch),
-        feasible_candidates=len(outcomes),
+        feasible_candidates=len(rows),
     )
-    return result, SearchTrace(tuple(outcomes), len(batch))
+    return result, trace
 
 
 def _best_of_traced(
@@ -497,7 +592,9 @@ def _best_of_traced(
     scorer = _resolve_objective(objective)
     if _cost_batch.batch_eval_enabled(batch_eval):
         if _cost_batch.int64_safe(batch, config):
-            return _best_of_traced_batch(layer, config, batch, scorer, stats)
+            return _best_of_traced_batch(
+                layer, config, batch, objective, scorer, stats
+            )
         if stats is not None:
             stats.record_fallback()
 

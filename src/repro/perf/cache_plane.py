@@ -58,7 +58,8 @@ _HEADER = struct.Struct("<4sBBIII")
 _MAGIC = b"RPLN"
 #: On-disk record version; a segment with a stale version is skipped
 #: (format evolution), only framing/CRC failures are corruption.
-_VERSION = 1
+#: Version 2: traces hold batch-kernel arrays instead of object pairs.
+_VERSION = 2
 #: Segment file suffixes.
 _SEGMENT_SUFFIX = ".seg"
 _CORRUPT_SUFFIX = ".corrupt"

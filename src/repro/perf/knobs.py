@@ -32,6 +32,12 @@ Knobs resolved here:
   of queueing unboundedly.
 * ``REPRO_SERVICE_TENANT_INFLIGHT`` — per-tenant cap on unsettled
   campaigns; submissions past it are shed with HTTP 429.
+* ``REPRO_TASK_TIMEOUT``, ``REPRO_MAX_RETRIES``, ``REPRO_RETRY_BACKOFF``
+  and ``REPRO_MAX_FAILURE_RATE`` — the retry and circuit-breaker policy
+  (:mod:`repro.resilience.supervisor`), and ``REPRO_BENCH_SCALE`` — the
+  paper-figure bench budget scale (:func:`repro.experiments.setup.bench_scale`).
+  All five go through :func:`numeric_knob`; their callers keep their
+  own clamps.
 
 Valid values are memoized per ``(knob, raw value)`` so hot paths (the
 per-node compiled-tree check, the per-step fused gate) never re-parse an
@@ -40,6 +46,7 @@ unchanged environment; junk values stay on the uncached warn-once path.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from typing import Dict, Optional, Set, Tuple
@@ -57,6 +64,7 @@ __all__ = [
     "service_max_queue",
     "service_tenant_inflight",
     "tenant_step_quota",
+    "numeric_knob",
 ]
 
 _TRUE = frozenset({"1", "true", "on", "yes"})
@@ -171,6 +179,29 @@ def _positive_int_knob(name: str, default: int, override: Optional[int]) -> int:
         )
         return default
     _INT_CACHE[(name, raw)] = value
+    return value
+
+
+def numeric_knob(name: str, default: float, parse=float) -> float:
+    """Shared parser for numeric knobs read as given (``parse`` is
+    ``float`` or ``int``; callers apply their own clamps).  Unset and
+    blank values give ``default``; junk and non-finite values (``inf``,
+    ``nan``, ``1e999``) warn once and give ``default`` too."""
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return default
+    try:
+        value = parse(raw.strip())
+    except (ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        _warn_once(
+            name,
+            raw,
+            f"falling back to the default ({default}) — use a finite "
+            f"{'integer' if parse is int else 'number'}",
+        )
+        return default
     return value
 
 

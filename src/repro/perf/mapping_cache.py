@@ -14,8 +14,10 @@ design-point cache:
   (:func:`repro.perf.signature.search_invariant_signature`); a hit
   re-scores the recorded :class:`~repro.mapping.mapper.SearchTrace` via
   :func:`repro.mapping.mapper.rescore_trace`, which is bit-identical to
-  a cold search.  Sweeps over off-chip bandwidth therefore never repeat
-  the candidate enumeration or the per-candidate latency model.
+  a cold search.  A batch search's trace holds its kernel arrays, so a
+  latency re-score is one NumPy pass over them plus one materialized
+  winner.  Sweeps over off-chip bandwidth therefore never repeat the
+  candidate enumeration or the per-candidate latency model.
 
 Both tiers are LRU-bounded and thread-safe; an optional pickle backend
 (:meth:`MappingCache.save` / ``persist_path``) lets repeated experiment
@@ -60,7 +62,8 @@ __all__ = ["CacheStats", "MappingCache", "CachingMapper", "shared_cache"]
 #: Persistence file name inside ``REPRO_MAPPING_CACHE_DIR``.
 PERSIST_FILENAME = "mapping_cache.pkl"
 #: On-disk format version; bump when signatures or traces change shape.
-PERSIST_VERSION = 1
+#: Version 2: traces hold batch-kernel arrays instead of object pairs.
+PERSIST_VERSION = 2
 
 
 @dataclass
@@ -99,9 +102,10 @@ class MappingCache:
     Args:
         max_results: Exact-tier capacity (one ``MappingResult`` each);
             None reads ``REPRO_MAPPING_CACHE_RESULTS``.
-        max_traces: Re-score-tier capacity; traces hold up to ``top_n``
-            ``(mapping, execution)`` pairs, so this tier is kept small.
-            None reads ``REPRO_MAPPING_CACHE_TRACES``.
+        max_traces: Re-score-tier capacity; a trace holds one search's
+            batch-kernel arrays (about 40 arrays of up to ``top_n`` rows),
+            so this tier is kept smaller than the exact one.  None reads
+            ``REPRO_MAPPING_CACHE_TRACES``.
         persist_path: Pickle file to warm-start from (loaded when it
             exists) and to :meth:`save` to.
         plane: Optional cross-process :class:`CachePlane`; both tiers

@@ -16,11 +16,13 @@ circuit breaking).  Environment knobs:
 * ``REPRO_MAX_FAILURE_RATE`` — quarantined-candidate fraction above
   which the campaign circuit breaker trips (default 0.5; ``>= 1``
   disables the breaker).
+
+All four are parsed by :func:`repro.perf.knobs.numeric_knob`: junk and
+non-finite values warn once and keep the default.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 from dataclasses import dataclass
@@ -45,30 +47,18 @@ DEFAULT_MAX_FAILURE_RATE = 0.5
 BREAKER_MIN_FAILURES = 3
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
+def _numeric_knob(name: str, default: float, parse=float) -> float:
+    """:func:`repro.perf.knobs.numeric_knob`, imported at call time
+    because ``repro.perf`` imports this module."""
+    from repro.perf.knobs import numeric_knob as parse_knob
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
+    return parse_knob(name, default, parse)
 
 
 def resolve_task_timeout(timeout: Optional[object] = None) -> Optional[float]:
     """Per-task timeout in seconds; None/0 (or unset env) disables it."""
     if timeout is None:
-        timeout = _env_float("REPRO_TASK_TIMEOUT", 0.0)
+        timeout = _numeric_knob("REPRO_TASK_TIMEOUT", 0.0)
     timeout = float(timeout)
     return timeout if timeout > 0 else None
 
@@ -97,13 +87,13 @@ class RetryPolicy:
         return cls(
             max_retries=max(
                 0,
-                _env_int("REPRO_MAX_RETRIES", DEFAULT_MAX_RETRIES)
+                _numeric_knob("REPRO_MAX_RETRIES", DEFAULT_MAX_RETRIES, int)
                 if max_retries is None
                 else int(max_retries),
             ),
             backoff_base=max(
                 0.0,
-                _env_float("REPRO_RETRY_BACKOFF", DEFAULT_BACKOFF_BASE)
+                _numeric_knob("REPRO_RETRY_BACKOFF", DEFAULT_BACKOFF_BASE)
                 if backoff_base is None
                 else float(backoff_base),
             ),
@@ -137,7 +127,7 @@ class FailureRateBreaker:
 
     def __init__(self, max_failure_rate: Optional[float] = None):
         self.max_failure_rate = (
-            _env_float("REPRO_MAX_FAILURE_RATE", DEFAULT_MAX_FAILURE_RATE)
+            _numeric_knob("REPRO_MAX_FAILURE_RATE", DEFAULT_MAX_FAILURE_RATE)
             if max_failure_rate is None
             else float(max_failure_rate)
         )

@@ -3,9 +3,11 @@
 The contract under test: with ``REPRO_BATCH_EVAL`` on or off, every
 built-in mapper returns *bit-identical* results — same mappings, same
 ``ExecutionInfo`` values **and Python types**, same infeasibility
-reasons, same candidate counts, same re-scorable traces.
+reasons, same candidate counts, same re-scorable traces.  A latency
+search or re-score on the batch path builds objects for its winner only.
 """
 
+import dataclasses
 import itertools
 import pickle
 
@@ -13,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import build_edge_design_space, config_from_point
+from repro.arch.accelerator import OFFCHIP_BW_VALUES_MBPS
 from repro.cost.batch import (
+    BatchLayerEvaluation,
     batch_eval_enabled,
     evaluate_layer_batch,
     evaluate_layer_mappings_batch,
@@ -27,10 +31,12 @@ from repro.mapping.mapper import (
     FixedDataflowMapper,
     MAPPING_OBJECTIVES,
     RandomSearchMapper,
+    SearchTrace,
     TopNMapper,
     rescore_trace,
 )
 from repro.mapping.mapping import padded_bounds, padded_bounds_tuple
+from repro.perf import CachingMapper, MappingCache
 from repro.perf.instrumentation import BatchEvalStats
 from repro.workloads.layers import (
     LOOP_DIMS,
@@ -227,6 +233,133 @@ class TestScalarBatchEquivalence:
         scalar = evaluate_layer_mapping(layer, mapping, config)
         batch = evaluate_layer_mappings_batch(layer, [mapping], config)[0]
         assert_outcomes_identical(scalar, batch)
+
+
+#: Latency mappers whose batch search keeps its trace as kernel arrays.
+_ARRAY_TRACE_MAPPERS = {
+    "top-n": lambda: TopNMapper(top_n=150, batch_eval=True),
+    "random": lambda: RandomSearchMapper(trials=150, seed=3, batch_eval=True),
+}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the ``ExecutionInfo`` and ``Mapping`` objects the batch
+    path builds, through every bulk and single-row entry point."""
+    counts = {"infos": 0, "mappings": 0}
+    infos = BatchLayerEvaluation.execution_infos
+    mapping = CandidateBatch.mapping
+    mappings = CandidateBatch.mappings
+
+    def counted_infos(self, indices):
+        out = infos(self, indices)
+        counts["infos"] += len(out)
+        return out
+
+    def counted_mapping(self, i):
+        counts["mappings"] += 1
+        return mapping(self, i)
+
+    def counted_mappings(self, indices):
+        out = mappings(self, indices)
+        counts["mappings"] += len(out)
+        return out
+
+    monkeypatch.setattr(BatchLayerEvaluation, "execution_infos", counted_infos)
+    monkeypatch.setattr(CandidateBatch, "mapping", counted_mapping)
+    monkeypatch.setattr(CandidateBatch, "mappings", counted_mappings)
+    return counts
+
+
+class TestWinnerOnlyMaterialization:
+    @pytest.mark.parametrize("name", sorted(_ARRAY_TRACE_MAPPERS))
+    def test_latency_search_builds_one_row(
+        self, name, built, conv_layer, mid_config
+    ):
+        result, trace = _ARRAY_TRACE_MAPPERS[name]().search_with_trace(
+            conv_layer, mid_config
+        )
+        assert result.feasible_candidates > 1
+        assert trace.feasible_count == result.feasible_candidates
+        assert built == {"infos": 1, "mappings": 1}
+
+    @pytest.mark.parametrize("name", sorted(_ARRAY_TRACE_MAPPERS))
+    def test_rescore_hit_builds_one_row(
+        self, name, built, mid_point, conv_layer, mid_config
+    ):
+        mapper = CachingMapper(_ARRAY_TRACE_MAPPERS[name](), MappingCache())
+        mapper(conv_layer, mid_config)
+        variant = config_from_point(dict(mid_point, offchip_bw_mbps=2048))
+        built.update(infos=0, mappings=0)
+        result = mapper(conv_layer, variant)
+        assert mapper.rescore_hits == 1 and mapper.misses == 1
+        assert result.feasible_candidates > 1
+        assert built == {"infos": 1, "mappings": 1}
+
+    def test_trace_feasible_is_built_once_on_demand(
+        self, built, conv_layer, mid_config
+    ):
+        _, trace = TopNMapper(top_n=150, batch_eval=True).search_with_trace(
+            conv_layer, mid_config
+        )
+        pairs = trace.feasible
+        assert len(pairs) == trace.feasible_count
+        assert trace.feasible is pairs
+        assert built == {"infos": 1 + len(pairs), "mappings": 1 + len(pairs)}
+
+
+def _rescore_three_ways(make_mapper, layer, config, variant, pickled=False):
+    """The array re-score, the object loop over the same trace's
+    ``feasible``, and a cold search on ``variant``."""
+    _, trace = make_mapper().search_with_trace(layer, config)
+    assert trace.evaluation is not None
+    if pickled:
+        trace = pickle.loads(pickle.dumps(trace))
+    array = rescore_trace(layer, variant, trace)
+    objects = rescore_trace(
+        layer,
+        variant,
+        SearchTrace(trace.feasible, trace.candidates_evaluated),
+    )
+    cold = make_mapper()(layer, variant)
+    return array, objects, cold
+
+
+class TestRescoreParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mapper=st.sampled_from(sorted(_ARRAY_TRACE_MAPPERS)),
+        layer_index=st.integers(0, len(_LAYERS) - 1),
+        config_index=st.integers(0, 1),
+        bandwidth=st.sampled_from(OFFCHIP_BW_VALUES_MBPS),
+        freq_mhz=st.sampled_from((500, 800)),
+    )
+    def test_array_rescore_matches_object_loop_and_cold_search(
+        self, mapper, layer_index, config_index, bandwidth, freq_mhz
+    ):
+        layer = _LAYERS[layer_index]
+        config = _configs()[config_index]
+        variant = dataclasses.replace(
+            config, offchip_bw_mbps=bandwidth, freq_mhz=freq_mhz
+        )
+        array, objects, cold = _rescore_three_ways(
+            _ARRAY_TRACE_MAPPERS[mapper], layer, config, variant
+        )
+        assert_results_identical(objects, array)
+        assert_results_identical(cold, array)
+
+    @pytest.mark.parametrize("mapper", sorted(_ARRAY_TRACE_MAPPERS))
+    def test_pickled_trace_rescores_identically(
+        self, mapper, mid_point, conv_layer, mid_config
+    ):
+        variant = config_from_point(dict(mid_point, offchip_bw_mbps=1024))
+        array, objects, cold = _rescore_three_ways(
+            _ARRAY_TRACE_MAPPERS[mapper], conv_layer, mid_config, variant,
+            pickled=True,
+        )
+        assert array.feasible_candidates > 1
+        assert_results_identical(objects, array)
+        assert_results_identical(cold, array)
 
 
 class TestBatchPrimitives:

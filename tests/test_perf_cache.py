@@ -99,7 +99,9 @@ class TestMappingCacheStore:
         assert cache.get_result(("a",)) == 1
         assert cache.get_result(("b",)) is None
 
-    def test_persistence_roundtrip(self, tmp_path, conv_layer, mid_config):
+    def test_persistence_roundtrip(
+        self, tmp_path, conv_layer, mid_point, mid_config
+    ):
         path = str(tmp_path / "cache.pkl")
         cache = MappingCache(persist_path=path)
         mapper = CachingMapper(TopNMapper(top_n=25), cache)
@@ -114,6 +116,13 @@ class TestMappingCacheStore:
         assert warm_mapper.misses == 0
         assert warm.latency == cold.latency
         assert warm.mapping == cold.mapping
+
+        # The re-score tier survives the round trip too.
+        variant = config_from_point(_bw_variant(mid_point, 2048))
+        rescored = warm_mapper(conv_layer, variant)
+        assert warm_mapper.rescore_hits == 1
+        assert warm_mapper.misses == 0
+        assert rescored == TopNMapper(top_n=25)(conv_layer, variant)
 
     def test_corrupt_persistence_ignored(self, tmp_path):
         path = tmp_path / "cache.pkl"

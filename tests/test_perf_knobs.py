@@ -2,9 +2,10 @@
 
 ``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, ``REPRO_BATCH_EVAL``,
 ``REPRO_MAPPING_CACHE``, the mapping-cache capacities,
-``REPRO_CACHE_PLANE``, and the service knobs follow the
-``resolve_jobs`` contract: junk values never raise — they warn once
-(per knob, per value) and fall back to the safe path.  Valid
+``REPRO_CACHE_PLANE``, the service knobs, the retry/breaker knobs and
+``REPRO_BENCH_SCALE`` follow the ``resolve_jobs`` contract: junk values
+never raise — they warn once (per knob, per value) and fall back to the
+safe path.  Valid
 values are memoized per raw string (hot paths re-read knobs), junk
 values are not (clearing ``_WARNED`` must re-warn).
 """
@@ -17,8 +18,17 @@ from repro.core.dse.constraints import Constraint
 from repro.core.dse.explainable import ExplainableDSE
 from repro.cost.batch import batch_eval_enabled
 from repro.cost.evaluator import CostEvaluator
+from repro.experiments.setup import bench_scale, run_explainable_dse
 from repro.mapping.mapper import TopNMapper
 from repro.perf import MappingCache, knobs
+from repro.resilience.supervisor import (
+    DEFAULT_BACKOFF_BASE,
+    DEFAULT_MAX_FAILURE_RATE,
+    DEFAULT_MAX_RETRIES,
+    FailureRateBreaker,
+    RetryPolicy,
+    resolve_task_timeout,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +45,12 @@ def _clean_env(monkeypatch):
         "REPRO_SERVICE_MAX_CONCURRENT",
         "REPRO_SERVICE_STEP_QUANTUM",
         "REPRO_TENANT_QUOTA",
+        "REPRO_TASK_TIMEOUT",
+        "REPRO_MAX_RETRIES",
+        "REPRO_RETRY_BACKOFF",
+        "REPRO_MAX_FAILURE_RATE",
+        "REPRO_BENCH_SCALE",
+        "REPRO_FAULT_INJECT",
     ):
         monkeypatch.delenv(name, raising=False)
 
@@ -298,3 +314,87 @@ class TestCachePlaneDir:
         knobs._WARNED.clear()
         with pytest.warns(RuntimeWarning, match="REPRO_CACHE_PLANE"):
             assert knobs.cache_plane_dir() is None
+
+
+#: (knob, reader, default) of the numeric knobs parsed by
+#: ``knobs.numeric_knob``; each reader goes through the production caller.
+_NUMERIC_KNOBS = pytest.mark.parametrize(
+    "name,read,default",
+    [
+        ("REPRO_TASK_TIMEOUT", lambda: resolve_task_timeout(), None),
+        ("REPRO_MAX_RETRIES", lambda: RetryPolicy.from_env().max_retries,
+         DEFAULT_MAX_RETRIES),
+        ("REPRO_RETRY_BACKOFF", lambda: RetryPolicy.from_env().backoff_base,
+         DEFAULT_BACKOFF_BASE),
+        ("REPRO_MAX_FAILURE_RATE",
+         lambda: FailureRateBreaker().max_failure_rate,
+         DEFAULT_MAX_FAILURE_RATE),
+        ("REPRO_BENCH_SCALE", bench_scale, 1.0),
+    ],
+    ids=["timeout", "retries", "backoff", "failure-rate", "bench-scale"],
+)
+
+
+class TestNumericKnobs:
+    @_NUMERIC_KNOBS
+    @pytest.mark.parametrize("raw", ["abc", "inf", "-inf", "nan", "1e999"])
+    def test_junk_and_non_finite_warn_once_and_use_default(
+        self, monkeypatch, name, read, default, raw
+    ):
+        monkeypatch.setenv(name, raw)
+        knobs._WARNED.clear()
+        with pytest.warns(RuntimeWarning, match=name):
+            assert read() == default
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read() == default
+
+    @_NUMERIC_KNOBS
+    @pytest.mark.parametrize("raw", ["", "  "])
+    def test_blank_is_default_without_warning(
+        self, monkeypatch, name, read, default, raw
+    ):
+        monkeypatch.setenv(name, raw)
+        knobs._WARNED.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read() == default
+
+    def test_valid_values_and_existing_clamps(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "-4")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "-1")
+        monkeypatch.setenv("REPRO_MAX_FAILURE_RATE", "0.25")
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "10")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy = RetryPolicy.from_env()
+            assert policy.task_timeout == 2.5
+            assert policy.max_retries == 0  # clamped, not rejected
+            assert policy.backoff_base == 0.0  # clamped, not rejected
+            assert FailureRateBreaker().max_failure_rate == 0.25
+            assert bench_scale() == 10.0
+
+    def test_nan_failure_rate_keeps_the_breaker_on(self, monkeypatch):
+        """``nan < 1.0`` is False, so a NaN rate used to switch the
+        breaker off without a word."""
+        monkeypatch.setenv("REPRO_MAX_FAILURE_RATE", "nan")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert FailureRateBreaker().enabled
+
+    def test_infinite_backoff_still_retries_injected_faults(self, monkeypatch):
+        """``REPRO_RETRY_BACKOFF=inf`` used to make the first retry's
+        ``time.sleep`` raise, so retryable faults were quarantined."""
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT", "crash:evaluate:0.12:seed=11"
+        )
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_explainable_dse("resnet18", iterations=10)
+        quarantined = [
+            t for t in result.trials if t.note.startswith("quarantined")
+        ]
+        assert quarantined == []
+        assert result.evaluations == 10
