@@ -19,30 +19,18 @@ makes it nearly as fast as fused (on a 2-core x86 host: per-layer
 the old "fused <= per-layer / 3" bar, given per-layer was 5-6x faster
 than scalar before.  ``batch_seconds`` and ``speedup_over_batch`` are still
 recorded, with no floor, so their trajectory stays visible.
-
-A chaos case rides along (``--chaos``, on by default): the campaign's
-mapping cache is backed by a cross-process cache plane, one plane
-segment is corrupted "mid-campaign" (between two campaign processes),
-and the second process must quarantine the bad segment — warning, not
-crashing — and recompute bit-identical results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
-import tempfile
 import time
-import warnings
 
 from repro.arch import build_edge_design_space, config_from_point
-from repro.cost.evaluator import CostEvaluator
 from repro.cost.fused import search_layers_fused
 from repro.mapping.mapper import TopNMapper
-from repro.perf.cache_plane import CachePlane
-from repro.perf.mapping_cache import MappingCache
 from repro.workloads import load_workload
 
 MODEL = "resnet18"
@@ -114,69 +102,9 @@ def _identical(a, b):
     )
 
 
-def _plane_chaos(workload, point) -> dict:
-    """Corrupt a cache-plane segment between two campaign processes; the
-    second must quarantine it and still match the first bit-for-bit."""
-    with tempfile.TemporaryDirectory(prefix="fused-plane-chaos-") as plane_dir:
-        first = CostEvaluator(
-            workload,
-            TopNMapper(top_n=TOP_N, batch_eval=True),
-            mapping_cache=MappingCache(plane=CachePlane(plane_dir)),
-            fused_eval=True,
-        )
-        reference = first.evaluate(point)
-
-        segments = [
-            name for name in os.listdir(plane_dir) if name.endswith(".seg")
-        ]
-        for name in segments:
-            path = os.path.join(plane_dir, name)
-            with open(path, "r+b") as handle:
-                handle.seek(os.path.getsize(path) // 2)
-                handle.write(b"\xde\xad\xbe\xef")
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second = CostEvaluator(
-                workload,
-                TopNMapper(top_n=TOP_N, batch_eval=True),
-                mapping_cache=MappingCache(plane=CachePlane(plane_dir)),
-                fused_eval=True,
-            )
-            recomputed = second.evaluate(point)
-        quarantine_warnings = [
-            str(w.message)
-            for w in caught
-            if "cache-plane segment is corrupt" in str(w.message)
-        ]
-        plane_stats = second.mapping_cache.plane.stats
-        return {
-            "segments_corrupted": len(segments),
-            "segments_quarantined": plane_stats.segments_quarantined,
-            "quarantine_warned": bool(quarantine_warnings),
-            "results_identical": recomputed.costs == reference.costs
-            and all(
-                reference.layer_results[name].latency
-                == recomputed.layer_results[name].latency
-                for name in reference.layer_results
-            ),
-        }
-
-
-def run(chaos: bool = True, chaos_only: bool = False) -> dict:
+def run() -> dict:
     workload = load_workload(MODEL)
-    point = _mid_point()
-    config = config_from_point(point)
-
-    if chaos_only:
-        return {
-            "benchmark": "fused_campaign_plane_chaos",
-            "model": MODEL,
-            "top_n": TOP_N,
-            "layers": len(workload.layers),
-            "python": platform.python_version(),
-            "plane_chaos": _plane_chaos(workload, point),
-        }
+    config = config_from_point(_mid_point())
 
     scalar_seconds, scalar_results = _per_layer_sweep(workload, config, False)
     batch_seconds, batch_results = _per_layer_sweep(workload, config, True)
@@ -186,7 +114,7 @@ def run(chaos: bool = True, chaos_only: bool = False) -> dict:
         for a, b, c in zip(scalar_results, fused_results, batch_results)
     )
 
-    record = {
+    return {
         "benchmark": "fused_campaign",
         "model": MODEL,
         "top_n": TOP_N,
@@ -204,9 +132,6 @@ def run(chaos: bool = True, chaos_only: bool = False) -> dict:
         "fused_fallbacks": fused_stats.fused_fallbacks,
         "results_identical": identical,
     }
-    if chaos:
-        record["plane_chaos"] = _plane_chaos(workload, point)
-    return record
 
 
 def main() -> int:
@@ -216,54 +141,20 @@ def main() -> int:
         default="BENCH_fused.json",
         help="JSON artifact path (default: %(default)s)",
     )
-    parser.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the cache-plane corruption case",
-    )
-    parser.add_argument(
-        "--chaos-only",
-        action="store_true",
-        help="run only the cache-plane corruption case (no timing floor)",
-    )
     args = parser.parse_args()
-    record = run(chaos=not args.no_chaos, chaos_only=args.chaos_only)
+    record = run()
     with open(args.out, "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")
-    chaos = record.get("plane_chaos")
-    if args.chaos_only:
-        print(
-            f"{record['model']}: plane chaos: quarantined="
-            f"{chaos['segments_quarantined']}, identical="
-            f"{chaos['results_identical']} -> {args.out}"
-        )
-        return (
-            0
-            if chaos["quarantine_warned"] and chaos["results_identical"]
-            else 1
-        )
     print(
         f"{record['model']}: scalar {record['scalar_seconds']}s, "
         f"batch {record['batch_seconds']}s, "
         f"fused {record['fused_seconds']}s "
         f"({record['speedup_over_scalar']}x over scalar, floor "
         f"{MIN_SPEEDUP}x; {record['speedup_over_batch']}x over batch), "
-        f"results identical: {record['results_identical']}"
-        + (
-            f"; plane chaos: quarantined="
-            f"{chaos['segments_quarantined']}, identical="
-            f"{chaos['results_identical']}"
-            if chaos
-            else ""
-        )
-        + f" -> {args.out}"
+        f"results identical: {record['results_identical']} -> {args.out}"
     )
     if not record["results_identical"]:
-        return 1
-    if chaos and not (
-        chaos["quarantine_warned"] and chaos["results_identical"]
-    ):
         return 1
     return 0 if record["speedup_over_scalar"] >= MIN_SPEEDUP else 1
 

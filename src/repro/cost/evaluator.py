@@ -439,14 +439,6 @@ class CostEvaluator:
             "enabled": tree_compile_enabled(),
         }
         tree_section.update(tree_compile.stats().as_dict())
-        plane = self.mapping_cache.plane if self.mapping_cache else None
-        # NOTE: the plane counters depend on which process warmed the
-        # shared segments first, so "plane" is a telemetry-volatile key.
-        plane_section: Dict[str, object] = {"enabled": plane is not None}
-        if plane is not None:
-            plane_section.update(plane.stats.as_dict())
-            plane_section["segments"] = plane.segment_count()
-            plane_section["entries"] = plane.entry_count()
         return {
             "evaluations": self.evaluations,
             "calls": self.calls,
@@ -464,7 +456,6 @@ class CostEvaluator:
                 "traces": self.mapping_cache.trace_count()
                 if self.mapping_cache
                 else 0,
-                "plane": plane_section,
             },
             "batch_eval": batch_section,
             "tree_compile": tree_section,

@@ -128,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--jobs",
+        type=_jobs,
         default=None,
         metavar="N",
         help="worker count for the technique x model matrix "
@@ -325,6 +326,25 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _jobs(text: str) -> str:
+    """argparse type for ``--jobs``: ``auto`` or an integer >= 0.
+
+    Returns the validated text; :func:`repro.perf.parallel.resolve_jobs`
+    turns it into a worker count.
+    """
+    if text.strip().lower() == "auto":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value: {text!r} (use auto or an integer >= 0)"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 or auto, got {value}")
+    return text
 
 
 def _add_batch_eval_argument(parser: argparse.ArgumentParser) -> None:

@@ -7,27 +7,24 @@ bit-identical results versus the serial/cold path:
 * :mod:`repro.perf.mapping_cache` — a shared (layer, config-signature,
   mapper-signature) cache with an exact tier and a re-scorable trace
   tier, so sweeps over mapping-irrelevant parameters (off-chip
-  bandwidth, clock) re-score instead of re-search;
+  bandwidth, clock) re-score instead of re-search, and a pickle
+  warm-start (``REPRO_MAPPING_CACHE_DIR``) so a repeated command re-uses
+  the previous process's searches;
 * :mod:`repro.perf.parallel` — a ``REPRO_JOBS``-controlled
   process/thread pool abstraction with a serial fallback, used for the
   (technique x model) runs of the experiment matrix;
-* :mod:`repro.perf.cache_plane` — a cross-process append-only segment
-  store (``REPRO_CACHE_PLANE``) the mapping cache writes through to, so
-  concurrently running processes share search outcomes;
 * :mod:`repro.perf.instrumentation` — per-stage timers and counters so
   speedups are measured, not asserted.
 
 :mod:`repro.perf.knobs` centralizes the validated environment switches
-(``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, the mapping-cache
-capacities, ``REPRO_CACHE_PLANE``, and the ``REPRO_SERVICE_*``
+(``REPRO_JOBS``, ``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, the
+mapping-cache capacities and directory, and the ``REPRO_SERVICE_*``
 admission knobs).
 See ``docs/performance.md`` for the knobs and measured numbers.
 """
 
-from repro.perf.cache_plane import CachePlane, PlaneStats
 from repro.perf.instrumentation import BatchEvalStats, StageTimers
 from repro.perf.knobs import (
-    cache_plane_dir,
     fused_eval_enabled,
     resolve_executor_mode,
     tree_compile_enabled,
@@ -48,11 +45,8 @@ from repro.perf.signature import (
 )
 
 __all__ = [
-    "CachePlane",
-    "PlaneStats",
     "BatchEvalStats",
     "StageTimers",
-    "cache_plane_dir",
     "fused_eval_enabled",
     "resolve_executor_mode",
     "tree_compile_enabled",

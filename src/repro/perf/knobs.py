@@ -1,14 +1,16 @@
 """Validated environment knobs for the campaign-wide fast paths.
 
 The perf layer is controlled by environment variables so fast paths can
-be toggled without touching call sites (``REPRO_JOBS`` set the pattern).
-Knob values arrive from shells, CI matrices, and worker environments, so
-a junk value must *never* raise deep inside an evaluation — it warns
-once (per knob, per value, like :func:`repro.perf.parallel.resolve_jobs`)
+be toggled without touching call sites.  Knob values arrive from shells,
+CI matrices, and worker environments, so a junk value must *never*
+raise deep inside an evaluation — it warns once (per knob, per value)
 and falls back to the safe default path.
 
 Knobs resolved here:
 
+* ``REPRO_JOBS`` — worker count of the experiment-matrix pool
+  (:mod:`repro.perf.parallel`).  Unset means serial; ``0`` and ``auto``
+  mean every core; junk and negative values warn and run serially.
 * ``REPRO_FUSED_EVAL`` — campaign-wide fused cross-layer candidate
   evaluation (:mod:`repro.cost.fused`).  Default off (opt-in).
 * ``REPRO_TREE_COMPILE`` — postfix-compiled bottleneck-tree evaluation
@@ -17,10 +19,11 @@ Knobs resolved here:
 * ``REPRO_MAPPING_CACHE_RESULTS`` / ``REPRO_MAPPING_CACHE_TRACES`` —
   LRU capacities of the mapping cache's exact and re-score tiers
   (:mod:`repro.perf.mapping_cache`); positive integers.
-* ``REPRO_CACHE_PLANE`` — directory of the cross-process mapping-cache
-  plane (:mod:`repro.perf.cache_plane`).  Unset/empty/``0`` disables;
-  an unusable value (e.g. a path that exists as a regular file) warns
-  and disables instead of failing the campaign.
+* ``REPRO_MAPPING_CACHE_DIR`` — directory of the mapping cache's pickle
+  warm-start (:func:`repro.perf.mapping_cache.shared_cache`).
+  Unset/empty/``0``/``off`` disables; an unusable value (e.g. a path
+  that exists as a regular file) warns and disables instead of failing
+  the campaign.
 * ``REPRO_SERVICE_MAX_CONCURRENT`` — campaign-service admission cap:
   how many campaigns interleave at once (:mod:`repro.service`).
 * ``REPRO_SERVICE_STEP_QUANTUM`` — acquisition attempts granted per
@@ -58,7 +61,8 @@ __all__ = [
     "resolve_executor_mode",
     "mapping_cache_results",
     "mapping_cache_traces",
-    "cache_plane_dir",
+    "mapping_cache_dir",
+    "pool_jobs",
     "service_max_concurrent",
     "service_step_quantum",
     "service_max_queue",
@@ -299,15 +303,40 @@ def tenant_step_quota(override: Optional[int] = "env") -> Optional[int]:
     return quota
 
 
-def cache_plane_dir() -> Optional[str]:
-    """The validated ``REPRO_CACHE_PLANE`` directory, or None.
+def pool_jobs() -> int:
+    """Worker count from ``REPRO_JOBS`` (default 1 = serial); ``0``
+    (also for ``auto``) means every core, which
+    :func:`repro.perf.parallel.resolve_jobs` resolves.  Junk and
+    negative values warn once and run serially."""
+    raw = os.environ.get("REPRO_JOBS")
+    if raw is None:
+        return 1
+    value = raw.strip().lower()
+    if value == "auto":
+        return 0
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = -1
+    if jobs < 0:
+        _warn_once(
+            "REPRO_JOBS",
+            raw,
+            "running serially (1 worker) — use an integer >= 0, or auto",
+        )
+        return 1
+    return jobs
 
-    Unset, empty, and the usual false spellings disable the plane.  A
+
+def mapping_cache_dir() -> Optional[str]:
+    """The validated ``REPRO_MAPPING_CACHE_DIR`` directory, or None.
+
+    Unset, empty, and the usual false spellings disable persistence.  A
     value that cannot be used as a directory (it exists as a regular
-    file, or cannot be created) warns once and disables the plane — the
-    campaign continues on the per-process cache.
+    file, or cannot be created) warns once and disables persistence —
+    the campaign continues on the per-process cache.
     """
-    raw = os.environ.get("REPRO_CACHE_PLANE")
+    raw = os.environ.get("REPRO_MAPPING_CACHE_DIR")
     if raw is None:
         return None
     value = raw.strip()
@@ -315,20 +344,20 @@ def cache_plane_dir() -> Optional[str]:
         return None
     if os.path.exists(value) and not os.path.isdir(value):
         _warn_once(
-            "REPRO_CACHE_PLANE",
+            "REPRO_MAPPING_CACHE_DIR",
             raw,
-            "it exists but is not a directory; continuing without the "
-            "cache plane",
+            "it exists but is not a directory; the mapping cache is not "
+            "persisted",
         )
         return None
     try:
         os.makedirs(value, exist_ok=True)
     except OSError as exc:
         _warn_once(
-            "REPRO_CACHE_PLANE",
+            "REPRO_MAPPING_CACHE_DIR",
             raw,
-            f"the directory cannot be created ({exc}); continuing "
-            "without the cache plane",
+            f"the directory cannot be created ({exc}); the mapping cache "
+            "is not persisted",
         )
         return None
     return value

@@ -19,9 +19,11 @@ design-point cache:
   winner.  Sweeps over off-chip bandwidth therefore never repeat the
   candidate enumeration or the per-candidate latency model.
 
-Both tiers are LRU-bounded and thread-safe; an optional pickle backend
-(:meth:`MappingCache.save` / ``persist_path``) lets repeated experiment
-runs warm-start (``REPRO_MAPPING_CACHE_DIR``).
+Both tiers are LRU-bounded and thread-safe.  The one cross-process
+store is a pickle of both tiers (:meth:`MappingCache.save` /
+``persist_path``): with ``REPRO_MAPPING_CACHE_DIR`` set, the shared
+cache warm-starts from it and saves it again at process exit, so a
+repeated command re-uses the previous run's searches.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from repro.arch.accelerator import AcceleratorConfig
 from repro.resilience.errors import CacheCorruptionError, as_repro_error
 from repro.resilience.fault_injection import inject
-from repro.perf.cache_plane import KIND_RESULT, KIND_TRACE, CachePlane
 from repro.perf.knobs import (
-    cache_plane_dir,
+    mapping_cache_dir,
     mapping_cache_results,
     mapping_cache_traces,
 )
@@ -108,9 +109,6 @@ class MappingCache:
             ``REPRO_MAPPING_CACHE_TRACES``.
         persist_path: Pickle file to warm-start from (loaded when it
             exists) and to :meth:`save` to.
-        plane: Optional cross-process :class:`CachePlane`; both tiers
-            write through to it and consult it on local misses, so
-            concurrently running processes share search outcomes.
     """
 
     def __init__(
@@ -118,7 +116,6 @@ class MappingCache:
         max_results: Optional[int] = None,
         max_traces: Optional[int] = None,
         persist_path: Optional[str] = None,
-        plane: Optional[CachePlane] = None,
     ):
         for name, value in (
             ("max_results", max_results),
@@ -133,7 +130,6 @@ class MappingCache:
             mapping_cache_traces() if max_traces is None else max_traces
         )
         self.persist_path = persist_path
-        self.plane = plane
         self._results: "OrderedDict[Tuple, MappingResult]" = OrderedDict()
         self._traces: "OrderedDict[Tuple, SearchTrace]" = OrderedDict()
         self._lock = threading.Lock()
@@ -148,20 +144,9 @@ class MappingCache:
             result = self._results.get(key)
             if result is not None:
                 self._results.move_to_end(key)
-                return result
-        if self.plane is not None:
-            result = self.plane.get(KIND_RESULT, key)
-            if result is not None:
-                self._put_result_local(key, result)
-                return result
-        return None
+            return result
 
     def put_result(self, key: Tuple, result: MappingResult) -> None:
-        self._put_result_local(key, result)
-        if self.plane is not None:
-            self.plane.put(KIND_RESULT, key, result)
-
-    def _put_result_local(self, key: Tuple, result: MappingResult) -> None:
         with self._lock:
             self._results[key] = result
             self._results.move_to_end(key)
@@ -173,20 +158,9 @@ class MappingCache:
             trace = self._traces.get(key)
             if trace is not None:
                 self._traces.move_to_end(key)
-                return trace
-        if self.plane is not None:
-            trace = self.plane.get(KIND_TRACE, key)
-            if trace is not None:
-                self._put_trace_local(key, trace)
-                return trace
-        return None
+            return trace
 
     def put_trace(self, key: Tuple, trace: SearchTrace) -> None:
-        self._put_trace_local(key, trace)
-        if self.plane is not None:
-            self.plane.put(KIND_TRACE, key, trace)
-
-    def _put_trace_local(self, key: Tuple, trace: SearchTrace) -> None:
         with self._lock:
             self._traces[key] = trace
             self._traces.move_to_end(key)
@@ -390,25 +364,21 @@ _SHARED_LOCK = threading.Lock()
 def shared_cache() -> MappingCache:
     """The process-wide mapping cache shared by all evaluators.
 
-    Created lazily; when ``REPRO_MAPPING_CACHE_DIR`` is set the cache
+    Created lazily; when ``REPRO_MAPPING_CACHE_DIR`` names a usable
+    directory (see :func:`repro.perf.knobs.mapping_cache_dir`) the cache
     warm-starts from (and registers an atexit save to)
-    ``$REPRO_MAPPING_CACHE_DIR/mapping_cache.pkl``.  When
-    ``REPRO_CACHE_PLANE`` names a directory, a cross-process
-    :class:`CachePlane` is attached below both tiers so concurrently
-    running processes share search outcomes live.
+    ``$REPRO_MAPPING_CACHE_DIR/mapping_cache.pkl``.
     """
     global _SHARED
     with _SHARED_LOCK:
         if _SHARED is None:
-            persist_dir = os.environ.get("REPRO_MAPPING_CACHE_DIR")
+            persist_dir = mapping_cache_dir()
             persist_path = (
                 os.path.join(persist_dir, PERSIST_FILENAME)
                 if persist_dir
                 else None
             )
-            plane_dir = cache_plane_dir()
-            plane = CachePlane(plane_dir) if plane_dir else None
-            _SHARED = MappingCache(persist_path=persist_path, plane=plane)
+            _SHARED = MappingCache(persist_path=persist_path)
             if persist_path:
                 import atexit
 

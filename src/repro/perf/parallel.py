@@ -6,7 +6,8 @@ Layer searches never go through it: they run in the evaluating process.
 
 * ``REPRO_JOBS`` — worker count of that pool.  Unset or ``1`` selects
   the serial path (a plain loop: no pool, no pickling).  ``0`` or
-  ``auto`` selects ``os.cpu_count()``.
+  ``auto`` selects ``os.cpu_count()``; junk and negative values warn
+  once and run serially (:func:`repro.perf.knobs.pool_jobs`).
 * ``WorkerPool(mode=...)`` picks ``process`` (the default) or
   ``thread`` executors.
 
@@ -25,7 +26,6 @@ paths and stay bit-identical to the unsupervised pipeline.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -35,7 +35,7 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
-from repro.perf.knobs import resolve_executor_mode
+from repro.perf.knobs import pool_jobs, resolve_executor_mode
 from repro.resilience.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
@@ -50,33 +50,21 @@ __all__ = ["resolve_jobs", "parallel_map", "WorkerPool"]
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Junk REPRO_JOBS values already warned about (warn once per value).
-_WARNED_JOBS: set = set()
-
 
 def resolve_jobs(jobs: Optional[object] = None) -> int:
-    """Resolve a worker count from an explicit value or ``REPRO_JOBS``."""
+    """Resolve a worker count from an explicit value or ``REPRO_JOBS``.
+
+    An explicit value is an integer (``0`` means every core, negatives
+    clamp to 1) or ``"auto"``; anything else is a caller bug and raises
+    ``ValueError``.  None reads the validated knob
+    (:func:`repro.perf.knobs.pool_jobs`).
+    """
     if jobs is None:
-        jobs = os.environ.get("REPRO_JOBS", "1")
-    if isinstance(jobs, str):
-        if jobs.strip().lower() in ("auto", "0"):
-            return os.cpu_count() or 1
-        try:
-            jobs = int(jobs)
-        except ValueError:
-            if jobs not in _WARNED_JOBS:
-                _WARNED_JOBS.add(jobs)
-                warnings.warn(
-                    f"ignoring non-numeric REPRO_JOBS value {jobs!r}; "
-                    "running serial (1 worker) — use an integer, 'auto', "
-                    "or 0",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return 1
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return max(1, int(jobs))
+        jobs = pool_jobs()
+    elif isinstance(jobs, str) and jobs.strip().lower() == "auto":
+        jobs = 0
+    jobs = int(jobs)
+    return (os.cpu_count() or 1) if jobs == 0 else max(1, jobs)
 
 
 def _supervised_task(

@@ -334,11 +334,10 @@ def decode_event(record: Dict[str, Any]) -> Any:
 # -- perf-counter sampling ----------------------------------------------------
 
 #: perf_summary() keys that vary run-to-run (wall clock) and therefore
-#: must not enter the journal.  ``tree_compile`` counters
-#: are process-global (the program memo outlives any one campaign) and
-#: ``plane`` counters depend on which processes warmed the shared cache
-#: plane first, so neither is run-deterministic.
-_VOLATILE_KEYS = frozenset({"stages", "tree_compile", "plane"})
+#: must not enter the journal.  ``tree_compile`` counters are
+#: process-global (the program memo outlives any one campaign), so they
+#: are not run-deterministic either.
+_VOLATILE_KEYS = frozenset({"stages", "tree_compile"})
 
 
 def deterministic_perf_counters(summary: Dict[str, Any]) -> Dict[str, Any]:

@@ -4,9 +4,10 @@ Runs the *same* DSE campaign through each accelerated configuration the
 perf/telemetry/resilience layers added — vectorized batch scoring, warm
 mapping cache, checkpoint-resume, fused cross-layer evaluation
 (``REPRO_FUSED_EVAL``), compiled bottleneck trees
-(``REPRO_TREE_COMPILE``), and the cross-process cache plane
-(``REPRO_CACHE_PLANE``) — and asserts the outputs are identical to the
-scalar/cold-cache/recursive reference:
+(``REPRO_TREE_COMPILE``), and all of them at once on a half-warm cache
+loaded from a pickle (the ``REPRO_MAPPING_CACHE_DIR`` warm-start) — and
+asserts the outputs are identical to the scalar/cold-cache/recursive
+reference:
 
 * **results** (trial points/costs, explanations, incumbent, budget
   accounting) must be byte-identical for every variant;
@@ -20,7 +21,9 @@ scalar/cold-cache/recursive reference:
 
 Every reference-side leg pins ``REPRO_TREE_COMPILE=0`` so the recursive
 tree walk stays the ground truth regardless of the ambient environment;
-the ``compiled-tree`` and ``all-on`` legs re-enable it explicitly.
+the ``compiled-tree`` and ``all-on`` legs re-enable it explicitly.  The
+``all-on`` leg must also serve exact cache hits *and* run fused blocks:
+a leg that never reaches its fast paths is reported as a mismatch.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from repro.core.dse.constraints import Constraint, Sense
 from repro.core.dse.explainable import ExplainableDSE
 from repro.cost.evaluator import CostEvaluator
 from repro.mapping.mapper import TopNMapper
-from repro.perf.cache_plane import CachePlane
 from repro.perf.mapping_cache import MappingCache
 from repro.telemetry import (
     JsonlSink,
@@ -301,42 +303,27 @@ def run_differential(
     compiled.expect_raw_identity = True
     outcomes.append(compiled)
 
-    say("differential: cache plane (second process on a shared segment dir)")
-    plane_dir = workdir / "cache-plane-segments"
+    say("differential: all fast paths on a half-warm pickled cache")
+    # A campaign at half the budget fills a cache that all-on loads from
+    # a pickle, so all-on serves exact hits and runs fused blocks on the
+    # layer searches the prefill never reached.
+    prefill = MappingCache()
     with _patched_env(_REFERENCE_ENV):
-        prefill = _evaluator(
-            workload,
-            batch_eval=False,
-            cache=MappingCache(plane=CachePlane(str(plane_dir))),
-        )
         ExplainableDSE(
-            space, prefill, _constraints(), max_evaluations=max_evaluations
+            space,
+            _evaluator(workload, batch_eval=True, cache=prefill),
+            _constraints(),
+            max_evaluations=max_evaluations // 2,
         ).run()
-    # A fresh in-memory cache plus a fresh plane handle on the same
-    # directory stands in for a second concurrent process.
-    outcomes.append(
-        campaign(
-            "cache-plane",
-            _evaluator(
-                workload,
-                batch_eval=False,
-                cache=MappingCache(plane=CachePlane(str(plane_dir))),
-            ),
-        )
+    pickle_path = prefill.save(str(workdir / "all-on-cache.pkl"))
+    all_on = _evaluator(
+        workload,
+        batch_eval=True,
+        fused_eval=True,
+        cache=MappingCache(persist_path=pickle_path),
     )
-
-    say("differential: all fast paths combined")
     outcomes.append(
-        campaign(
-            "all-on",
-            _evaluator(
-                workload,
-                batch_eval=True,
-                fused_eval=True,
-                cache=MappingCache(plane=CachePlane(str(plane_dir))),
-            ),
-            env={"REPRO_TREE_COMPILE": "1"},
-        )
+        campaign("all-on", all_on, env={"REPRO_TREE_COMPILE": "1"})
     )
 
     report = DifferentialReport(variants=[o.name for o in outcomes])
@@ -353,4 +340,12 @@ def run_differential(
             report.mismatches.append(
                 f"{outcome.name}: raw journal bytes differ from baseline"
             )
+    perf = all_on.perf_summary()
+    exact_hits = perf["mapping_cache"]["exact_hits"]
+    fused_blocks = perf["batch_eval"]["fused_blocks"]
+    if not (exact_hits and fused_blocks):
+        report.mismatches.append(
+            f"all-on: served {exact_hits} exact hits and ran {fused_blocks} "
+            "fused blocks; the leg must run both"
+        )
     return report

@@ -6,7 +6,8 @@ Stage order (cheapest diagnostics first):
 2. **invariants** — bottleneck-tree algebra on trees built from real
    mapper-optimized executions;
 3. **differential** — the fast-path campaign matrix (batch / warm cache /
-   resume / fused / compiled trees / cache plane) against the reference;
+   resume / fused / compiled trees / all on a pickled half-warm cache)
+   against the reference;
 4. **service** — N campaigns through the campaign service (interleaved,
    service stopped and resumed mid-run) against solo runs;
 5. **goldens** — the reference campaign against the pinned traces under

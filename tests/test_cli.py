@@ -162,6 +162,18 @@ class TestJobs:
             assert "REPRO_JOBS" not in os.environ
         assert seen == {"iterations": 2, "jobs": "2"}
 
+    @pytest.mark.parametrize("jobs", ["abc", "-3", "1.5"])
+    def test_experiment_rejects_bad_jobs(self, jobs, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["experiment", "fig9", "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["auto", "0", "3"])
+    def test_experiment_accepts_auto_and_counts(self, jobs):
+        args = build_parser().parse_args(["experiment", "fig9", "--jobs", jobs])
+        assert args.jobs == jobs
+
     @pytest.mark.parametrize("command", ["explore", "compare"])
     def test_single_model_commands_reject_jobs(self, command):
         with pytest.raises(SystemExit) as excinfo:

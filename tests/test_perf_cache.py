@@ -5,6 +5,11 @@ every tier (exact hit, bandwidth re-score, disk warm-start) returns
 bit-identical costs versus a cold search.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.arch.accelerator import config_from_point
@@ -129,6 +134,62 @@ class TestMappingCacheStore:
         path.write_bytes(b"not a pickle")
         cache = MappingCache(persist_path=str(path))
         assert cache.size() == 0
+
+
+#: One fresh interpreter's run: evaluate a fixed design point of a
+#: two-layer workload on the shared cache, print misses and costs.
+_PERSIST_SNIPPET = """
+import json
+from repro.arch.accelerator import build_edge_design_space
+from repro.cost.evaluator import CostEvaluator
+from repro.mapping.mapper import TopNMapper
+from repro.workloads import Workload, conv2d, gemm
+
+point = build_edge_design_space().minimum_point()
+point.update(pes=1024, l1_bytes=256, l2_kb=512, offchip_bw_mbps=8192,
+             noc_datawidth=128)
+for op in ("I", "W", "O", "PSUM"):
+    point[f"phys_unicast_{op}"] = 16
+    point[f"virt_unicast_{op}"] = 64
+workload = Workload(
+    name="tiny",
+    layers=(conv2d("conv", 16, 32, (14, 14)), gemm("fc", 64, 32 * 14 * 14, 1)),
+    total_layers=2,
+    task="test",
+)
+evaluator = CostEvaluator(workload, TopNMapper(top_n=40))
+result = evaluator.evaluate(point)
+print(json.dumps({"misses": evaluator.mapping_cache_misses,
+                  "costs": result.costs}))
+"""
+
+
+class TestPersistenceAcrossProcesses:
+    def _run(self, cache_dir) -> dict:
+        env = dict(os.environ)
+        env["REPRO_MAPPING_CACHE_DIR"] = str(cache_dir)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _PERSIST_SNIPPET],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_second_process_warm_starts_from_pickle(self, tmp_path):
+        """``shared_cache()`` saves at exit and the next interpreter
+        serves every layer search from that file."""
+        cold = self._run(tmp_path)
+        assert cold["misses"] == 2
+        assert (tmp_path / "mapping_cache.pkl").is_file()
+        warm = self._run(tmp_path)
+        assert warm["misses"] == 0
+        assert warm["costs"] == cold["costs"]
 
 
 class TestCachingMapperIdentity:

@@ -1,15 +1,16 @@
 """Validation tests for the fast-path environment knobs.
 
-``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, ``REPRO_BATCH_EVAL``,
-``REPRO_MAPPING_CACHE``, the mapping-cache capacities,
-``REPRO_CACHE_PLANE``, the service knobs, the retry/breaker knobs and
-``REPRO_BENCH_SCALE`` follow the ``resolve_jobs`` contract: junk values
-never raise — they warn once (per knob, per value) and fall back to the
-safe path.  Valid
+``REPRO_JOBS``, ``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``,
+``REPRO_BATCH_EVAL``, ``REPRO_MAPPING_CACHE``, the mapping-cache
+capacities, ``REPRO_MAPPING_CACHE_DIR``, the service knobs, the
+retry/breaker knobs and ``REPRO_BENCH_SCALE`` share one contract: junk
+values never raise — they warn once (per knob, per value) and fall back
+to the safe path.  Valid
 values are memoized per raw string (hot paths re-read knobs), junk
 values are not (clearing ``_WARNED`` must re-warn).
 """
 
+import os
 import warnings
 
 import pytest
@@ -20,7 +21,8 @@ from repro.cost.batch import batch_eval_enabled
 from repro.cost.evaluator import CostEvaluator
 from repro.experiments.setup import bench_scale, run_explainable_dse
 from repro.mapping.mapper import TopNMapper
-from repro.perf import MappingCache, knobs
+from repro.perf import MappingCache, knobs, resolve_jobs, shared_cache
+from repro.perf import mapping_cache as mapping_cache_module
 from repro.resilience.supervisor import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_MAX_FAILURE_RATE,
@@ -38,7 +40,7 @@ def _clean_env(monkeypatch):
         "REPRO_TREE_COMPILE",
         "REPRO_BATCH_EVAL",
         "REPRO_MAPPING_CACHE",
-        "REPRO_CACHE_PLANE",
+        "REPRO_MAPPING_CACHE_DIR",
         "REPRO_MAPPING_CACHE_RESULTS",
         "REPRO_MAPPING_CACHE_TRACES",
         "REPRO_JOBS",
@@ -284,36 +286,61 @@ class TestServiceKnobs:
         ) not in knobs._INT_CACHE
 
 
-class TestCachePlaneDir:
+class TestMappingCacheDir:
     def test_unset_disables(self):
-        assert knobs.cache_plane_dir() is None
+        assert knobs.mapping_cache_dir() is None
 
     @pytest.mark.parametrize("raw", ["", "  ", "0", "off", "false", "no"])
     def test_empty_and_false_spellings_disable(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_CACHE_PLANE", raw)
-        assert knobs.cache_plane_dir() is None
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_DIR", raw)
+        assert knobs.mapping_cache_dir() is None
 
     def test_directory_is_created_and_returned(self, monkeypatch, tmp_path):
-        target = tmp_path / "plane" / "nested"
-        monkeypatch.setenv("REPRO_CACHE_PLANE", str(target))
-        assert knobs.cache_plane_dir() == str(target)
+        target = tmp_path / "cache" / "nested"
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_DIR", str(target))
+        assert knobs.mapping_cache_dir() == str(target)
         assert target.is_dir()
 
     def test_existing_file_warns_and_disables(self, monkeypatch, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("occupied")
-        monkeypatch.setenv("REPRO_CACHE_PLANE", str(blocker))
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_DIR", str(blocker))
         knobs._WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="REPRO_CACHE_PLANE"):
-            assert knobs.cache_plane_dir() is None
+        with pytest.warns(RuntimeWarning, match="REPRO_MAPPING_CACHE_DIR"):
+            assert knobs.mapping_cache_dir() is None
 
     def test_uncreatable_path_warns_and_disables(self, monkeypatch, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("occupied")
-        monkeypatch.setenv("REPRO_CACHE_PLANE", str(blocker / "child"))
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_DIR", str(blocker / "child"))
         knobs._WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="REPRO_CACHE_PLANE"):
-            assert knobs.cache_plane_dir() is None
+        with pytest.warns(RuntimeWarning, match="REPRO_MAPPING_CACHE_DIR"):
+            assert knobs.mapping_cache_dir() is None
+
+    @pytest.mark.parametrize("raw", ["0", "off"])
+    def test_shared_cache_does_not_persist_when_off(self, monkeypatch, raw):
+        """``0`` and ``off`` disable the warm-start; they do not name a
+        directory ``./0`` or ``./off``."""
+        monkeypatch.setattr(mapping_cache_module, "_SHARED", None)
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_DIR", raw)
+        assert shared_cache().persist_path is None
+
+
+class TestJobsKnob:
+    def test_negative_warns_and_runs_serially(self, monkeypatch):
+        """Junk already warns (tests/test_resilience.py); a negative
+        count must too, instead of silently running serially."""
+        monkeypatch.setenv("REPRO_JOBS", "-3")
+        knobs._WARNED.clear()
+        with pytest.warns(RuntimeWarning, match="REPRO_JOBS"):
+            assert resolve_jobs() == 1
+
+    @pytest.mark.parametrize("raw", ["auto", "0", "00"])
+    def test_auto_and_zero_mean_every_core(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_jobs() == (os.cpu_count() or 1)
 
 
 #: (knob, reader, default) of the numeric knobs parsed by

@@ -1,5 +1,6 @@
 """Tests for the fast-path differential campaign matrix."""
 
+from repro.perf.mapping_cache import MappingCache
 from repro.telemetry import RunSummary, read_journal
 from repro.verify.differential import _canonical_journal, run_differential
 
@@ -12,7 +13,6 @@ ALL_VARIANTS = [
     "resume",
     "fused",
     "compiled-tree",
-    "cache-plane",
     "all-on",
 ]
 
@@ -20,13 +20,22 @@ ALL_VARIANTS = [
 class TestDifferentialMatrix:
     def test_full_matrix_is_identical(self, tmp_path):
         """Acceptance criterion: batch, warm-cache, resumed, fused,
-        compiled-tree, and cache-plane campaigns all reproduce the
-        reference — results exactly, journals up to RunSummary perf
-        counters (raw bytes for compiled-tree)."""
+        compiled-tree, and all-on campaigns all reproduce the reference
+        — results exactly, journals up to RunSummary perf counters (raw
+        bytes for compiled-tree)."""
         report = run_differential(tmp_path, max_evaluations=12)
         assert report.variants == ALL_VARIANTS
         assert report.mismatches == []
         assert report.ok
+
+    def test_all_on_leg_must_reach_its_fast_paths(self, tmp_path, monkeypatch):
+        """The all-on leg starts from a half-warm pickle; if that pickle
+        never loads, the leg serves no exact hits and the guard reports
+        it although its results still match the reference."""
+        monkeypatch.setattr(MappingCache, "load", lambda self, path=None: False)
+        report = run_differential(tmp_path, max_evaluations=12)
+        assert len(report.mismatches) == 1
+        assert report.mismatches[0].startswith("all-on: served 0 exact hits")
 
     def test_every_variant_journal_written(self, tmp_path):
         run_differential(tmp_path, max_evaluations=12)
