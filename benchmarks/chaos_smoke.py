@@ -34,8 +34,25 @@ import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.resilience.fault_injection import (  # noqa: E402
+    FaultSpecError,
+    parse_fault_plan,
+)
 
 DEFAULT_FAULTS = "crash:evaluate:0.05:seed=7"
+
+
+def _fault_spec(text: str) -> str:
+    """argparse type for ``--faults``: the spec must parse here, because
+    the chaos run would only warn about a malformed
+    ``REPRO_FAULT_INJECT`` and then run fault-free."""
+    try:
+        parse_fault_plan(text)
+    except FaultSpecError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _env(extra=None, drop=()):
@@ -161,6 +178,7 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=30)
     parser.add_argument(
         "--faults",
+        type=_fault_spec,
         default=DEFAULT_FAULTS,
         help="REPRO_FAULT_INJECT spec for the chaos run "
         "(default: %(default)s)",

@@ -1,11 +1,7 @@
 """Analytical cost models: latency, energy, area, and max power."""
 
 from repro.cost.area import AreaBreakdown, accelerator_area
-from repro.cost.batch import (
-    batch_eval_enabled,
-    evaluate_layer_batch,
-    evaluate_layer_mappings_batch,
-)
+from repro.cost.batch import evaluate_layer_mappings_batch
 from repro.cost.energy import EnergyBreakdown, layer_energy
 from repro.cost.evaluator import CostEvaluator, Evaluation
 from repro.cost.execution_info import ExecutionInfo, InfeasibleMapping
@@ -30,8 +26,6 @@ __all__ = [
     "TECH_45NM",
     "TechnologyModel",
     "accelerator_area",
-    "batch_eval_enabled",
-    "evaluate_layer_batch",
     "evaluate_layer_mapping",
     "evaluate_layer_mappings_batch",
     "layer_energy",

@@ -1,15 +1,27 @@
-"""Vectorized batch evaluation of mapping candidates (NumPy SoA kernels).
+"""Vectorized candidate scoring: the one NumPy SoA kernel.
 
-Bit-identical batch twin of :func:`repro.cost.latency.evaluate_layer_mapping`:
-given a layer, a :class:`~repro.mapping.batch_candidates.CandidateBatch`,
-and a hardware configuration, it derives feasibility (PE / register-file /
-scratchpad capacity, NoC virtual-unicast compatibility), the three latency
-factors (``t_comp``, per-operand NoC rounds, ``t_dma``), and every traffic
-characteristic of :class:`~repro.cost.execution_info.ExecutionInfo` for the
-*whole candidate set* in a handful of array passes instead of one Python
+Bit-identical array twin of :func:`repro.cost.latency.evaluate_layer_mapping`:
+given a set of candidate factor arrays and a hardware configuration,
+:class:`BatchLayerEvaluation` derives feasibility (PE / register-file /
+scratchpad capacity, NoC virtual-unicast compatibility), the three
+latency factors (``t_comp``, per-operand NoC rounds, ``t_dma``), and
+every traffic characteristic of
+:class:`~repro.cost.execution_info.ExecutionInfo` for the *whole
+candidate set* in a handful of array passes instead of one Python
 interpreter round-trip per candidate.
 
-Exactness contract (asserted by ``tests/test_batch_eval.py``):
+The same kernel body scores one layer's
+:class:`~repro.mapping.batch_candidates.CandidateBatch` (the layer
+attributes — stride, depthwise flag, operator, MACs — stay scalars) and
+a design point's whole
+:class:`~repro.mapping.batch_candidates.FusedCandidateBlock`
+(:class:`repro.cost.fused.FusedBlockEvaluation`, where they are per-row
+arrays).  Both read their results through one materializer
+(:meth:`BatchLayerEvaluation.execution_infos`), one infeasibility
+decoder and one winner rule (:func:`best_of_rows`).
+
+Exactness contract (asserted by ``tests/test_batch_eval.py`` and
+``tests/test_fused_eval.py``):
 
 * integer quantities (tile bytes, fetch counts, NoC groups, ``data_noc``)
   are computed in int64 exactly as the scalar model computes them in
@@ -18,23 +30,36 @@ Exactness contract (asserted by ``tests/test_batch_eval.py``):
   IEEE-754 determinism makes them bitwise equal (e.g. ``t_noc`` is
   ``events * ((rounds * tile_bytes) / noc_bytes_per_cycle)`` in exactly
   that association);
-* :meth:`BatchLayerEvaluation.execution_info` materializes per-candidate
-  ``ExecutionInfo`` objects with the same Python types (int vs float) and
-  dict insertion orders as the scalar path, and
+* :meth:`BatchLayerEvaluation.execution_infos` materializes
+  ``ExecutionInfo`` objects with the same Python types (int vs float)
+  and dict insertion orders as the scalar path, and
   :meth:`BatchLayerEvaluation.infeasibility` reproduces the scalar
   :class:`InfeasibleMapping` reasons verbatim, including which check
-  fires first.
+  fires first;
+* :func:`best_of_rows` keeps the scalar first-strictly-best
+  tie-breaking for every mapping objective.
 
 Because the kernels run in int64 rather than arbitrary-precision Python
 ints, :func:`int64_safe` guards against (pathological) candidate sets
 whose traffic products could overflow; callers fall back to the scalar
-reference in that case.  The scalar path remains selectable everywhere
-with ``REPRO_BATCH_EVAL=0``.
+reference in that case.  ``TopNMapper(batch_eval=False)`` /
+``RandomSearchMapper(batch_eval=False)`` select the scalar reference
+explicitly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+import functools
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -47,7 +72,6 @@ from repro.mapping.mapping import (
     _free_dims,
     _relevant_dims,
 )
-from repro.perf.knobs import env_flag
 from repro.workloads.layers import (
     LOOP_DIMS,
     Dim,
@@ -57,10 +81,9 @@ from repro.workloads.layers import (
 )
 
 __all__ = [
-    "batch_eval_enabled",
     "int64_safe",
     "latency_winner",
-    "evaluate_layer_batch",
+    "best_of_rows",
     "evaluate_layer_mappings_batch",
     "tile_elements_rows",
     "relevant_prod_rows",
@@ -87,15 +110,8 @@ FAIL_NOC_BASE = 4  # + index into _NOC_OPERANDS
 
 _COL = {d: i for i, d in enumerate(LOOP_DIMS)}
 
-
-def batch_eval_enabled(override: Optional[bool] = None) -> bool:
-    """Whether the batched evaluator is selected.
-
-    ``override`` wins when given; otherwise ``REPRO_BATCH_EVAL`` decides
-    (default on; ``0``/``off``/``false``/``no`` select the scalar
-    reference path, junk values warn once and keep the default).
-    """
-    return env_flag("REPRO_BATCH_EVAL", True, override)
+#: A layer attribute: a scalar for one layer, a per-row array for a block.
+_PerRow = Union[int, bool, np.ndarray]
 
 
 def int64_safe(batch: CandidateBatch, config: AcceleratorConfig) -> bool:
@@ -142,50 +158,39 @@ def latency_winner(
     return int(np.argmin(latency))
 
 
-def _prod_cols(arr: np.ndarray, cols: Sequence[int]) -> np.ndarray:
-    """Row-wise product over the selected columns (empty selection -> 1)."""
-    if not cols:
+@functools.lru_cache(maxsize=None)
+def _cols(dims: Tuple[Dim, ...]) -> np.ndarray:
+    """Column indices of ``dims`` (read-only; memoized per dim tuple)."""
+    cols = np.array([_COL[d] for d in dims], dtype=np.intp)
+    cols.setflags(write=False)
+    return cols
+
+
+def _prod_dims(arr: np.ndarray, dims: Tuple[Dim, ...]) -> np.ndarray:
+    """Row-wise product over the columns of ``dims`` (no dims -> 1)."""
+    if not dims:
         return np.ones(arr.shape[0], dtype=np.int64)
-    return arr[:, list(cols)].prod(axis=1)
+    return arr[:, _cols(dims)].prod(axis=1)
 
 
-def _tile_elements(
-    layer: LayerShape, tile: np.ndarray
+def tile_elements_rows(
+    tile: np.ndarray, stride: _PerRow, dwise: _PerRow
 ) -> Dict[Operand, np.ndarray]:
     """Vectorized :func:`repro.mapping.mapping.operand_tile_elements`.
 
     ``tile`` is an ``(n, 7)`` array of tile extents in ``LOOP_DIMS``
-    order; returns per-operand element counts for I/W/O.
-    """
-    dwise = layer.operator is OperatorType.DWCONV
-    n_, m, c = tile[:, _COL[Dim.N]], tile[:, _COL[Dim.M]], tile[:, _COL[Dim.C]]
-    oy, ox = tile[:, _COL[Dim.OY]], tile[:, _COL[Dim.OX]]
-    fy, fx = tile[:, _COL[Dim.FY]], tile[:, _COL[Dim.FX]]
-    w_channels = 1 if dwise else c
-    i_channels = m if dwise else c
-    rows = (oy - 1) * layer.stride + fy
-    cols = (ox - 1) * layer.stride + fx
-    return {
-        Operand.I: n_ * i_channels * rows * cols,
-        Operand.W: m * w_channels * fy * fx,
-        Operand.O: n_ * m * oy * ox,
-    }
-
-
-def tile_elements_rows(
-    tile: np.ndarray, stride: np.ndarray, dwise: np.ndarray
-) -> Dict[Operand, np.ndarray]:
-    """Row-varying twin of :func:`_tile_elements` for fused blocks.
-
-    ``stride``/``dwise`` are per-row layer attributes; the arithmetic is
-    the scalar model's verbatim (all int64, so the ``np.where`` channel
-    selection is exact).
+    order; ``stride``/``dwise`` are the layer's (scalars) or per-row
+    arrays.  Returns per-operand element counts for I/W/O; the
+    arithmetic is the scalar model's verbatim (all int64, so the
+    ``np.where`` channel selection is exact).
     """
     n_, m, c = tile[:, _COL[Dim.N]], tile[:, _COL[Dim.M]], tile[:, _COL[Dim.C]]
     oy, ox = tile[:, _COL[Dim.OY]], tile[:, _COL[Dim.OX]]
     fy, fx = tile[:, _COL[Dim.FY]], tile[:, _COL[Dim.FX]]
-    w_channels = np.where(dwise, 1, c)
-    i_channels = np.where(dwise, m, c)
+    if isinstance(dwise, np.ndarray):
+        w_channels, i_channels = np.where(dwise, 1, c), np.where(dwise, m, c)
+    else:
+        w_channels, i_channels = (1, m) if dwise else (c, c)
     rows = (oy - 1) * stride + fy
     cols = (ox - 1) * stride + fx
     return {
@@ -197,78 +202,66 @@ def tile_elements_rows(
 
 def relevant_prod_rows(
     operators: Sequence[OperatorType],
-    opcode: np.ndarray,
+    opcode: Optional[np.ndarray],
     factors: np.ndarray,
     operand: Operand,
 ) -> np.ndarray:
-    """Row-wise product of ``factors`` over the dims indexing ``operand``,
-    with the operator (and therefore the relevant-dim set) varying per row
-    (``opcode`` indexes ``operators``)."""
+    """Row-wise product of ``factors`` over the dims indexing ``operand``.
+
+    ``opcode`` indexes ``operators`` per row; with a single operator it
+    is not read (every row has that operator's relevant-dim set).
+    """
+    if len(operators) == 1:
+        return _prod_dims(factors, _relevant_dims(operators[0], operand))
     out = np.ones(factors.shape[0], dtype=np.int64)
     for code, operator in enumerate(operators):
         mask = opcode == code
         if not mask.any():
             continue
-        cols = [_COL[d] for d in _relevant_dims(operator, operand)]
-        out[mask] = _prod_cols(factors[mask], cols)
+        out[mask] = _prod_dims(factors[mask], _relevant_dims(operator, operand))
     return out
 
 
 def reuse_rows(
     operators: Sequence[OperatorType],
-    opcode: np.ndarray,
+    opcode: Optional[np.ndarray],
     factors: np.ndarray,
     codes: np.ndarray,
     operand: Operand,
 ) -> np.ndarray:
-    """Row-varying twin of :func:`_reuse`: per-row temporal reuse of
-    ``operand`` when both the stationary choice *and* the operator differ
-    row to row (masks over the operator x stationary product)."""
-    out = np.ones(factors.shape[0], dtype=np.int64)
-    for code, operator in enumerate(operators):
-        op_mask = opcode == code
-        if not op_mask.any():
-            continue
-        for st_code, stationary in enumerate(STATIONARY_CHOICES):
-            mask = op_mask & (codes == st_code)
-            if not mask.any():
-                continue
-            free = [_COL[d] for d in _free_dims(operator, stationary, operand)]
-            if free:
-                out[mask] = _prod_cols(factors[mask], free)
-    return out
-
-
-def _reuse(
-    operator: OperatorType,
-    factors: np.ndarray,
-    codes: np.ndarray,
-    operand: Operand,
-) -> np.ndarray:
-    """Per-candidate temporal reuse of ``operand`` at one level.
+    """Per-row temporal reuse of ``operand`` at one level.
 
     Mirrors ``Mapping.reuse_at``: the product of the level's factors over
-    dims irrelevant to both the (per-candidate) stationary operand and
-    ``operand``.
+    dims irrelevant to both the (per-row) stationary operand and
+    ``operand``, masking over the operator x stationary product when the
+    operator varies row to row (``opcode`` as in
+    :func:`relevant_prod_rows`).
     """
     out = np.ones(factors.shape[0], dtype=np.int64)
-    for code, stationary in enumerate(STATIONARY_CHOICES):
-        mask = codes == code
-        if not mask.any():
+    for code, operator in enumerate(operators):
+        op_mask = None if len(operators) == 1 else opcode == code
+        if op_mask is not None and not op_mask.any():
             continue
-        free = [_COL[d] for d in _free_dims(operator, stationary, operand)]
-        if free:
-            out[mask] = _prod_cols(factors[mask], free)
+        for st_code, stationary in enumerate(STATIONARY_CHOICES):
+            mask = codes == st_code
+            if op_mask is not None:
+                mask &= op_mask
+            if not mask.any():
+                continue
+            free = _free_dims(operator, stationary, operand)
+            if free:
+                out[mask] = _prod_dims(factors[mask], free)
     return out
 
 
 class BatchLayerEvaluation:
-    """Batched evaluation result for one (layer, candidate set, config).
+    """Kernel results for one candidate set on one hardware config.
 
-    Array attributes are indexed by candidate position; per-operand
-    quantities live in dicts of arrays.  :meth:`outcome` reconstructs the
-    exact scalar-path result (``ExecutionInfo`` or ``InfeasibleMapping``)
-    of any candidate.
+    Array attributes are indexed by candidate row; per-operand
+    quantities live in dicts of arrays.  Constructed from one layer's
+    ``CandidateBatch``; :class:`repro.cost.fused.FusedBlockEvaluation`
+    runs the same kernel (:meth:`_score`) over a multi-layer block and
+    shares every reader below.
     """
 
     def __init__(
@@ -280,22 +273,52 @@ class BatchLayerEvaluation:
         self.layer = layer
         self.batch = batch
         self.config = config
-        n = len(batch)
+        self._score(
+            batch,
+            config,
+            stride=layer.stride,
+            dwise=layer.operator is OperatorType.DWCONV,
+            operators=(layer.operator,),
+            opcode=None,
+            macs=layer.macs,
+        )
+
+    def _score(
+        self,
+        cands,
+        config: AcceleratorConfig,
+        stride: _PerRow,
+        dwise: _PerRow,
+        operators: Sequence[OperatorType],
+        opcode: Optional[np.ndarray],
+        macs: _PerRow,
+    ) -> None:
+        """The candidate-scoring kernel over the rows of ``cands`` (a
+        ``CandidateBatch`` or ``FusedCandidateBlock``).
+
+        Layer attributes are scalars for one layer or per-row arrays for
+        a block; ``opcode`` indexes ``operators`` per row (see
+        :func:`relevant_prod_rows`).  Every step mirrors the scalar
+        model's check order and operation order.
+        """
+        n = len(cands)
         bpe = config.bytes_per_element
 
         # -- resource feasibility (mirrors the scalar check order) ----------
-        self.pes_used = _prod_cols(batch.spatial, range(len(LOOP_DIMS)))
+        self.pes_used = cands.spatial.prod(axis=1)
         self.rf_bytes = {
-            op: elems * bpe for op, elems in _tile_elements(layer, batch.rf).items()
+            op: elems * bpe
+            for op, elems in tile_elements_rows(cands.rf, stride, dwise).items()
         }
         self.rf_total = (
             self.rf_bytes[Operand.I]
             + self.rf_bytes[Operand.W]
             + self.rf_bytes[Operand.O]
         )
-        spm_tile = batch.rf * batch.spatial * batch.spm
+        spm_tile = cands.rf * cands.spatial * cands.spm
         self.spm_bytes = {
-            op: elems * bpe for op, elems in _tile_elements(layer, spm_tile).items()
+            op: elems * bpe
+            for op, elems in tile_elements_rows(spm_tile, stride, dwise).items()
         }
         self.spm_total = (
             self.spm_bytes[Operand.I]
@@ -305,11 +328,8 @@ class BatchLayerEvaluation:
 
         # -- NoC compatibility ----------------------------------------------
         self.groups: Dict[Operand, np.ndarray] = {
-            op: _prod_cols(
-                batch.spatial,
-                [_COL[d] for d in _relevant_dims(layer.operator, op)],
-            )
-            for op in (Operand.I, Operand.W, Operand.O)
+            op: relevant_prod_rows(operators, opcode, cands.spatial, op)
+            for op in _DATA_OPERANDS
         }
         self.groups[Operand.PSUM] = self.groups[Operand.O]
         self.links = {op: config.physical_links(op) for op in _NOC_OPERANDS}
@@ -334,21 +354,19 @@ class BatchLayerEvaluation:
         self.feasible = ok
 
         # -- computation ------------------------------------------------------
-        iters_dram = _prod_cols(batch.dram, range(len(LOOP_DIMS)))
-        iters_spm = _prod_cols(batch.spm, range(len(LOOP_DIMS)))
-        iters_rf = _prod_cols(batch.rf, range(len(LOOP_DIMS)))
+        iters_dram = cands.dram.prod(axis=1)
+        iters_spm = cands.spm.prod(axis=1)
+        iters_rf = cands.rf.prod(axis=1)
         t_comp_int = iters_dram * iters_spm * iters_rf
         self.t_comp = t_comp_int.astype(np.float64)
 
         # -- NoC distribution -------------------------------------------------
         fetches2 = {
             op: iters_spm
-            // _reuse(layer.operator, batch.spm, batch.spm_code, op)
+            // reuse_rows(operators, opcode, cands.spm, cands.spm_code, op)
             for op in _DATA_OPERANDS
         }
-        out_tiles2 = _prod_cols(
-            batch.spm, [_COL[d] for d in _relevant_dims(layer.operator, Operand.O)]
-        )
+        out_tiles2 = relevant_prod_rows(operators, opcode, cands.spm, Operand.O)
         events = {
             Operand.I: iters_dram * fetches2[Operand.I],
             Operand.W: iters_dram * fetches2[Operand.W],
@@ -374,7 +392,7 @@ class BatchLayerEvaluation:
         # -- DMA transfers ----------------------------------------------------
         fetches3 = {
             op: iters_dram
-            // _reuse(layer.operator, batch.dram, batch.dram_code, op)
+            // reuse_rows(operators, opcode, cands.dram, cands.dram_code, op)
             for op in _DATA_OPERANDS
         }
         self.off_int = {
@@ -382,8 +400,10 @@ class BatchLayerEvaluation:
             Operand.W: fetches3[Operand.W] * self.spm_bytes[Operand.W],
         }
         out_writes = fetches3[Operand.O] * self.spm_bytes[Operand.O]
-        full_tile = batch.dram * batch.spm * batch.spatial * batch.rf
-        padded_out_bytes = _tile_elements(layer, full_tile)[Operand.O] * bpe
+        full_tile = cands.dram * cands.spm * cands.spatial * cands.rf
+        padded_out_bytes = (
+            tile_elements_rows(full_tile, stride, dwise)[Operand.O] * bpe
+        )
         self.off_float = {
             Operand.O: out_writes.astype(np.float64),
             Operand.PSUM: np.maximum(0, out_writes - padded_out_bytes).astype(
@@ -405,9 +425,8 @@ class BatchLayerEvaluation:
         self.reuse_rf: Dict[Operand, np.ndarray] = {}
         self.reuse_spm: Dict[Operand, np.ndarray] = {}
         for op in _DATA_OPERANDS:
-            relevant = [_COL[d] for d in _relevant_dims(layer.operator, op)]
-            min2 = _prod_cols(batch.spm, relevant)
-            min3 = _prod_cols(batch.dram, relevant)
+            min2 = relevant_prod_rows(operators, opcode, cands.spm, op)
+            min3 = relevant_prod_rows(operators, opcode, cands.dram, op)
             self.reuse_rf[op] = fetches2[op] / min2
             self.reuse_spm[op] = fetches3[op] / min3
         self.reuse_rf[Operand.PSUM] = self.reuse_rf[Operand.O]
@@ -415,41 +434,34 @@ class BatchLayerEvaluation:
 
         pes_f = self.pes_used.astype(np.float64)
         denominator = np.where(self.t_comp > 0, self.t_comp * pes_f, 1.0)
-        self.utilization = np.where(
-            self.t_comp > 0, layer.macs / denominator, 0.0
-        )
+        self.utilization = np.where(self.t_comp > 0, macs / denominator, 0.0)
 
     def __len__(self) -> int:
-        return len(self.batch)
+        return len(self.fail_code)
 
     @property
     def feasible_indices(self) -> np.ndarray:
         """Positions of the feasible candidates, in candidate order."""
         return np.flatnonzero(self.feasible)
 
-    def mapping(self, i: int) -> Mapping:
-        return self.batch.mapping(i)
+    def execution_infos(
+        self, indices: Sequence[int], layer: Optional[LayerShape] = None
+    ) -> List[ExecutionInfo]:
+        """The scalar-identical :class:`ExecutionInfo` of every row in
+        ``indices`` (feasible rows of ``layer`` only; it defaults to the
+        evaluated layer and is required for a fused block).
 
-    def execution_info(self, i: int) -> ExecutionInfo:
-        """The scalar-identical :class:`ExecutionInfo` of candidate ``i``.
-
-        Only valid for feasible candidates.  Python types and dict
-        insertion orders mirror ``evaluate_layer_mapping`` exactly (e.g.
-        ``data_offchip`` holds ints for I/W and floats for O/PSUM).
-        """
-        return self.execution_infos((i,))[0]
-
-    def execution_infos(self, indices: Sequence[int]) -> List[ExecutionInfo]:
-        """Bulk :meth:`execution_info` over ``indices`` (feasible only).
-
-        Converts each field array to a Python list once (``.tolist()``
-        yields exact Python ints from int64 and floats from float64, the
-        types the scalar path produces) instead of one NumPy scalar
-        round-trip per field per candidate, and fills the frozen
-        ``ExecutionInfo`` instances directly through ``__dict__`` — the
-        same trusted-constructor trick as ``Mapping._trusted``, since the
-        per-field ``object.__setattr__`` of the generated ``__init__``
-        dominates construction time at batch sizes.
+        Python types and dict insertion orders mirror
+        ``evaluate_layer_mapping`` exactly (e.g. ``data_offchip`` holds
+        ints for I/W and floats for O/PSUM).  Converts each field array
+        to a Python list once (``.tolist()`` yields exact Python ints
+        from int64 and floats from float64, the types the scalar path
+        produces) instead of one NumPy scalar round-trip per field per
+        candidate, and fills the frozen ``ExecutionInfo`` instances
+        directly through ``__dict__`` — the same trusted-constructor
+        trick as ``Mapping._trusted``, since the per-field
+        ``object.__setattr__`` of the generated ``__init__`` dominates
+        construction time at batch sizes.
         """
         idx = np.asarray(indices, dtype=np.intp)
         I, W, O, PSUM = Operand.I, Operand.W, Operand.O, Operand.PSUM
@@ -485,7 +497,7 @@ class BatchLayerEvaluation:
         )
         pes = self.pes_used[idx].tolist()
         util = self.utilization[idx].tolist()
-        macs = self.layer.macs
+        macs = (layer if layer is not None else self.layer).macs
 
         infos: List[ExecutionInfo] = []
         for k in range(len(t_comp)):
@@ -526,8 +538,8 @@ class BatchLayerEvaluation:
         return infos
 
     def infeasibility(self, i: int) -> InfeasibleMapping:
-        """The scalar-identical :class:`InfeasibleMapping` of candidate
-        ``i`` (only valid for infeasible candidates)."""
+        """The scalar-identical :class:`InfeasibleMapping` of row ``i``
+        (only valid for infeasible rows)."""
         code = int(self.fail_code[i])
         config = self.config
         if code == FAIL_PES:
@@ -553,24 +565,71 @@ class BatchLayerEvaluation:
             operand=op,
         )
 
-    def outcome(self, i: int) -> Union[ExecutionInfo, InfeasibleMapping]:
-        """What ``evaluate_layer_mapping`` would return for candidate ``i``."""
-        if self.feasible[i]:
-            return self.execution_info(i)
-        return self.infeasibility(i)
+
+#: A mapping-objective scorer: ``(layer, execution, config) -> value``.
+Scorer = Callable[[LayerShape, ExecutionInfo, AcceleratorConfig], float]
 
 
-def evaluate_layer_batch(
+def _select_best(
     layer: LayerShape,
-    batch: CandidateBatch,
     config: AcceleratorConfig,
-) -> BatchLayerEvaluation:
-    """Evaluate a whole candidate batch in vectorized passes.
+    outcomes: Iterable[Tuple[Mapping, ExecutionInfo]],
+    scorer: Scorer,
+) -> Tuple[Optional[Mapping], Optional[ExecutionInfo]]:
+    """First strictly-best feasible candidate (the scalar tie-breaking)."""
+    best_exec: Optional[ExecutionInfo] = None
+    best_mapping: Optional[Mapping] = None
+    best_score = float("inf")
+    for mapping, execution in outcomes:
+        score = scorer(layer, execution, config)
+        if score < best_score:
+            best_exec = execution
+            best_mapping = mapping
+            best_score = score
+    return best_mapping, best_exec
 
-    Callers should guard with :func:`int64_safe` (the built-in mappers
-    do) and fall back to the scalar path when it returns False.
+
+def best_of_rows(
+    evaluation: BatchLayerEvaluation,
+    rows: slice,
+    batch: CandidateBatch,
+    layer: LayerShape,
+    config: AcceleratorConfig,
+    scorer: Optional[Scorer] = None,
+) -> Tuple[Optional[Mapping], Optional[ExecutionInfo]]:
+    """One layer's winner among ``rows`` of ``evaluation``.
+
+    ``batch`` holds that layer's candidates, in row order.  With no
+    ``scorer`` (the latency objective) the winner is picked on the
+    arrays by :func:`latency_winner` and only its ``Mapping`` /
+    ``ExecutionInfo`` are built.  Energy and EDP pass their scorer,
+    which reads whole ``ExecutionInfo`` objects, so every feasible row
+    is built and :func:`_select_best` scores them.  Either way the
+    result is the scalar reference's, first strictly-best row included;
+    ``(None, None)`` when no row is feasible.
     """
-    return BatchLayerEvaluation(layer, batch, config)
+    feasible = evaluation.feasible[rows]
+    if scorer is not None:
+        local = np.flatnonzero(feasible)
+        return _select_best(
+            layer,
+            config,
+            zip(
+                batch.mappings(local),
+                evaluation.execution_infos(local + rows.start, layer),
+            ),
+            scorer,
+        )
+    if not feasible.any():
+        return None, None
+    winner = latency_winner(
+        evaluation.t_comp[rows],
+        {op: evaluation.t_noc[op][rows] for op in _NOC_OPERANDS},
+        evaluation.t_dma[rows],
+        feasible,
+    )
+    (execution,) = evaluation.execution_infos((rows.start + winner,), layer)
+    return batch.mapping(winner), execution
 
 
 def evaluate_layer_mappings_batch(
@@ -582,8 +641,14 @@ def evaluate_layer_mappings_batch(
 
     Convenience API over pre-built ``Mapping`` objects: returns one
     outcome per mapping, each bit-identical to the scalar evaluator.
+    Callers should guard with :func:`int64_safe` (the built-in mappers
+    do) and fall back to the scalar path when it returns False.
     """
-    evaluation = evaluate_layer_batch(
+    evaluation = BatchLayerEvaluation(
         layer, CandidateBatch.from_mappings(mappings), config
     )
-    return [evaluation.outcome(i) for i in range(len(mappings))]
+    infos = iter(evaluation.execution_infos(evaluation.feasible_indices))
+    return [
+        next(infos) if ok else evaluation.infeasibility(i)
+        for i, ok in enumerate(evaluation.feasible.tolist())
+    ]

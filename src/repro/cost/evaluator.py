@@ -419,14 +419,13 @@ class CostEvaluator:
     def perf_summary(self) -> Dict[str, object]:
         """Instrumentation snapshot: timers, throughput, cache counters."""
         from repro.core.bottleneck import compile as tree_compile
-        from repro.cost.batch import batch_eval_enabled
 
         cm = self._caching_mapper
         stats = self.batch_eval_stats
         batch_section: Dict[str, object] = {
             "supported": stats is not None,
             "enabled": stats is not None
-            and batch_eval_enabled(getattr(self.mapper, "batch_eval", None)),
+            and bool(getattr(self.mapper, "batch_eval", True)),
             "fused_supported": self._supports_fused,
             "fused_enabled": self._fused_enabled and self._supports_fused,
         }

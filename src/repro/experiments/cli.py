@@ -102,14 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(reads PATH.ckpt, verifies it against the journal, and "
              "continues appending to both)",
     )
-    _add_batch_eval_argument(explore)
 
     compare = sub.add_parser(
         "compare", help="compare all techniques on one model (Fig. 3 slice)"
     )
     compare.add_argument("model", choices=MODEL_NAMES)
     compare.add_argument("--iterations", type=_positive_int, default=40)
-    _add_batch_eval_argument(compare)
 
     experiment = sub.add_parser(
         "experiment", help="regenerate paper tables/figures ('all' for a report)"
@@ -134,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for the technique x model matrix "
              "('auto' = all cores; default: $REPRO_JOBS or 1 = serial)",
     )
-    _add_batch_eval_argument(experiment)
 
     report = sub.add_parser(
         "report",
@@ -309,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", default=None,
         help="write the frontier snapshot as JSON to PATH",
     )
-    _add_batch_eval_argument(pareto)
 
     sub.add_parser("list-models", help="list the benchmark models")
     return parser
@@ -345,25 +341,6 @@ def _jobs(text: str) -> str:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0 or auto, got {value}")
     return text
-
-
-def _add_batch_eval_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-eval",
-        choices=("on", "off"),
-        default=None,
-        help="vectorized batch candidate scoring in the mapping search "
-             "(bit-identical to the scalar path; default: "
-             "$REPRO_BATCH_EVAL or on)",
-    )
-
-
-def _apply_batch_eval(args) -> None:
-    """Propagate ``--batch-eval`` via ``REPRO_BATCH_EVAL`` so every mapper
-    constructed downstream picks it up."""
-    batch_eval = getattr(args, "batch_eval", None)
-    if batch_eval is not None:
-        os.environ["REPRO_BATCH_EVAL"] = "1" if batch_eval == "on" else "0"
 
 
 def _resolve_trace_args(parser: argparse.ArgumentParser, args):
@@ -693,7 +670,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_submit(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    _apply_batch_eval(args)
     try:
         if args.command == "explore":
             return _cmd_explore(args, parser)

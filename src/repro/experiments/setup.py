@@ -106,7 +106,6 @@ def make_evaluator(
     random_mapping_trials: int = 100,
     seed: int = 0,
     objective: str = "latency",
-    batch_eval: Optional[bool] = None,
     **evaluator_kwargs,
 ) -> CostEvaluator:
     """Build a cost evaluator for a model with the chosen mapper.
@@ -124,9 +123,6 @@ def make_evaluator(
             (``"latency"``, ``"energy"``, or ``"edp"``; validated with a
             helpful error).  The fixed dataflow is not searched, so the
             objective does not apply to it.
-        batch_eval: Vectorized candidate scoring for the searching
-            mappers (None defers to ``REPRO_BATCH_EVAL``, default on;
-            bit-identical either way).
         evaluator_kwargs: Forwarded to :class:`CostEvaluator` (e.g.
             ``mapping_cache``, ``use_mapping_cache``, ``fused_eval``).
     """
@@ -134,15 +130,12 @@ def make_evaluator(
     if mapping_mode == "fixed":
         mapper = FixedDataflowMapper()
     elif mapping_mode == "codesign":
-        mapper = TopNMapper(
-            top_n=top_n, objective=objective, batch_eval=batch_eval
-        )
+        mapper = TopNMapper(top_n=top_n, objective=objective)
     elif mapping_mode == "random-mapper":
         mapper = RandomSearchMapper(
             trials=random_mapping_trials,
             seed=seed,
             objective=objective,
-            batch_eval=batch_eval,
         )
     else:
         raise ValueError(f"unknown mapping mode {mapping_mode!r}")

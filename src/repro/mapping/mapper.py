@@ -207,7 +207,7 @@ def rescore_trace(
                 evaluation.t_comp, evaluation.t_noc, t_dma,
                 evaluation.feasible,
             )
-            best_mapping = evaluation.mapping(winner)
+            best_mapping = evaluation.batch.mapping(winner)
             best_exec = replace(
                 evaluation.execution_infos((winner,))[0],
                 t_dma=float(t_dma[winner]),
@@ -505,25 +505,6 @@ def _resolve_objective(objective: str):
         ) from None
 
 
-def _select_best(
-    layer: LayerShape,
-    config: AcceleratorConfig,
-    outcomes: Sequence[Tuple[Mapping, ExecutionInfo]],
-    scorer,
-) -> Tuple[Optional[Mapping], Optional[ExecutionInfo]]:
-    """First strictly-best feasible candidate (the scalar tie-breaking)."""
-    best_exec: Optional[ExecutionInfo] = None
-    best_mapping: Optional[Mapping] = None
-    best_score = float("inf")
-    for mapping, execution in outcomes:
-        score = scorer(layer, execution, config)
-        if score < best_score:
-            best_exec = execution
-            best_mapping = mapping
-            best_score = score
-    return best_mapping, best_exec
-
-
 def _best_of_traced_batch(
     layer: LayerShape,
     config: AcceleratorConfig,
@@ -534,32 +515,23 @@ def _best_of_traced_batch(
 ) -> Tuple[MappingResult, SearchTrace]:
     """Batched twin of the scalar loop in :func:`_best_of_traced`.
 
-    Scores the whole candidate set through the vectorized kernels and
-    keeps them as the trace (:meth:`SearchTrace.from_batch`).  The
-    latency objective picks its winner on the arrays
-    (:func:`repro.cost.batch.latency_winner`) and builds the
-    ``Mapping``/``ExecutionInfo`` of that one row; energy and EDP score
-    every feasible pair through :func:`_select_best`, because their
-    scorer reads whole ``ExecutionInfo`` objects.  Either way the result
-    is bit-identical to the scalar reference.
+    Scores the whole candidate set through the vectorized kernel, picks
+    the winner with :func:`repro.cost.batch.best_of_rows` (the fused
+    path's rule too) and keeps the kernel arrays as the trace
+    (:meth:`SearchTrace.from_batch`).  The result is bit-identical to
+    the scalar reference.
     """
     started = time.perf_counter()
-    evaluation = _cost_batch.evaluate_layer_batch(layer, batch, config)
+    evaluation = _cost_batch.BatchLayerEvaluation(layer, batch, config)
     rows = evaluation.feasible_indices
-    trace = SearchTrace.from_batch(evaluation, rows)
-    best_mapping: Optional[Mapping] = None
-    best_exec: Optional[ExecutionInfo] = None
-    if objective != "latency":
-        best_mapping, best_exec = _select_best(
-            layer, config, trace.feasible, scorer
-        )
-    elif len(rows):
-        winner = _cost_batch.latency_winner(
-            evaluation.t_comp, evaluation.t_noc, evaluation.t_dma,
-            evaluation.feasible,
-        )
-        best_mapping = batch.mapping(winner)
-        best_exec = evaluation.execution_infos((winner,))[0]
+    best_mapping, best_exec = _cost_batch.best_of_rows(
+        evaluation,
+        slice(0, len(batch)),
+        batch,
+        layer,
+        config,
+        None if objective == "latency" else scorer,
+    )
     if stats is not None:
         stats.record_batch(len(batch), len(rows), time.perf_counter() - started)
     result = MappingResult(
@@ -568,7 +540,7 @@ def _best_of_traced_batch(
         candidates_evaluated=len(batch),
         feasible_candidates=len(rows),
     )
-    return result, trace
+    return result, SearchTrace.from_batch(evaluation, rows)
 
 
 def _best_of_traced(
@@ -576,21 +548,20 @@ def _best_of_traced(
     config: AcceleratorConfig,
     batch: CandidateBatch,
     objective: str = "latency",
-    batch_eval: Optional[bool] = None,
+    batch_eval: bool = True,
     stats: Optional[BatchEvalStats] = None,
 ) -> Tuple[MappingResult, SearchTrace]:
     """Evaluate every candidate of ``batch``; return the
     objective-optimal result together with the re-scorable
     :class:`SearchTrace`.
 
-    ``batch_eval`` selects the vectorized kernels explicitly; ``None``
-    defers to ``REPRO_BATCH_EVAL`` (default on).  Both paths produce
-    bit-identical results; the batch path additionally requires the
-    candidate set to be int64-safe and falls back to the scalar
-    reference otherwise.
+    ``batch_eval`` selects the vectorized kernel (default) or the scalar
+    reference loop.  Both produce bit-identical results; the kernel
+    additionally requires the candidate set to be int64-safe and falls
+    back to the scalar reference otherwise.
     """
     scorer = _resolve_objective(objective)
-    if _cost_batch.batch_eval_enabled(batch_eval):
+    if batch_eval:
         if _cost_batch.int64_safe(batch, config):
             return _best_of_traced_batch(
                 layer, config, batch, objective, scorer, stats
@@ -666,11 +637,10 @@ class TopNMapper:
             utilization pruning.
         objective: Mapping metric minimized: ``"latency"`` (default),
             ``"energy"``, or ``"edp"``.
-        batch_eval: Score candidates through the vectorized batch kernels
-            (``repro.cost.batch``).  ``None`` (default) defers to the
-            ``REPRO_BATCH_EVAL`` environment variable at search time;
-            results are bit-identical either way, so the choice is not
-            part of the cache :meth:`signature`.
+        batch_eval: Score candidates through the vectorized kernel
+            (``repro.cost.batch``, default) or, with False, the scalar
+            reference.  Results are bit-identical either way, so the
+            choice is not part of the cache :meth:`signature`.
     """
 
     name = "top-n"
@@ -680,7 +650,7 @@ class TopNMapper:
         top_n: int = 200,
         max_spatial: int = 16,
         objective: str = "latency",
-        batch_eval: Optional[bool] = None,
+        batch_eval: bool = True,
     ):
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
@@ -742,7 +712,7 @@ class RandomSearchMapper:
         trials: int = 200,
         seed: int = 0,
         objective: str = "latency",
-        batch_eval: Optional[bool] = None,
+        batch_eval: bool = True,
     ):
         if trials < 1:
             raise ValueError("trials must be >= 1")

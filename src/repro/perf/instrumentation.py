@@ -23,8 +23,8 @@ class BatchEvalStats:
     """Counters/timers of the candidate-scoring inner loop.
 
     Tracks, per mapper instance, how many candidates were scored by the
-    vectorized batch kernels versus the scalar reference path (selected
-    by ``REPRO_BATCH_EVAL=0`` or an int64-overflow fallback), and the
+    vectorized batch kernel versus the scalar reference path (selected
+    by ``batch_eval=False`` or an int64-overflow fallback), and the
     wall-clock each path consumed.  Plain attributes only, so instances
     pickle cleanly with their mapper.
     """

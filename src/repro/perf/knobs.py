@@ -41,6 +41,9 @@ Knobs resolved here:
   paper-figure bench budget scale (:func:`repro.experiments.setup.bench_scale`).
   All five go through :func:`numeric_knob`; their callers keep their
   own clamps.
+* ``REPRO_FAULT_INJECT`` — the deterministic fault plan
+  (:mod:`repro.resilience.fault_injection`); a malformed plan warns and
+  leaves injection off.
 
 Valid values are memoized per ``(knob, raw value)`` so hot paths (the
 per-node compiled-tree check, the per-step fused gate) never re-parse an
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from typing import Dict, Optional, Set, Tuple
 
@@ -69,6 +73,7 @@ __all__ = [
     "service_tenant_inflight",
     "tenant_step_quota",
     "numeric_knob",
+    "fault_plan",
 ]
 
 _TRUE = frozenset({"1", "true", "on", "yes"})
@@ -361,3 +366,44 @@ def mapping_cache_dir() -> Optional[str]:
         )
         return None
     return value
+
+
+#: The fault plan of the current ``REPRO_FAULT_INJECT`` value, as
+#: ``(raw, plan)``.  A plan counts site invocations (``step=N``), so it
+#: is rebuilt only when the value changes.
+_FAULT_PLAN: Tuple[Optional[str], object] = (None, None)
+_FAULT_PLAN_LOCK = threading.Lock()
+
+
+def fault_plan():
+    """The :class:`~repro.resilience.fault_injection.FaultPlan` that
+    ``REPRO_FAULT_INJECT`` arms, or None when it is unset or blank.
+
+    A malformed plan warns once, naming the parse error, and leaves
+    injection off; an explicit
+    :func:`~repro.resilience.fault_injection.parse_fault_plan` call
+    still raises ``FaultSpecError``.
+    """
+    global _FAULT_PLAN
+    raw = os.environ.get("REPRO_FAULT_INJECT")
+    if not raw:
+        return None
+    with _FAULT_PLAN_LOCK:
+        if _FAULT_PLAN[0] == raw:
+            return _FAULT_PLAN[1]
+        # Imported at call time: repro.resilience stays off this leaf
+        # module's import graph.
+        from repro.resilience.fault_injection import (
+            FaultSpecError,
+            parse_fault_plan,
+        )
+
+        try:
+            plan = parse_fault_plan(raw)
+        except FaultSpecError as exc:
+            _warn_once(
+                "REPRO_FAULT_INJECT", raw, f"fault injection stays off ({exc})"
+            )
+            return None
+        _FAULT_PLAN = (raw, plan)
+        return plan

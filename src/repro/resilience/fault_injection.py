@@ -94,9 +94,6 @@ FAULT_SITES = (
     "http-response",
 )
 
-ENV_VAR = "REPRO_FAULT_INJECT"
-
-
 class FaultSpecError(ValueError):
     """A ``REPRO_FAULT_INJECT`` spec could not be parsed."""
 
@@ -232,26 +229,21 @@ def parse_fault_plan(text: str) -> FaultPlan:
 
 # -- ambient state -------------------------------------------------------------
 #
-# The plan is cached per (process, env value): worker processes inherit
-# REPRO_FAULT_INJECT and build their own counters.  The retry attempt and
-# the may-SIGKILL flag are ambient per-thread state set by the supervision
-# wrappers, so injection sites deep in the pipeline need no plumbing.
+# The plan is parsed per (process, env value) by repro.perf.knobs: worker
+# processes inherit REPRO_FAULT_INJECT and build their own counters.  The
+# retry attempt and the may-SIGKILL flag are ambient per-thread state set
+# by the supervision wrappers, so injection sites deep in the pipeline
+# need no plumbing.
 
-_PLAN_CACHE: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
-_PLAN_LOCK = threading.Lock()
 _STATE = threading.local()
 
 
 def _active_plan() -> Optional[FaultPlan]:
-    global _PLAN_CACHE
-    text = os.environ.get(ENV_VAR)
-    if not text:
-        return None
-    with _PLAN_LOCK:
-        cached_text, cached_plan = _PLAN_CACHE
-        if cached_text != text:
-            _PLAN_CACHE = (text, parse_fault_plan(text))
-        return _PLAN_CACHE[1]
+    """:func:`repro.perf.knobs.fault_plan`, imported at call time
+    because ``repro.perf`` imports this module."""
+    from repro.perf.knobs import fault_plan
+
+    return fault_plan()
 
 
 def current_attempt() -> int:

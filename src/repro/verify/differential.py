@@ -156,7 +156,7 @@ def _canonical_journal(path: Path) -> bytes:
 
 def _evaluator(
     workload: Workload,
-    batch_eval: Optional[bool],
+    batch_eval: bool,
     cache: Optional[MappingCache] = None,
     cls=CostEvaluator,
     **kwargs,
@@ -212,7 +212,7 @@ def run_differential(
     baseline = campaign("baseline", _evaluator(workload, batch_eval=False))
     outcomes = [baseline]
 
-    say("differential: batch kernels (REPRO_BATCH_EVAL path)")
+    say("differential: batch kernel (the default scoring path)")
     outcomes.append(campaign("batch", _evaluator(workload, batch_eval=True)))
 
     say("differential: warm mapping cache (second run on a shared cache)")

@@ -1,10 +1,11 @@
 """Equivalence and property tests for the vectorized batch evaluator.
 
-The contract under test: with ``REPRO_BATCH_EVAL`` on or off, every
-built-in mapper returns *bit-identical* results — same mappings, same
-``ExecutionInfo`` values **and Python types**, same infeasibility
-reasons, same candidate counts, same re-scorable traces.  A latency
-search or re-score on the batch path builds objects for its winner only.
+The contract under test: on the batch kernel or on the scalar
+reference (``batch_eval=False``), every built-in mapper returns
+*bit-identical* results — same mappings, same ``ExecutionInfo`` values
+**and Python types**, same infeasibility reasons, same candidate
+counts, same re-scorable traces.  A latency search or re-score on the
+batch path builds objects for its winner only.
 """
 
 import dataclasses
@@ -18,8 +19,6 @@ from repro.arch import build_edge_design_space, config_from_point
 from repro.arch.accelerator import OFFCHIP_BW_VALUES_MBPS
 from repro.cost.batch import (
     BatchLayerEvaluation,
-    batch_eval_enabled,
-    evaluate_layer_batch,
     evaluate_layer_mappings_batch,
     int64_safe,
 )
@@ -179,15 +178,6 @@ class TestScalarBatchEquivalence:
         batch = TopNMapper(top_n=80, batch_eval=True)(gemm_layer, mid_config)
         assert_results_identical(scalar, batch)
 
-    def test_env_knob_matches_explicit_override(
-        self, conv_layer, mid_config, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "0")
-        via_env = TopNMapper(top_n=40)(conv_layer, mid_config)
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "1")
-        via_batch = TopNMapper(top_n=40)(conv_layer, mid_config)
-        assert_results_identical(via_env, via_batch)
-
     def test_rescore_trace_parity_across_paths(
         self, mid_point, conv_layer, mid_config
     ):
@@ -251,8 +241,8 @@ def built(monkeypatch):
     mapping = CandidateBatch.mapping
     mappings = CandidateBatch.mappings
 
-    def counted_infos(self, indices):
-        out = infos(self, indices)
+    def counted_infos(self, *args):
+        out = infos(self, *args)
         counts["infos"] += len(out)
         return out
 
@@ -367,7 +357,7 @@ class TestBatchPrimitives:
         batch = CandidateBatch.from_specs(())
         assert len(batch) == 0
         assert int64_safe(batch, mid_config)
-        evaluation = evaluate_layer_batch(conv_layer, batch, mid_config)
+        evaluation = BatchLayerEvaluation(conv_layer, batch, mid_config)
         assert len(evaluation) == 0
         assert evaluation.feasible_indices.size == 0
         assert evaluate_layer_mappings_batch(conv_layer, [], mid_config) == []
@@ -407,16 +397,6 @@ class TestBatchPrimitives:
         )
         assert_results_identical(scalar_result, result)
         assert trace.candidates_evaluated == scalar_trace.candidates_evaluated
-
-    def test_batch_eval_enabled_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_EVAL", raising=False)
-        assert batch_eval_enabled()
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "0")
-        assert not batch_eval_enabled()
-        assert batch_eval_enabled(True)
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "1")
-        assert batch_eval_enabled()
-        assert not batch_eval_enabled(False)
 
 
 class TestPaddedBoundsMemo:
@@ -467,21 +447,6 @@ class TestObjectiveValidation:
                 ["explore", "resnet18", "--objective", "speed"]
             )
         assert "--objective" in capsys.readouterr().err
-
-    def test_cli_batch_eval_flag_sets_env(self, monkeypatch):
-        from repro.experiments.cli import _apply_batch_eval, build_parser
-
-        monkeypatch.delenv("REPRO_BATCH_EVAL", raising=False)
-        args = build_parser().parse_args(
-            ["explore", "resnet18", "--batch-eval", "off"]
-        )
-        _apply_batch_eval(args)
-        assert batch_eval_enabled() is False
-        args = build_parser().parse_args(
-            ["explore", "resnet18", "--batch-eval", "on"]
-        )
-        _apply_batch_eval(args)
-        assert batch_eval_enabled() is True
 
 
 class TestStatsAndSummary:

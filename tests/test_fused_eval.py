@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch import build_edge_design_space, config_from_point
 from repro.cost.evaluator import CostEvaluator
 from repro.cost.fused import (
-    evaluate_fused_block,
+    FusedBlockEvaluation,
     search_layers_fused,
     supports_fused,
 )
@@ -87,25 +87,38 @@ def tiny_config():
     return config_from_point(build_edge_design_space().minimum_point())
 
 
+def _top_n(**kwargs):
+    return TopNMapper(top_n=60, **kwargs)
+
+
+def _random(**kwargs):
+    return RandomSearchMapper(trials=40, seed=7, **kwargs)
+
+
 class TestSearchLayersFused:
     @pytest.mark.parametrize(
-        "make_mapper",
+        "make_mapper,objective",
         [
-            lambda: TopNMapper(top_n=60),
-            lambda: RandomSearchMapper(trials=40, seed=7),
+            pytest.param(_top_n, "latency", id="top-n"),
+            pytest.param(_random, "latency", id="random"),
+            pytest.param(_top_n, "energy", id="top-n-energy"),
+            pytest.param(_random, "energy", id="random-energy"),
+            pytest.param(_top_n, "edp", id="top-n-edp"),
+            pytest.param(_random, "edp", id="random-edp"),
         ],
-        ids=["top-n", "random"],
     )
     def test_fused_matches_per_layer_search(
-        self, make_mapper, mid_config, resnet18
+        self, make_mapper, objective, mid_config, resnet18
     ):
+        """Every mapping objective: the fused block's winners are the
+        scalar reference's."""
         layers = list(resnet18.layers)
         fused, remaining = search_layers_fused(
-            make_mapper(), layers, mid_config
+            make_mapper(objective=objective), layers, mid_config
         )
         assert remaining == []
         assert [layer for layer, _ in fused] == layers
-        reference = make_mapper()
+        reference = make_mapper(objective=objective, batch_eval=False)
         for layer, result in fused:
             expected, _trace = reference.search_with_trace(layer, mid_config)
             assert_results_identical(expected, result)
@@ -118,7 +131,7 @@ class TestSearchLayersFused:
             TopNMapper(top_n=40), layers, mid_config
         )
         assert remaining == []
-        reference = TopNMapper(top_n=40)
+        reference = TopNMapper(top_n=40, batch_eval=False)
         for layer, result in fused:
             expected, _trace = reference.search_with_trace(layer, mid_config)
             assert_results_identical(expected, result)
@@ -135,7 +148,7 @@ class TestSearchLayersFused:
             TopNMapper(top_n=40), layers, tiny_config
         )
         assert remaining == []
-        reference = TopNMapper(top_n=40)
+        reference = TopNMapper(top_n=40, batch_eval=False)
         for layer, result in fused:
             expected, _trace = reference.search_with_trace(layer, tiny_config)
             assert_results_identical(expected, result)
@@ -146,7 +159,7 @@ class TestSearchLayersFused:
         layer = resnet18.layer("conv3_x")
         batch = TopNMapper(top_n=30).candidate_plan(layer, tiny_config)
         block = FusedCandidateBlock.from_layer_batches([layer], [batch])
-        evaluation = evaluate_fused_block(block, tiny_config)
+        evaluation = FusedBlockEvaluation(block, tiny_config)
         from repro.cost.latency import evaluate_layer_mapping
 
         saw_infeasible = False
@@ -163,14 +176,19 @@ class TestSearchLayersFused:
 
 
 class TestEvaluatorIntegration:
-    def _evaluate(self, workload, point, **kwargs):
+    def _evaluate(self, workload, point, batch_eval=True, **kwargs):
         evaluator = CostEvaluator(
-            workload, TopNMapper(top_n=50), use_mapping_cache=False, **kwargs
+            workload,
+            TopNMapper(top_n=50, batch_eval=batch_eval),
+            use_mapping_cache=False,
+            **kwargs,
         )
         return evaluator.evaluate(point), evaluator
 
     def test_design_point_costs_identical(self, resnet18, mid_point):
-        reference, _ = self._evaluate(resnet18, mid_point, fused_eval=False)
+        reference, _ = self._evaluate(
+            resnet18, mid_point, batch_eval=False, fused_eval=False
+        )
         fused, evaluator = self._evaluate(resnet18, mid_point, fused_eval=True)
         assert reference.costs == fused.costs
         assert reference.mappable == fused.mappable
@@ -282,8 +300,25 @@ class TestSupportsFused:
         assert supports_fused(TopNMapper(top_n=5))
         assert supports_fused(RandomSearchMapper(trials=5, seed=1))
 
-    def test_non_latency_objective_unsupported(self):
-        assert not supports_fused(TopNMapper(top_n=5, objective="energy"))
+    def test_energy_objective_runs_fused(self, resnet18, mid_point):
+        """Energy mappers take the fused block too, with the scalar
+        reference's design-point costs."""
+        evaluator = CostEvaluator(
+            resnet18,
+            TopNMapper(top_n=50, objective="energy"),
+            use_mapping_cache=False,
+            fused_eval=True,
+        )
+        reference = CostEvaluator(
+            resnet18,
+            TopNMapper(top_n=50, objective="energy", batch_eval=False),
+            use_mapping_cache=False,
+        )
+        assert (
+            evaluator.evaluate(mid_point).costs
+            == reference.evaluate(mid_point).costs
+        )
+        assert evaluator.batch_eval_stats.fused_blocks == 1
 
     def test_fixed_dataflow_unsupported(self):
         assert not supports_fused(FixedDataflowMapper())

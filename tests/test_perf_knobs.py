@@ -1,13 +1,13 @@
 """Validation tests for the fast-path environment knobs.
 
 ``REPRO_JOBS``, ``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``,
-``REPRO_BATCH_EVAL``, ``REPRO_MAPPING_CACHE``, the mapping-cache
-capacities, ``REPRO_MAPPING_CACHE_DIR``, the service knobs, the
-retry/breaker knobs and ``REPRO_BENCH_SCALE`` share one contract: junk
-values never raise — they warn once (per knob, per value) and fall back
-to the safe path.  Valid
-values are memoized per raw string (hot paths re-read knobs), junk
-values are not (clearing ``_WARNED`` must re-warn).
+``REPRO_MAPPING_CACHE``, the mapping-cache capacities,
+``REPRO_MAPPING_CACHE_DIR``, the service knobs, the retry/breaker
+knobs, ``REPRO_BENCH_SCALE`` and ``REPRO_FAULT_INJECT`` share one
+contract: junk values never raise — they warn once (per knob, per
+value) and fall back to the safe path.  Valid values are memoized per
+raw string (hot paths re-read knobs), junk values are not (clearing
+``_WARNED`` must re-warn).
 """
 
 import os
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.dse.constraints import Constraint
 from repro.core.dse.explainable import ExplainableDSE
-from repro.cost.batch import batch_eval_enabled
 from repro.cost.evaluator import CostEvaluator
 from repro.experiments.setup import bench_scale, run_explainable_dse
 from repro.mapping.mapper import TopNMapper
@@ -38,7 +37,6 @@ def _clean_env(monkeypatch):
     for name in (
         "REPRO_FUSED_EVAL",
         "REPRO_TREE_COMPILE",
-        "REPRO_BATCH_EVAL",
         "REPRO_MAPPING_CACHE",
         "REPRO_MAPPING_CACHE_DIR",
         "REPRO_MAPPING_CACHE_RESULTS",
@@ -121,10 +119,6 @@ class TestEnvFlag:
         assert knobs.fused_eval_enabled() is False
 
 
-def _batch_eval_on(workload) -> bool:
-    return batch_eval_enabled()
-
-
 def _mapping_cache_on(workload) -> bool:
     evaluator = CostEvaluator(workload, TopNMapper(top_n=8))
     return evaluator.mapping_cache is not None
@@ -133,9 +127,8 @@ def _mapping_cache_on(workload) -> bool:
 #: Default-on paths whose knob is parsed at its point of use.
 _DEFAULT_ON_PATHS = pytest.mark.parametrize(
     "name,path_on",
-    [("REPRO_BATCH_EVAL", _batch_eval_on),
-     ("REPRO_MAPPING_CACHE", _mapping_cache_on)],
-    ids=["batch-eval", "mapping-cache"],
+    [("REPRO_MAPPING_CACHE", _mapping_cache_on)],
+    ids=["mapping-cache"],
 )
 
 

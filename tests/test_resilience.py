@@ -256,6 +256,35 @@ class TestInject:
         with pytest.raises(CacheCorruptionError):
             inject("cache-load", key="/tmp/x.pkl")
 
+    def test_junk_plan_warns_once_and_campaign_completes(
+        self, monkeypatch, edge_space, tiny_workload
+    ):
+        """A malformed plan warns once, naming the variable and the parse
+        error, and leaves injection off instead of failing the first
+        evaluation with ``FaultSpecError``."""
+        from repro.perf import knobs
+
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "junk")
+        knobs._WARNED.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = ExplainableDSE(
+                edge_space,
+                _make_evaluator(tiny_workload),
+                _constraints(),
+                max_evaluations=6,
+            ).run()
+        messages = [
+            str(w.message)
+            for w in caught
+            if "REPRO_FAULT_INJECT" in str(w.message)
+        ]
+        assert len(messages) == 1
+        assert "needs at least kind:site" in messages[0]
+        assert "fault injection stays off" in messages[0]
+        assert len(result.trials) == 6
+        assert not any(t.note.startswith("quarantined") for t in result.trials)
+
 
 # -- supervision policy -------------------------------------------------------
 

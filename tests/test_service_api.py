@@ -559,3 +559,48 @@ class TestSpecRoundTrip:
         )
         batch = dse.evaluator.perf_summary()["batch_eval"]
         assert batch["fused_enabled"] is True
+
+
+class TestEnergyObjectiveCampaign:
+    def test_energy_campaign_runs_fused_like_scalar_solo(self, tmp_path):
+        """An energy-objective campaign reaches the fused block (every
+        service campaign passes ``fused_eval=True``) and finishes with
+        the fingerprint of the same campaign run alone on the scalar
+        reference."""
+        from repro.experiments.setup import edge_constraints
+        from repro.telemetry import RunSummary, read_journal
+        from repro.workloads.registry import load_workload
+
+        spec = CampaignSpec(
+            model="resnet18", iterations=6, objective="energy", top_n=40
+        )
+
+        async def run():
+            service = CampaignService(tmp_path / "spool")
+            await service.start()
+            cid = await service.submit(spec)
+            status = await service.wait(cid)
+            await service.stop()
+            return service, cid, status
+
+        service, cid, status = asyncio.run(run())
+        assert status["status"] == "finished"
+        (summary,) = [
+            event
+            for event in read_journal(service.journal_path(cid))
+            if isinstance(event, RunSummary)
+        ]
+        assert summary.counters["batch_eval"]["fused_blocks"] > 0
+        reference = ExplainableDSE(
+            build_edge_design_space(),
+            CostEvaluator(
+                load_workload("resnet18"),
+                TopNMapper(top_n=40, objective="energy", batch_eval=False),
+                mapping_cache=MappingCache(),
+            ),
+            edge_constraints("resnet18"),
+            max_evaluations=6,
+        ).run()
+        assert service.result(cid)["fingerprint"] == result_fingerprint(
+            reference
+        )
