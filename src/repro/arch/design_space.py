@@ -8,6 +8,7 @@ and enumerates neighbours.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
@@ -152,12 +153,13 @@ class DesignSpace:
         out[name] = value
         return out
 
-    def grid(self, points_per_axis: int) -> Iterator[DesignPoint]:
-        """Stratified grid: up to ``points_per_axis`` evenly spaced values
-        per parameter, Cartesian product enumerated lazily."""
+    def grid_axes(self, points_per_axis: int) -> Tuple[Tuple[Any, ...], ...]:
+        """Per-parameter value tuples of the stratified grid: up to
+        ``points_per_axis`` evenly spaced values of each parameter, in
+        parameter order.  :meth:`grid` is their Cartesian product."""
         if points_per_axis < 1:
             raise ValueError("points_per_axis must be >= 1")
-        choices: List[Tuple[Any, ...]] = []
+        axes: List[Tuple[Any, ...]] = []
         for param in self._params:
             k = min(points_per_axis, param.cardinality)
             if k == 1:
@@ -167,16 +169,14 @@ class DesignSpace:
                 picks = tuple(
                     param.values[round(i * step)] for i in range(k)
                 )
-            choices.append(tuple(dict.fromkeys(picks)))
+            axes.append(tuple(dict.fromkeys(picks)))
+        return tuple(axes)
 
-        def _product(prefix: DesignPoint, axis: int) -> Iterator[DesignPoint]:
-            if axis == len(self._params):
-                yield dict(prefix)
-                return
-            name = self._params[axis].name
-            for value in choices[axis]:
-                prefix[name] = value
-                yield from _product(prefix, axis + 1)
-            del prefix[name]
-
-        return _product({}, 0)
+    def grid(self, points_per_axis: int) -> Iterator[DesignPoint]:
+        """Stratified grid: the Cartesian product of :meth:`grid_axes`,
+        enumerated lazily with the last parameter varying fastest."""
+        names = self.names
+        return (
+            dict(zip(names, values))
+            for values in itertools.product(*self.grid_axes(points_per_axis))
+        )

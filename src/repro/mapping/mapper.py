@@ -8,6 +8,12 @@ evaluates up to N candidates linearly and returns the latency-optimal one.
 The random mapper samples the same pruned tiling structure at random, which
 is how the paper configures black-box codesign baselines (§F: "Timeloop-like
 random search").
+
+Both build a search's candidate set directly as one int64
+:class:`CandidateBatch`, never as per-candidate objects: the top-N mapper
+gathers rows from the tilings it draws, and the random mapper samples each
+trial's factors as plain tuples, from memoized divisor tables, and fills
+one array with them.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from repro.cost.execution_info import ExecutionInfo, InfeasibleMapping
 import repro.cost.batch as _cost_batch
 import repro.cost.energy as _cost_energy
 import repro.cost.latency as _cost_latency
-from repro.mapping.batch_candidates import CandidateBatch, CandidateSpec
+from repro.mapping.batch_candidates import CandidateBatch
 from repro.mapping.dataflow import (
     SPATIAL_DIMS,
     _greedy_tile_counts_cached,
@@ -464,6 +470,65 @@ def _top_n_batch(
     )
 
 
+@functools.lru_cache(maxsize=65536)
+def _divisors_within(n: int, budget: int) -> Tuple[int, ...]:
+    """The divisors of ``n`` that are at most ``budget``, ascending."""
+    return tuple(f for f in divisors(n) if f <= budget)
+
+
+#: Stationary-operand codes.  ``rng.choice`` picks by position, so a draw
+#: from this tuple matches a draw from :data:`STATIONARY_CHOICES`.
+_STATIONARY_CODES = tuple(range(len(STATIONARY_CHOICES)))
+
+
+def _random_batch(
+    bounds: Tuple[int, ...],
+    pes: int,
+    trials: int,
+    rng: random.Random,
+) -> CandidateBatch:
+    """``trials`` random tilings of a layer with padded loop ``bounds``
+    (``LOOP_DIMS`` order) on ``pes`` PEs, as one int64
+    :class:`CandidateBatch`.
+
+    Each trial makes 20 ``rng.choice`` calls, in this order: a divisor
+    of each spatial dim's bound within the PEs still unused (M, OY, OX,
+    N); per loop dim, an RF divisor of what the spatial factor leaves,
+    then an SPM divisor of what the RF factor leaves (DRAM takes the
+    rest); then the DRAM and the SPM stationary code.
+    """
+    dims = len(LOOP_DIMS)
+    rows = []
+    for _ in range(trials):
+        spatial = [1] * dims
+        budget = pes
+        for col in _SPATIAL_COLS:
+            factor = rng.choice(_divisors_within(bounds[col], budget))
+            spatial[col] = factor
+            budget //= factor
+        rf, spm, dram = [], [], []
+        for bound, factor in zip(bounds, spatial):
+            rest = bound // factor
+            rf_factor = rng.choice(divisors(rest))
+            rest //= rf_factor
+            spm_factor = rng.choice(divisors(rest))
+            rf.append(rf_factor)
+            spm.append(spm_factor)
+            dram.append(rest // spm_factor)
+        dram_code = rng.choice(_STATIONARY_CODES)
+        spm_code = rng.choice(_STATIONARY_CODES)
+        rows.append(spatial + rf + spm + dram + [dram_code, spm_code])
+    table = np.array(rows, dtype=np.int64)
+    return CandidateBatch(
+        dram=table[:, 3 * dims:4 * dims],
+        spm=table[:, 2 * dims:3 * dims],
+        spatial=table[:, :dims],
+        rf=table[:, dims:2 * dims],
+        dram_code=table[:, 4 * dims],
+        spm_code=table[:, 4 * dims + 1],
+    )
+
+
 #: Mapping-objective scorers: map an execution to the value minimized by
 #: the mapper.  ``edp`` is the energy-delay product — dMazeRunner-class
 #: mappers commonly optimize either metric.
@@ -723,37 +788,6 @@ class RandomSearchMapper:
         self.batch_eval = batch_eval
         self.batch_stats = BatchEvalStats()
 
-    def _random_candidate(
-        self,
-        layer: LayerShape,
-        config: AcceleratorConfig,
-        rng: random.Random,
-    ) -> CandidateSpec:
-        bounds = padded_bounds(layer)
-        spatial: Dict[Dim, int] = {d: 1 for d in LOOP_DIMS}
-        budget = config.pes
-        for d in SPATIAL_DIMS:
-            opts = [f for f in divisors(bounds[d]) if f <= budget]
-            spatial[d] = rng.choice(opts)
-            budget //= spatial[d]
-        rf: Dict[Dim, int] = {}
-        spm: Dict[Dim, int] = {}
-        dram: Dict[Dim, int] = {}
-        for d in LOOP_DIMS:
-            rest = bounds[d] // spatial[d]
-            rf[d] = rng.choice(divisors(rest))
-            rest //= rf[d]
-            spm[d] = rng.choice(divisors(rest))
-            dram[d] = rest // spm[d]
-        return CandidateSpec.from_level_maps(
-            dram=dram,
-            spm=spm,
-            spatial=spatial,
-            rf=rf,
-            dram_stationary=rng.choice(STATIONARY_CHOICES),
-            spm_stationary=rng.choice(STATIONARY_CHOICES),
-        )
-
     #: The candidate stream is seeded by ``layer.name``, so the mapping
     #: cache must key on it (unlike the shape-only deterministic mappers).
     cache_layer_name_relevant = True
@@ -772,7 +806,8 @@ class RandomSearchMapper:
         The seed is a stable digest, not ``tuple.__hash__``: hashes of str
         members vary per process under PYTHONHASHSEED randomization,
         which would make the "deterministic" stream differ across
-        worker processes and runs.
+        worker processes and runs.  The trials are drawn by
+        :func:`_random_batch`.
         """
         # Re-validate at plan time: the constructor check can be bypassed
         # by mutating ``trials`` afterwards, and an exhausted budget must be
@@ -785,9 +820,8 @@ class RandomSearchMapper:
         rng = random.Random(
             _stable_seed(self.seed, layer.name, config.pes, config.l1_bytes)
         )
-        return CandidateBatch.from_specs(
-            self._random_candidate(layer, config, rng)
-            for _ in range(self.trials)
+        return _random_batch(
+            padded_bounds_tuple(layer), config.pes, self.trials, rng
         )
 
     def search_with_trace(

@@ -41,6 +41,8 @@ class SimulatedAnnealing(BaselineOptimizer):
         super().__init__(*args, **kwargs)
         if not 0 < cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
+        if moves_per_step < 1:
+            raise ValueError("moves_per_step must be >= 1")
         self.initial_temperature = initial_temperature
         self.cooling = cooling
         self.moves_per_step = moves_per_step

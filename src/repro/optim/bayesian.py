@@ -43,6 +43,10 @@ class BayesianOptimization(BaselineOptimizer):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
+        # candidate_pool may be 0: the incumbent's neighbours still
+        # give the acquisition candidates.
+        if max_train_points < 1:
+            raise ValueError("max_train_points must be >= 1")
         self.initial_samples = initial_samples
         self.candidate_pool = candidate_pool
         self.max_train_points = max_train_points

@@ -52,6 +52,10 @@ class HyperMapperDSE(BaselineOptimizer):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
+        if candidate_pool < 1:
+            raise ValueError("candidate_pool must be >= 1")
+        if max_train_points < 1:
+            raise ValueError("max_train_points must be >= 1")
         self.initial_samples = initial_samples
         self.candidate_pool = candidate_pool
         self.max_train_points = max_train_points

@@ -6,6 +6,15 @@ shaped rewards — this module implements that generalized agent: a
 factored categorical policy (one softmax head of logits per design
 parameter), REINFORCE updates with a moving-average baseline, and a reward
 combining the log-objective with constraint-utilization penalties.
+
+The logits change only in the policy update, so each head's softmax and
+CDF are computed once per update (:func:`_cdf`), not once per episode.
+An episode's actions are then one ``rng.random(len(heads))`` and one
+``cdf.searchsorted(u, side="right")`` per head, which is how
+``Generator.choice(n, p=p)`` draws a scalar: the ``default_rng(seed)``
+stream is consumed, and every action chosen, exactly as by one
+``choice`` call per head, and :func:`_cdf` keeps ``choice``'s
+probability checks.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ class ReinforcementLearningDSE(BaselineOptimizer):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.entropy_bonus = entropy_bonus
@@ -51,14 +62,15 @@ class ReinforcementLearningDSE(BaselineOptimizer):
 
     # -- policy ------------------------------------------------------------------
 
+    @staticmethod
     def _sample(
-        self, logits: List[np.ndarray], rng: np.random.Generator
+        cdfs: List[np.ndarray], rng: np.random.Generator
     ) -> List[int]:
-        actions = []
-        for head in logits:
-            probs = _softmax(head)
-            actions.append(int(rng.choice(len(head), p=probs)))
-        return actions
+        """One action per head: draws ``len(cdfs)`` uniforms at once."""
+        return [
+            int(cdf.searchsorted(u, side="right"))
+            for cdf, u in zip(cdfs, rng.random(len(cdfs)))
+        ]
 
     def _reward(self, evaluation) -> float:
         """Negated log-objective with constraint-utilization shaping.
@@ -95,11 +107,12 @@ class ReinforcementLearningDSE(BaselineOptimizer):
         have_baseline = False
 
         while self.budget_left > 0:
+            cdfs = [_cdf(_softmax(head)) for head in logits]
             batch: List[tuple] = []
             for _ in range(self.batch_size):
                 if self.budget_left <= 0:
                     break
-                actions = self._sample(logits, rng)
+                actions = self._sample(cdfs, rng)
                 point = self.space.from_indices(actions)
                 evaluation = yield Proposal(point, "rl-episode")
                 batch.append((actions, self._reward(evaluation)))
@@ -128,6 +141,28 @@ class ReinforcementLearningDSE(BaselineOptimizer):
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - np.max(x)
+    # The array methods run the same reductions as ``np.max``/``np.sum``
+    # without their dispatch wrappers (this runs once per head per
+    # episode in the policy update).
+    z = x - x.max()
     e = np.exp(z)
-    return e / np.sum(e)
+    return e / e.sum()
+
+
+#: ``Generator.choice``'s tolerance on a float64 probability sum.
+_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(len(probs), p=probs)`` samples from,
+    after its checks: no NaN, no negative, a sum within sqrt(eps) of 1."""
+    total = probs.sum()
+    if np.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf

@@ -4,7 +4,9 @@ Every baseline's ``run()`` is :class:`repro.optim.DriverLoop` over the
 engine's ask/tell state, so one campaign per engine pins the whole
 path: its result fingerprint and canonical journal (``RunSummary`` perf
 counters stripped) must hash to the values in
-``tests/goldens/baselines.json``.  Plus the protocol's negative paths:
+``tests/goldens/baselines.json``.  Two more cells run codesign engines
+over ``RandomSearchMapper``, which pins the random mapper's candidate
+stream end to end.  Plus the protocol's negative paths:
 ``ask(n <= 0)``, stale, unasked and excess tells raise ``ValueError``.
 """
 
@@ -16,7 +18,7 @@ import pytest
 
 from repro.core.dse.constraints import Constraint
 from repro.cost.evaluator import CostEvaluator
-from repro.mapping.mapper import TopNMapper
+from repro.mapping.mapper import RandomSearchMapper, TopNMapper
 from repro.optim import (
     BayesianOptimization,
     DriverLoop,
@@ -59,12 +61,19 @@ def _constraints():
     ]
 
 
-def _engine(cls, edge_space, tiny_workload, tracer=None):
+#: Engines pinned over the random mapper: ``(engine, golden key)``.
+RANDOM_MAPPER_CELLS = [
+    (RandomSearch, "random/random-mapper"),
+    (HyperMapperDSE, "hypermapper/random-mapper"),
+]
+
+
+def _engine(cls, edge_space, tiny_workload, tracer=None, mapper=None):
+    if mapper is None:
+        mapper = TopNMapper(top_n=50)
     return cls(
         edge_space,
-        CostEvaluator(
-            tiny_workload, TopNMapper(top_n=50), mapping_cache=MappingCache()
-        ),
+        CostEvaluator(tiny_workload, mapper, mapping_cache=MappingCache()),
         _constraints(),
         max_evaluations=BUDGET,
         seed=SEED,
@@ -76,22 +85,46 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("cls", BASELINES, ids=[cls.name for cls in BASELINES])
-def test_baseline_run_matches_golden(tmp_path, edge_space, tiny_workload, cls):
+def _assert_matches_golden(key, tmp_path, make_engine):
     journal = tmp_path / "run.jsonl"
     tracer = Tracer(JsonlSink(journal))
     try:
-        result = _engine(cls, edge_space, tiny_workload, tracer).run()
+        result = make_engine(tracer).run()
     finally:
         tracer.close()
     observed = {
         "fingerprint": _sha256(result_fingerprint(result).encode("utf-8")),
         "journal": _sha256(_canonical_journal(journal)),
     }
-    expected = json.loads(GOLDENS.read_text())[cls.name]
+    expected = json.loads(GOLDENS.read_text())[key]
     assert observed == expected, (
-        f"{cls.name} differs from {GOLDENS.name}; observed: "
+        f"{key} differs from {GOLDENS.name}; observed: "
         f"{json.dumps(observed, sort_keys=True)}"
+    )
+
+
+@pytest.mark.parametrize("cls", BASELINES, ids=[cls.name for cls in BASELINES])
+def test_baseline_run_matches_golden(tmp_path, edge_space, tiny_workload, cls):
+    _assert_matches_golden(
+        cls.name,
+        tmp_path,
+        lambda tracer: _engine(cls, edge_space, tiny_workload, tracer),
+    )
+
+
+@pytest.mark.parametrize(
+    "cls,key", RANDOM_MAPPER_CELLS, ids=[key for _, key in RANDOM_MAPPER_CELLS]
+)
+def test_random_mapper_run_matches_golden(
+    tmp_path, edge_space, tiny_workload, cls, key
+):
+    _assert_matches_golden(
+        key,
+        tmp_path,
+        lambda tracer: _engine(
+            cls, edge_space, tiny_workload, tracer,
+            mapper=RandomSearchMapper(trials=20),
+        ),
     )
 
 

@@ -1,4 +1,4 @@
-"""Generation-order tests for array-native top-N candidate generation.
+"""Generation-order tests for array-native candidate generation.
 
 ``TopNMapper.candidate_plan`` builds one search's
 :class:`CandidateBatch` directly as int64 arrays.  The per-candidate
@@ -7,10 +7,16 @@ round-robin over spatial unrollings with a structure-dedup ``seen`` set,
 cut at ``top_n``.  The batch must hold the same rows in the same
 order with the same stationary codes, and materialize the same
 ``Mapping`` objects, down to Python value types and dict key order.
+
+``RandomSearchMapper.candidate_plan`` samples its trials in the tuple
+domain.  The dict-building sampler it replaced is kept below too, as
+the reference for the random mapper: same ``rng.choice`` calls over the
+same sequences, so the same rows from the same seeded stream.
 """
 
 import dataclasses
 import itertools
+import random
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
@@ -19,14 +25,22 @@ from hypothesis import given, settings, strategies as st
 from repro.arch import build_edge_design_space, config_from_point
 from repro.arch.accelerator import AcceleratorConfig
 from repro.mapping.batch_candidates import CandidateBatch, CandidateSpec
-from repro.mapping.dataflow import greedy_tile_counts
+from repro.mapping.dataflow import SPATIAL_DIMS, greedy_tile_counts
+from repro.mapping.factorization import divisors
 from repro.mapping.mapper import (
     RF_GROWTH_ORDERS,
     SPM_GROWTH_ORDERS,
+    RandomSearchMapper,
     TopNMapper,
+    _random_batch,
+    _stable_seed,
     enumerate_spatial_unrollings,
 )
-from repro.mapping.mapping import STATIONARY_CHOICES, padded_bounds_tuple
+from repro.mapping.mapping import (
+    STATIONARY_CHOICES,
+    padded_bounds,
+    padded_bounds_tuple,
+)
 from repro.workloads.layers import (
     LOOP_DIMS,
     Dim,
@@ -145,27 +159,78 @@ def _reference_specs(layer, config, top_n, max_spatial):
     )
 
 
+# -- reference: the random mapper's per-candidate sampler, verbatim ---------
+
+def _random_candidate(
+    layer: LayerShape,
+    config: AcceleratorConfig,
+    rng: random.Random,
+) -> CandidateSpec:
+    bounds = padded_bounds(layer)
+    spatial: Dict[Dim, int] = {d: 1 for d in LOOP_DIMS}
+    budget = config.pes
+    for d in SPATIAL_DIMS:
+        opts = [f for f in divisors(bounds[d]) if f <= budget]
+        spatial[d] = rng.choice(opts)
+        budget //= spatial[d]
+    rf: Dict[Dim, int] = {}
+    spm: Dict[Dim, int] = {}
+    dram: Dict[Dim, int] = {}
+    for d in LOOP_DIMS:
+        rest = bounds[d] // spatial[d]
+        rf[d] = rng.choice(divisors(rest))
+        rest //= rf[d]
+        spm[d] = rng.choice(divisors(rest))
+        dram[d] = rest // spm[d]
+    return CandidateSpec.from_level_maps(
+        dram=dram,
+        spm=spm,
+        spatial=spatial,
+        rf=rf,
+        dram_stationary=rng.choice(STATIONARY_CHOICES),
+        spm_stationary=rng.choice(STATIONARY_CHOICES),
+    )
+
+
+def _reference_random_plan(mapper, layer, config):
+    rng = random.Random(
+        _stable_seed(mapper.seed, layer.name, config.pes, config.l1_bytes)
+    )
+    return CandidateBatch.from_specs(
+        _random_candidate(layer, config, rng) for _ in range(mapper.trials)
+    ), rng
+
+
 # -- inputs ------------------------------------------------------------------
 
 _SPACE = build_edge_design_space()
 _FIELDS = ("dram", "spm", "spatial", "rf", "dram_code", "spm_code")
 
 
+def _assert_same_arrays(batch: CandidateBatch, expected: CandidateBatch):
+    for field in _FIELDS:
+        got, want = getattr(batch, field), getattr(expected, field)
+        assert got.dtype == np.int64, field
+        assert got.shape == want.shape, field
+        assert np.array_equal(got, want), field
+
+
 @st.composite
-def _layers(draw) -> LayerShape:
+def _layers(draw, names=st.just("l")) -> LayerShape:
+    name = draw(names)
     operator = draw(st.sampled_from(list(OperatorType)))
     m = draw(st.integers(1, 512))
     oy, ox = draw(st.integers(1, 64)), draw(st.integers(1, 64))
     kernel = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
     batch = draw(st.integers(1, 4))
     if operator is OperatorType.CONV:
-        layer = conv2d("l", draw(st.integers(1, 512)), m, (oy, ox),
+        layer = conv2d(name, draw(st.integers(1, 512)), m, (oy, ox),
                        kernel=kernel, batch=batch)
     elif operator is OperatorType.DWCONV:
-        layer = depthwise_conv2d("l", m, (oy, ox), kernel=kernel,
+        layer = depthwise_conv2d(name, m, (oy, ox), kernel=kernel,
                                  batch=batch)
     else:
-        layer = gemm("l", m, draw(st.integers(1, 512)), ox, batch=batch)
+        layer = gemm(name, m, draw(st.integers(1, 512)), ox, batch=batch)
     return dataclasses.replace(layer, stride=draw(st.integers(1, 3)))
 
 
@@ -196,11 +261,7 @@ def test_batch_matches_reference_generator(layer, config, top_n, max_spatial):
     )
 
     assert len(batch) == len(specs)
-    for field in _FIELDS:
-        got, want = getattr(batch, field), getattr(expected, field)
-        assert got.dtype == np.int64, field
-        assert got.shape == want.shape, field
-        assert np.array_equal(got, want), field
+    _assert_same_arrays(batch, expected)
 
     for i, spec in enumerate(specs):
         assert_mappings_identical(spec.to_mapping(), batch.mapping(i))
@@ -208,3 +269,26 @@ def test_batch_matches_reference_generator(layer, config, top_n, max_spatial):
     for i, mapping in zip(picks, batch.mappings(picks)):
         assert_mappings_identical(specs[i].to_mapping(), mapping)
     assert batch.mappings([]) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layer=_layers(names=st.sampled_from(["l", "conv3_x", "blocks.4.fc"])),
+    config=_configs(),
+    trials=st.sampled_from([1, 2, 60, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_plan_matches_reference_sampler(layer, config, trials, seed):
+    mapper = RandomSearchMapper(trials=trials, seed=seed)
+    expected, reference_rng = _reference_random_plan(mapper, layer, config)
+    batch = mapper.candidate_plan(layer, config)
+
+    assert len(batch) == trials
+    _assert_same_arrays(batch, expected)
+    # Both samplers leave the seeded stream at the same place: the same
+    # number of draws, not just the same rows.
+    rng = random.Random(
+        _stable_seed(seed, layer.name, config.pes, config.l1_bytes)
+    )
+    _random_batch(padded_bounds_tuple(layer), config.pes, trials, rng)
+    assert rng.getstate() == reference_rng.getstate()

@@ -116,6 +116,14 @@ class TestSamplingAndMoves:
         assert small_space.minimum_point() in points
         assert small_space.maximum_point() in points
 
+    def test_grid_is_product_of_axes_last_fastest(self, small_space):
+        assert small_space.grid_axes(3) == ((1, 2, 4), (10, 20), (5, 7, 8))
+        assert list(small_space.grid(2))[:3] == [
+            {"a": 1, "b": 10, "c": 5},
+            {"a": 1, "b": 10, "c": 8},
+            {"a": 1, "b": 20, "c": 5},
+        ]
+
     def test_grid_full_resolution(self, small_space):
         assert len(list(small_space.grid(10))) == small_space.size
 
