@@ -158,6 +158,10 @@ class ExplainableDSE:
         budget_aware: bool = True,
         tracer: Optional[Tracer] = None,
     ):
+        if max_evaluations < 1:
+            raise ValueError(
+                f"max_evaluations must be >= 1, got {max_evaluations!r}"
+            )
         self.space = design_space
         self.evaluator = evaluator
         self.constraints = list(constraints)

@@ -312,10 +312,20 @@ class CostEvaluator:
                 for _ in pending:
                     stats.record_fused_fallback()
             return pending
+        # The block gives one result object to every layer of a signature.
+        # The layers after the first count as exact hits, as within-point
+        # repeats do on the per-layer path, so ``misses`` counts the
+        # searches the block ran.
+        searched = set()
         for layer, result in fused:
             if cm is not None:
-                cm.misses += 1
-                cm.cache.stats.misses += 1
+                if id(result) in searched:
+                    cm.exact_hits += 1
+                    cm.cache.stats.exact_hits += 1
+                else:
+                    searched.add(id(result))
+                    cm.misses += 1
+                    cm.cache.stats.misses += 1
                 cm.store(layer, config, result, None)
             results[layer.name] = result
         return remaining

@@ -14,6 +14,14 @@ Both build a search's candidate set directly as one int64
 gathers rows from the tilings it draws, and the random mapper samples each
 trial's factors as plain tuples, from memoized divisor tables, and fills
 one array with them.
+
+A top-N plan depends only on the layer signature, four hardware fields
+(``pes``, ``l1_bytes``, ``l2_bytes``, ``bytes_per_element``) and the
+mapper's ``max_spatial`` and ``top_n``, and DNNs repeat layer shapes
+across layers and design points.  So the drawn tilings and each row's
+tiling index and stationary codes are memoized process-wide in a bounded
+LRU (:func:`_top_n_plan`, read-only arrays), and every search gathers
+its own fresh batch from them.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from repro.mapping.dataflow import (
     _greedy_tile_counts_cached,
     build_output_stationary_mapping,
 )
-from repro.mapping.factorization import divisors
+from repro.mapping.factorization import divisors, smooth_pad
 from repro.mapping.mapping import (
     STATIONARY_CHOICES,
     Mapping,
@@ -48,6 +56,7 @@ from repro.mapping.mapping import (
     padded_bounds_tuple,
 )
 from repro.perf.instrumentation import BatchEvalStats
+from repro.perf.signature import layer_signature
 from repro.workloads.layers import LOOP_DIMS, Dim, LayerShape, OperatorType
 
 __all__ = [
@@ -314,6 +323,8 @@ def _spatial_unrollings_cached(
     per_bucket = max(2, max_combos // 8)
     kept: List[Tuple[int, ...]] = []
     for used, spatial in combos:
+        if len(kept) >= max_combos - 1:
+            break
         if used < 2:
             continue
         bucket = used.bit_length()
@@ -321,8 +332,6 @@ def _spatial_unrollings_cached(
             continue
         buckets[bucket] = buckets.get(bucket, 0) + 1
         kept.append(spatial)
-        if len(kept) >= max_combos - 1:
-            break
     # The purely temporal mapping is always NoC-compatible; keep it as a
     # fallback so adaptive mapping can execute on any hardware (fixed
     # dataflows lack this escape hatch — paper §6.2).
@@ -344,8 +353,11 @@ def enumerate_spatial_unrollings(
     ``max(2, max_combos // 8)`` per power-of-two utilization bucket
     (``used.bit_length()``), skipping single-PE combos, until
     ``max_combos - 1`` are kept.  The purely temporal unrolling is always
-    appended last as the NoC-compatible fallback.
+    appended last as the NoC-compatible fallback, so ``max_combos=1``
+    keeps it alone.
     """
+    if max_combos < 1:
+        raise ValueError(f"max_combos must be >= 1, got {max_combos!r}")
     bounds = padded_bounds(layer)
     kept = _spatial_unrollings_cached(
         tuple(bounds[d] for d in SPATIAL_DIMS),
@@ -369,8 +381,11 @@ _CODE_PAIRS = len(STATIONARY_CHOICES) ** 2
 
 
 def _distinct_tilings(
-    layer: LayerShape,
-    config: AcceleratorConfig,
+    stride: int,
+    dwise: bool,
+    l1_bytes: int,
+    spm_budget: int,
+    bytes_per_element: int,
     bounds: Tuple[int, ...],
     spatial: Tuple[int, ...],
 ) -> Iterator[Tuple[int, ...]]:
@@ -381,22 +396,19 @@ def _distinct_tilings(
     Growth orders that land on an already-yielded ``(rf, spm)`` pair are
     skipped; the pair fixes ``dram``, so each yielded tiling is distinct.
     """
-    stride = layer.stride
-    dwise = layer.operator is OperatorType.DWCONV
-    bpe = config.bytes_per_element
-    spm_budget = config.l2_bytes // 2
     remaining0 = tuple(map(floordiv, bounds, spatial))
     seen = set()
     for rf_order in _RF_ORDER_COLS:
         rf = _greedy_tile_counts_cached(
-            stride, dwise, remaining0, rf_order, config.l1_bytes,
-            _UNIT_TILE, bpe,
+            stride, dwise, remaining0, rf_order, l1_bytes,
+            _UNIT_TILE, bytes_per_element,
         )
         remaining1 = tuple(map(floordiv, remaining0, rf))
         base = tuple(map(mul, rf, spatial))
         for spm_order in _SPM_ORDER_COLS:
             spm = _greedy_tile_counts_cached(
-                stride, dwise, remaining1, spm_order, spm_budget, base, bpe,
+                stride, dwise, remaining1, spm_order, spm_budget, base,
+                bytes_per_element,
             )
             if (rf, spm) in seen:
                 continue
@@ -404,14 +416,37 @@ def _distinct_tilings(
             yield spatial + rf + spm + tuple(map(floordiv, remaining1, spm))
 
 
-def _top_n_batch(
-    layer: LayerShape,
-    config: AcceleratorConfig,
+#: Entries of the top-N plan memo (:func:`_top_n_plan`).  An entry is
+#: about 7 KB at ``top_n=150``, so a full memo holds under 10 MB.
+_TOP_N_PLANS = 1024
+
+
+@functools.lru_cache(maxsize=_TOP_N_PLANS)
+def _top_n_plan(
+    operator: str,
+    dims: Tuple[int, ...],
+    stride: int,
+    pes: int,
+    l1_bytes: int,
+    l2_bytes: int,
+    bytes_per_element: int,
     max_spatial: int,
     top_n: int,
-) -> CandidateBatch:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first ``top_n`` candidates of the pruned (spatial x RF x SPM x
-    stationarity) space, as one int64 :class:`CandidateBatch`.
+    stationarity) space, in compact form, memoized.
+
+    Returns ``(table, row, code)``, all int64 and read-only: the drawn
+    tilings as a ``(tilings, 4, 7)`` table of spatial, RF, SPM and DRAM
+    factors, and per candidate its tiling's table index and its
+    stationary-code pair (``dram_code * 3 + spm_code``).
+
+    The arguments are everything generation reads and nothing else: the
+    layer signature (operator value, loop bounds, stride), four hardware
+    fields and the mapper's two budgets (see :mod:`repro.perf.signature`).
+    A layer's name and ``repeats`` and the NoC, bandwidth and clock
+    fields do not change a plan, so layers and design points that differ
+    only there share one entry.
 
     Candidates are ordered by (pair rank, stationary-code pair, unrolling
     index), where a tiling's pair rank is its position among its
@@ -419,15 +454,19 @@ def _top_n_batch(
     unrolling, including the temporal fallback, therefore appears before
     any unrolling's second stationarity variant, so a bounded budget
     still touches every spatial option.  Pair ranks are drawn one at a
-    time and only until ``top_n`` rows exist; the rows are then laid out
-    by gathering from the small table of drawn tilings.
+    time and only until ``top_n`` rows exist.
     """
-    bounds = padded_bounds_tuple(layer)
+    bounds = tuple(map(smooth_pad, dims))
+    dwise = operator == OperatorType.DWCONV.value
+    spm_budget = l2_bytes // 2
     active = [
-        _distinct_tilings(layer, config, bounds, spatial)
+        _distinct_tilings(
+            stride, dwise, l1_bytes, spm_budget, bytes_per_element, bounds,
+            spatial,
+        )
         for spatial in _spatial_unrollings_cached(
             tuple(bounds[c] for c in _SPATIAL_COLS),
-            config.pes,
+            pes,
             _SPATIAL_OPTIONS_PER_DIM,
             max_spatial,
         )
@@ -456,10 +495,37 @@ def _top_n_batch(
         rows.append(start + j % width)
         codes.append(j // width)
         count += width * _CODE_PAIRS
-    row = np.concatenate(rows)[:top_n]
-    code = np.concatenate(codes)[:top_n]
-    levels = np.array(table, dtype=np.int64).reshape(-1, 4, len(LOOP_DIMS))
-    levels = levels[row]
+    # Copies, so that the memo holds no rows past ``top_n``.
+    plan = (
+        np.array(table, dtype=np.int64).reshape(-1, 4, len(LOOP_DIMS)),
+        np.concatenate(rows)[:top_n].copy(),
+        np.concatenate(codes)[:top_n].copy(),
+    )
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
+def _top_n_batch(
+    layer: LayerShape,
+    config: AcceleratorConfig,
+    max_spatial: int,
+    top_n: int,
+) -> CandidateBatch:
+    """The top-N candidates of ``layer`` on ``config`` as one int64
+    :class:`CandidateBatch`, gathered from the memoized plan
+    (:func:`_top_n_plan`) into fresh arrays: a caller may write into the
+    batch without changing any later plan."""
+    table, row, code = _top_n_plan(
+        *layer_signature(layer),
+        config.pes,
+        config.l1_bytes,
+        config.l2_bytes,
+        config.bytes_per_element,
+        max_spatial,
+        top_n,
+    )
+    levels = table[row]
     return CandidateBatch(
         dram=levels[:, 3],
         spm=levels[:, 2],
@@ -699,7 +765,8 @@ class TopNMapper:
     Args:
         top_n: Maximum mappings evaluated per (layer, hardware) pair.
         max_spatial: Spatial-unrolling combinations retained after
-            utilization pruning.
+            utilization pruning, the temporal fallback included (1 keeps
+            the fallback alone).
         objective: Mapping metric minimized: ``"latency"`` (default),
             ``"energy"``, or ``"edp"``.
         batch_eval: Score candidates through the vectorized kernel
@@ -719,6 +786,8 @@ class TopNMapper:
     ):
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
+        if max_spatial < 1:
+            raise ValueError(f"max_spatial must be >= 1, got {max_spatial!r}")
         _resolve_objective(objective)
         self.top_n = top_n
         self.max_spatial = max_spatial
@@ -739,7 +808,8 @@ class TopNMapper:
 
         This is the fused-evaluation protocol (``repro.cost.fused``): a
         caller may score the batch itself; doing so is exactly
-        equivalent to :meth:`search_with_trace`.
+        equivalent to :meth:`search_with_trace`.  Each call returns
+        fresh arrays gathered from the process-wide plan memo.
         """
         return _top_n_batch(layer, config, self.max_spatial, self.top_n)
 

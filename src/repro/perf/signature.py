@@ -8,7 +8,11 @@ This module centralizes that contract:
 * the candidate generators (``enumerate_spatial_unrollings``,
   ``greedy_tile``, ``build_output_stationary_mapping``, the random
   tiling sampler) read ``pes``, ``l1_bytes``, ``l2_bytes`` and
-  ``bytes_per_element``;
+  ``bytes_per_element``.  The top-N plan memo
+  (``repro.mapping.mapper._top_n_plan``) keys on exactly these four,
+  the :func:`layer_signature` and the mapper's ``max_spatial`` and
+  ``top_n``, so layers that differ only in name or ``repeats`` and
+  configs that differ only in the fields below share one plan;
 * feasibility checks additionally read the NoC configuration
   (``noc_datawidth_bits``, physical/virtual unicast links);
 * only candidate *scoring* reads ``offchip_bw_mbps`` / ``freq_mhz``

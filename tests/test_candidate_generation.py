@@ -8,6 +8,11 @@ cut at ``top_n``.  The batch must hold the same rows in the same
 order with the same stationary codes, and materialize the same
 ``Mapping`` objects, down to Python value types and dict key order.
 
+Top-N plans are memoized process-wide by exactly the inputs generation
+reads (``_top_n_plan``); the memo tests below check that the key misses
+on every one of those inputs, hits on everything else, and never hands
+out arrays a caller could write into.
+
 ``RandomSearchMapper.candidate_plan`` samples its trials in the tuple
 domain.  The dict-building sampler it replaced is kept below too, as
 the reference for the random mapper: same ``rng.choice`` calls over the
@@ -34,6 +39,7 @@ from repro.mapping.mapper import (
     TopNMapper,
     _random_batch,
     _stable_seed,
+    _top_n_plan,
     enumerate_spatial_unrollings,
 )
 from repro.mapping.mapping import (
@@ -292,3 +298,127 @@ def test_random_plan_matches_reference_sampler(layer, config, trials, seed):
     )
     _random_batch(padded_bounds_tuple(layer), config.pes, trials, rng)
     assert rng.getstate() == reference_rng.getstate()
+
+
+# -- the top-N plan memo ------------------------------------------------------
+
+def _plan_changes(layer, config):
+    """``(field, layer, config, budget changes, read)`` rows, each
+    changing one input of a plan.  ``read`` says whether generation
+    reads the field, so that changing it must miss the memo."""
+    replace = dataclasses.replace
+    dims = list(layer.dims)
+    dims[LOOP_DIMS.index(Dim.M)] += 1
+
+    def other(parameter):
+        current = getattr(config, parameter)
+        return next(
+            v for v in _SPACE.parameter(parameter).values if v != current
+        )
+
+    def doubled(links):
+        return {op: factor * 2 for op, factor in links.items()}
+
+    other_operator = {
+        OperatorType.CONV: OperatorType.DWCONV,
+        OperatorType.DWCONV: OperatorType.GEMM,
+        OperatorType.GEMM: OperatorType.CONV,
+    }[layer.operator]
+    return [
+        ("operator", replace(layer, operator=other_operator), config, {},
+         True),
+        ("dims", replace(layer, dims=tuple(dims)), config, {}, True),
+        ("stride", replace(layer, stride=layer.stride % 3 + 1), config, {},
+         True),
+        ("pes", layer, replace(config, pes=other("pes")), {}, True),
+        ("l1_bytes", layer, replace(config, l1_bytes=other("l1_bytes")), {},
+         True),
+        ("l2_bytes", layer, replace(config, l2_kb=other("l2_kb")), {}, True),
+        ("bytes_per_element", layer,
+         replace(config, bytes_per_element=config.bytes_per_element * 2), {},
+         True),
+        ("max_spatial", layer, config, {"max_spatial": 3}, True),
+        ("top_n", layer, config, {"top_n": 11}, True),
+        ("noc_datawidth_bits", layer,
+         replace(config, noc_datawidth_bits=config.noc_datawidth_bits * 2),
+         {}, False),
+        ("offchip_bw_mbps", layer,
+         replace(config, offchip_bw_mbps=config.offchip_bw_mbps + 1), {},
+         False),
+        ("freq_mhz", layer, replace(config, freq_mhz=config.freq_mhz + 100),
+         {}, False),
+        ("phys_unicast_factor", layer,
+         replace(config,
+                 phys_unicast_factor=doubled(config.phys_unicast_factor)),
+         {}, False),
+        ("virt_unicast", layer,
+         replace(config, virt_unicast=doubled(config.virt_unicast)), {},
+         False),
+        ("name", replace(layer, name=layer.name + "_copy"), config, {},
+         False),
+        ("repeats", replace(layer, repeats=layer.repeats + 2), config, {},
+         False),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layer=_layers(),
+    config=_configs(),
+    top_n=st.sampled_from([1, 9, 10, 150]),
+    max_spatial=st.sampled_from([1, 2, 16]),
+)
+def test_plan_memo_keys_on_generation_inputs(
+    layer, config, top_n, max_spatial
+):
+    _top_n_plan.cache_clear()
+    budgets = {"top_n": top_n, "max_spatial": max_spatial}
+    expected = CandidateBatch.from_specs(
+        _reference_specs(layer, config, top_n, max_spatial)
+    )
+    for _ in range(2):  # a miss, then a memo hit: the same plan
+        _assert_same_arrays(
+            TopNMapper(**budgets).candidate_plan(layer, config), expected
+        )
+    info = _top_n_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+    for field, layer2, config2, budget_changes, read in _plan_changes(
+        layer, config
+    ):
+        changed = {**budgets, **budget_changes}
+        before = _top_n_plan.cache_info()
+        batch = TopNMapper(**changed).candidate_plan(layer2, config2)
+        after = _top_n_plan.cache_info()
+        reference = _reference_specs(
+            layer2, config2, changed["top_n"], changed["max_spatial"]
+        )
+        _assert_same_arrays(batch, CandidateBatch.from_specs(reference))
+        assert after.misses - before.misses == int(read), field
+        assert after.hits - before.hits == int(not read), field
+
+
+def test_plan_batches_do_not_alias_the_memo(resnet18, mid_config):
+    layer = resnet18.layer("conv3_x")
+    mapper = TopNMapper(top_n=150)
+    expected = CandidateBatch.from_specs(
+        _reference_specs(layer, mid_config, 150, mapper.max_spatial)
+    )
+    first = mapper.candidate_plan(layer, mid_config)
+    for field in _FIELDS:
+        getattr(first, field)[...] = 0
+    _assert_same_arrays(mapper.candidate_plan(layer, mid_config), expected)
+
+    plan = _top_n_plan(
+        layer.operator.value,
+        layer.dims,
+        layer.stride,
+        mid_config.pes,
+        mid_config.l1_bytes,
+        mid_config.l2_bytes,
+        mid_config.bytes_per_element,
+        mapper.max_spatial,
+        150,
+    )
+    assert [array.flags.writeable for array in plan] == [False] * 3
+    assert _top_n_plan.cache_info().maxsize is not None

@@ -37,6 +37,17 @@ class TestRun:
         assert result.evaluations <= 40
         assert len(result.trials) == result.evaluations
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_nonpositive_budget(self, dse_setup, edge_space, budget):
+        """A budget below one would still spend the initial point's
+        evaluation, so it is refused as the baselines refuse it."""
+        _, evaluator, constraints = dse_setup
+        with pytest.raises(ValueError, match="max_evaluations"):
+            ExplainableDSE(
+                edge_space, evaluator, constraints, max_evaluations=budget
+            )
+        assert evaluator.evaluations == 0
+
     def test_improves_over_initial_point(self, dse_setup, edge_space):
         dse, _, _ = dse_setup
         result = dse.run()

@@ -28,7 +28,16 @@ from repro.mapping.mapper import (
     RandomSearchMapper,
     TopNMapper,
 )
-from repro.workloads import Workload, conv2d, depthwise_conv2d, gemm
+from repro.perf.instrumentation import BatchEvalStats
+from repro.perf.mapping_cache import MappingCache
+from repro.perf.signature import layer_signature
+from repro.workloads import (
+    Workload,
+    conv2d,
+    depthwise_conv2d,
+    gemm,
+    load_workload,
+)
 
 from tests.test_batch_eval import (
     assert_outcomes_identical,
@@ -153,6 +162,68 @@ class TestSearchLayersFused:
             expected, _trace = reference.search_with_trace(layer, tiny_config)
             assert_results_identical(expected, result)
 
+    def test_repeated_shapes_searched_once(self, mid_config):
+        """Transformer's 20 layers have 5 distinct shapes: the block runs
+        5 searches, and each layer gets its shape's result, which equals
+        the scalar reference's."""
+        self._assert_one_search_per_signature(
+            list(load_workload("transformer").layers), mid_config
+        )
+
+    @given(
+        layers=_layers_strategy,
+        copies=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_renamed_copies_searched_once(self, layers, copies, mid_config):
+        layers = _uniquify(
+            layers + [layers[i % len(layers)] for i in copies]
+        )
+        self._assert_one_search_per_signature(layers, mid_config)
+
+    @staticmethod
+    def _assert_one_search_per_signature(layers, config):
+        mapper = TopNMapper(top_n=40)
+        stats = BatchEvalStats()
+        fused, remaining = search_layers_fused(
+            mapper, layers, config, stats=stats
+        )
+        assert remaining == []
+        assert [layer for layer, _ in fused] == layers
+        first = {}
+        for layer in layers:
+            first.setdefault(layer_signature(layer), layer)
+        assert len(first) < len(layers)
+        assert stats.fused_blocks == 1
+        assert stats.fused_layers == len(first)
+        assert stats.fused_candidates == sum(
+            len(mapper.candidate_plan(layer, config))
+            for layer in first.values()
+        )
+        reference = TopNMapper(top_n=40, batch_eval=False)
+        by_signature = {}
+        for layer, result in fused:
+            expected, _trace = reference.search_with_trace(layer, config)
+            assert_results_identical(expected, result)
+            shared = by_signature.setdefault(layer_signature(layer), result)
+            assert result is shared
+
+    def test_random_mapper_searches_each_name(self, resnet18, mid_config):
+        """The random mapper seeds its stream with the layer name, so
+        same-shape layers with different names are all searched."""
+        layers = _uniquify([resnet18.layer("conv3_x")] * 3)
+        stats = BatchEvalStats()
+        fused, remaining = search_layers_fused(
+            _random(), layers, mid_config, stats=stats
+        )
+        assert remaining == []
+        assert stats.fused_layers == 3
+        assert stats.fused_candidates == 3 * 40
+        reference = _random(batch_eval=False)
+        for layer, result in fused:
+            expected, _trace = reference.search_with_trace(layer, mid_config)
+            assert_results_identical(expected, result)
+
     def test_infeasibility_reasons_identical(self, tiny_config, resnet18):
         """Winner-less layers still report the scalar path's reason
         strings through the fused block's row diagnostics."""
@@ -239,6 +310,33 @@ class TestEvaluatorIntegration:
         cold = reference.evaluate(mid_point)
         assert evaluator2.mapping_cache_hits == len(resnet18.layers)
         assert warm.costs == cold.costs
+
+    def test_repeated_shapes_count_as_exact_hits(self, mid_point):
+        """A layer served by an earlier same-shape layer of its block is
+        an exact hit, as the per-layer path counts it, so ``misses``
+        equals the searches run."""
+        transformer = load_workload("transformer")
+        distinct = len({layer_signature(l) for l in transformer.layers})
+        repeats = len(transformer.layers) - distinct
+        evaluators = [
+            CostEvaluator(
+                transformer,
+                TopNMapper(top_n=50),
+                mapping_cache=MappingCache(),
+                fused_eval=fused_eval,
+            )
+            for fused_eval in (True, False)
+        ]
+        fused, per_layer = (e.evaluate(mid_point) for e in evaluators)
+        assert fused.costs == per_layer.costs
+        for evaluator in evaluators:
+            cache = evaluator.perf_summary()["mapping_cache"]
+            assert cache["misses"] == distinct
+            assert cache["exact_hits"] == repeats
+            assert cache["entries"] == distinct
+            assert evaluator.mapping_cache.stats.misses == distinct
+            assert evaluator.mapping_cache.stats.exact_hits == repeats
+        assert evaluators[0].batch_eval_stats.fused_layers == distinct
 
     def test_unsupported_mapper_falls_back_silently(self, resnet18, mid_point):
         fixed = FixedDataflowMapper()

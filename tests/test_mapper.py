@@ -65,6 +65,27 @@ class TestSpatialEnumeration:
         assert pes_used[-1] >= mid_config.pes // 4
         assert len(pes_used) >= 3
 
+    @pytest.mark.parametrize("max_combos", [1, 2, 3, 5, 16, 24])
+    def test_keeps_max_combos_including_fallback(
+        self, conv_layer, mid_config, max_combos
+    ):
+        """``max_combos - 1`` spatial unrollings plus the temporal
+        fallback, so 1 keeps the fallback alone."""
+        unrollings = enumerate_spatial_unrollings(
+            conv_layer, mid_config, max_combos=max_combos
+        )
+        assert len(unrollings) == max_combos
+        assert unrollings[-1] == {d: 1 for d in LOOP_DIMS}
+
+    @pytest.mark.parametrize("max_combos", [0, -3])
+    def test_rejects_nonpositive_max_combos(
+        self, conv_layer, mid_config, max_combos
+    ):
+        with pytest.raises(ValueError, match="max_combos"):
+            enumerate_spatial_unrollings(
+                conv_layer, mid_config, max_combos=max_combos
+            )
+
 
 def eval_used(spatial):
     used = 1
@@ -98,6 +119,28 @@ class TestTopNMapper:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             TopNMapper(top_n=0)
+
+    @pytest.mark.parametrize("max_spatial", [0, -3])
+    def test_rejects_nonpositive_max_spatial(self, max_spatial):
+        with pytest.raises(ValueError, match="max_spatial"):
+            TopNMapper(max_spatial=max_spatial)
+
+    def test_max_spatial_one_searches_the_temporal_fallback_only(
+        self, resnet18, edge_space
+    ):
+        """At the minimum point ``max_spatial=1`` plans every candidate
+        on the purely temporal unrolling, and 2 adds one spatial one."""
+        layer = resnet18.layers[1]
+        config = config_from_point(edge_space.minimum_point())
+        temporal = TopNMapper(max_spatial=1).candidate_plan(layer, config)
+        assert len(temporal) > 0
+        assert (temporal.spatial == 1).all()
+        wider = TopNMapper(max_spatial=2).candidate_plan(layer, config)
+        assert len(wider) > len(temporal)
+        assert len({tuple(row) for row in wider.spatial.tolist()}) == 2
+        result = TopNMapper(max_spatial=1)(layer, config)
+        assert result.feasible
+        assert result.execution.pes_used == 1
 
     def test_beats_or_matches_fixed_dataflow(self, conv_layer, mid_config):
         fixed = FixedDataflowMapper()(conv_layer, mid_config)

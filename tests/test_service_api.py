@@ -220,6 +220,25 @@ class TestServiceLifecycle:
         assert final["slo"]["quarantined_trials"] == 0
         assert final["tenant_state"]["tenant"] == "alice"
 
+    def test_zero_iteration_campaign_fails(self, tmp_path):
+        """An HTTP submission skips the CLI's positive-int check, so the
+        default factory must refuse a zero budget rather than spend an
+        evaluation it was not given."""
+
+        async def run():
+            service = CampaignService(tmp_path / "spool")
+            await service.start()
+            cid = await service.submit(
+                CampaignSpec(model="resnet18", iterations=0)
+            )
+            status = await service.wait(cid)
+            await service.stop()
+            return status
+
+        status = asyncio.run(run())
+        assert status["status"] == "failed"
+        assert "max_evaluations must be >= 1" in status["error"]
+
     def test_unknown_campaign_raises(self, factory, tmp_path):
         async def run():
             service = CampaignService(
