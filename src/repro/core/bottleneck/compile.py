@@ -24,11 +24,11 @@ so results are bitwise identical, NaN propagation included.
 
 Programs are memoized by structure (trees are rebuilt per layer per DSE
 attempt, but their shapes repeat campaign-wide — the same hazard
-``padded_bounds`` memoization addressed for layer bounds); hit/miss
-counters surface in ``CostEvaluator.perf_summary()`` under
-``tree_compile``.  The knob is ``REPRO_TREE_COMPILE`` (default on;
-``0`` selects the recursive reference walk — the verify differential
-runs its reference campaigns that way).
+``padded_bounds`` memoization addressed for layer bounds); :func:`stats`
+holds the memo's process-wide hit/miss counters.  The knob is
+``REPRO_TREE_COMPILE`` (default on; ``0`` selects the recursive
+reference walk — the verify differential runs its reference campaigns
+that way).
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ class TreeCompileStats:
     """Process-wide counters of the structure memo and evaluations.
 
     Plain attributes only (mirrors
-    :class:`repro.perf.instrumentation.BatchEvalStats`).  These counters
-    are *volatile* for journaling purposes — the memo is process-global,
-    so successive campaigns in one process observe different hit counts;
-    ``repro.telemetry.events`` excludes them from ``RunSummary``.
+    :class:`repro.perf.instrumentation.BatchEvalStats`).  The memo is
+    process-global, so successive campaigns in one process observe
+    different hit counts; no journal records these counters.
     """
 
     def __init__(self) -> None:
@@ -90,15 +89,6 @@ class TreeCompileStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "compiled": self.compiled,
-            "evaluations": self.evaluations,
-        }
 
     def reset(self) -> None:
         self.__init__()

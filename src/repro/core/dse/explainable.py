@@ -158,10 +158,14 @@ class ExplainableDSE:
         budget_aware: bool = True,
         tracer: Optional[Tracer] = None,
     ):
-        if max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be >= 1, got {max_evaluations!r}"
-            )
+        for name, value in (
+            ("max_evaluations", max_evaluations),
+            ("top_k", top_k),
+            ("patience", patience),
+            ("max_candidates", max_candidates),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
         self.space = design_space
         self.evaluator = evaluator
         self.constraints = list(constraints)

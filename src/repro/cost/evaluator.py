@@ -15,11 +15,15 @@ Below the design-point cache sits the performance layer
 (:mod:`repro.perf`): per-layer mapping searches are memoized in a shared
 :class:`~repro.perf.mapping_cache.MappingCache` keyed by what the mapper
 actually reads (so sweeps over mapping-irrelevant parameters re-score
-cached candidates instead of re-searching), and the remaining layer
-searches of a design point resolve together in one fused cross-layer
-block (:mod:`repro.cost.fused`) when that path is enabled, then one by
-one through the mapper.  Every layer search runs in the evaluating
-process, and all of these paths are bit-identical to the cold path.
+cached candidates instead of re-searching).  The evaluator alone
+decides which searches a design point runs: one per distinct
+:func:`~repro.perf.signature.search_signature` among the layers the
+cache missed, so a DNN's repeated layer shapes are searched once per
+point with the cache on or off.  Those searches resolve together in one
+fused cross-layer block (:mod:`repro.cost.fused`) when that path is
+enabled, else one by one through the mapper.  Every layer search runs
+in the evaluating process, and all of these paths are bit-identical to
+the cold path.
 """
 
 from __future__ import annotations
@@ -27,7 +31,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.arch.accelerator import AcceleratorConfig, config_from_point
 from repro.arch.design_space import DesignPoint
@@ -36,9 +48,9 @@ from repro.cost.energy import EnergyBreakdown, layer_energy
 from repro.cost.power import PowerBreakdown, max_power
 from repro.cost.technology import TECH_45NM, TechnologyModel
 from repro.perf.instrumentation import StageTimers
-from repro.perf.knobs import env_flag, fused_eval_enabled, tree_compile_enabled
+from repro.perf.knobs import env_flag, fused_eval_enabled
 from repro.perf.mapping_cache import CachingMapper, MappingCache, shared_cache
-from repro.perf.signature import supports_tracing
+from repro.perf.signature import search_signature, supports_tracing
 from repro.resilience.errors import MapperFailureError, ReproError, is_retryable
 from repro.resilience.fault_injection import attempt_scope, inject
 from repro.resilience.supervisor import RetryPolicy
@@ -150,13 +162,14 @@ class CostEvaluator:
         self._fused_enabled = fused_eval_enabled(fused_eval)
         self._supports_fused = supports_fused(mapper)
 
+        self._traced = supports_tracing(mapper)
         if use_mapping_cache is None:
-            use_mapping_cache = env_flag(
-                "REPRO_MAPPING_CACHE", True
-            ) and supports_tracing(mapper)
+            use_mapping_cache = (
+                env_flag("REPRO_MAPPING_CACHE", True) and self._traced
+            )
         self._caching_mapper: Optional[CachingMapper] = None
         if use_mapping_cache:
-            if not supports_tracing(mapper):
+            if not self._traced:
                 raise TypeError(
                     "use_mapping_cache=True requires a mapper implementing "
                     "signature() + search_with_trace()"
@@ -225,71 +238,85 @@ class CostEvaluator:
     ) -> Dict[str, "MappingResult"]:
         """Optimize every unique layer's mapping on ``config``.
 
-        Cache hits (exact or re-scored) are resolved first; the fused
-        cross-layer path (when enabled and supported) resolves the rest
-        in one block, and anything it hands back runs through the mapper
-        one layer at a time.  Results are keyed by layer name in
-        workload order.
+        This is the one place that decides which searches a design point
+        runs.  Each layer is looked up in the mapping cache once.  The
+        misses are grouped by :func:`~repro.perf.signature.search_signature`
+        and each group runs one search, whose result every member gets:
+        the fused cross-layer block (when enabled and supported) searches
+        the groups' first layers together, and the groups it hands back
+        search one at a time through the mapper.  Results are keyed by
+        layer name in workload order.
         """
         cm = self._caching_mapper
         results: Dict[str, "MappingResult"] = {}
         pending = []
         for layer in self.workload.layers:
-            hit = cm.lookup(layer, config) if cm else None
-            if hit is not None:
-                results[layer.name] = hit
-            else:
+            hit = cm.lookup(layer, config) if cm is not None else None
+            if hit is None:
                 pending.append(layer)
-
-        pending = self._optimize_layers_fused(config, pending, results)
-        mapper = cm if cm is not None else self.mapper
+            else:
+                results[layer.name] = hit
+        groups: Dict[Tuple, List[LayerShape]] = {}
         for layer in pending:
             inject("mapper", key=layer.name)
-            try:
-                results[layer.name] = mapper(layer, config)
-            except (KeyboardInterrupt, SystemExit, ReproError):
-                raise
-            except Exception as exc:
-                raise MapperFailureError(
-                    f"mapping search failed: {type(exc).__name__}: {exc}",
-                    layer=layer.name,
-                    cause=type(exc).__name__,
-                ) from exc
+            groups.setdefault(
+                search_signature(self.mapper, layer), []
+            ).append(layer)
+
+        def serve(group: List[LayerShape], result, trace) -> None:
+            # Stored as soon as the search returns: holding a design
+            # point's traces until its last search raises peak memory.
+            if cm is not None:
+                cm.store(
+                    group[0], config, result, trace, repeats=len(group) - 1
+                )
+            for layer in group:
+                results[layer.name] = result
+
+        remaining = list(groups.values())
+        if remaining and self._fused_enabled and self._supports_fused:
+            fused, remaining = self._search_fused(config, remaining)
+            for group, result in fused:
+                serve(group, result, None)
+        for group in remaining:
+            serve(group, *self._search(group[0], config))
         return {
             layer.name: results[layer.name] for layer in self.workload.layers
         }
 
-    def _optimize_layers_fused(
-        self,
-        config: AcceleratorConfig,
-        pending: list,
-        results: Dict[str, "MappingResult"],
-    ) -> list:
-        """Fused fast path: resolve pending layers through one
-        cross-layer kernel pass (``repro.cost.fused``) when enabled.
+    def _search(self, layer: LayerShape, config: AcceleratorConfig):
+        """One per-layer search: ``(result, trace)``, the trace None for a
+        mapper without the traced-search protocol."""
+        try:
+            if self._traced:
+                return self.mapper.search_with_trace(layer, config)
+            return self.mapper(layer, config), None
+        except (KeyboardInterrupt, SystemExit, ReproError):
+            raise
+        except Exception as exc:
+            raise MapperFailureError(
+                f"mapping search failed: {type(exc).__name__}: {exc}",
+                layer=layer.name,
+                cause=type(exc).__name__,
+            ) from exc
 
-        Fills ``results`` with the fused layers' (bit-identical) outcomes
-        and returns the layers the remaining paths must still handle —
-        everything, when the path is off, unsupported, or fails.  Fused
-        results feed the mapping cache's exact tier (the fused path
-        skips re-scorable traces); fault injection fires per layer before
-        the block evaluates, matching the per-layer loop's injection
-        points.  The knob and ``supports_fused`` checks were resolved
-        once at construction — this gate costs two attribute reads per
-        step.
+    def _search_fused(
+        self, config: AcceleratorConfig, groups: List[List[LayerShape]]
+    ) -> Tuple[list, List[List[LayerShape]]]:
+        """Search the groups' first layers in one fused cross-layer block
+        (``repro.cost.fused``).  Returns ``(fused, remaining)``: each
+        fused group with its (bit-identical) result, and the groups the
+        block hands back — every group, when the block fails.
+
+        The block stores no re-scorable traces, so its results feed the
+        mapping cache's exact tier only.
         """
-        if not pending or not self._fused_enabled or not self._supports_fused:
-            return pending
         import repro.cost.fused as _fused
 
-        cm = self._caching_mapper
-        mapper = cm.mapper if cm is not None else self.mapper
-        for layer in pending:
-            inject("mapper", key=layer.name)
         try:
             fused, remaining = _fused.search_layers_fused(
-                mapper,
-                pending,
+                self.mapper,
+                [group[0] for group in groups],
                 config,
                 stats=self.batch_eval_stats,
             )
@@ -297,7 +324,7 @@ class CostEvaluator:
             raise
         except Exception as exc:
             # The safe path must win over a fast-path defect: warn and
-            # hand every layer back to the per-layer reference loop.
+            # hand every search back to the per-layer reference path.
             import warnings
 
             warnings.warn(
@@ -309,26 +336,14 @@ class CostEvaluator:
             )
             stats = self.batch_eval_stats
             if stats is not None:
-                for _ in pending:
+                for _ in groups:
                     stats.record_fused_fallback()
-            return pending
-        # The block gives one result object to every layer of a signature.
-        # The layers after the first count as exact hits, as within-point
-        # repeats do on the per-layer path, so ``misses`` counts the
-        # searches the block ran.
-        searched = set()
-        for layer, result in fused:
-            if cm is not None:
-                if id(result) in searched:
-                    cm.exact_hits += 1
-                    cm.cache.stats.exact_hits += 1
-                else:
-                    searched.add(id(result))
-                    cm.misses += 1
-                    cm.cache.stats.misses += 1
-                cm.store(layer, config, result, None)
-            results[layer.name] = result
-        return remaining
+            return [], groups
+        group_of = {group[0].name: group for group in groups}
+        return (
+            [(group_of[layer.name], result) for layer, result in fused],
+            [group_of[layer.name] for layer in remaining],
+        )
 
     def _evaluate_uncached(self, point: DesignPoint) -> Evaluation:
         config = config_from_point(
@@ -428,8 +443,6 @@ class CostEvaluator:
 
     def perf_summary(self) -> Dict[str, object]:
         """Instrumentation snapshot: timers, throughput, cache counters."""
-        from repro.core.bottleneck import compile as tree_compile
-
         cm = self._caching_mapper
         stats = self.batch_eval_stats
         batch_section: Dict[str, object] = {
@@ -441,13 +454,6 @@ class CostEvaluator:
         }
         if stats is not None:
             batch_section.update(stats.as_dict())
-        # NOTE: the tree_compile counters are process-global (the program
-        # memo outlives any one campaign), so the whole section is listed
-        # in repro.telemetry's volatile keys and never enters journals.
-        tree_section: Dict[str, object] = {
-            "enabled": tree_compile_enabled(),
-        }
-        tree_section.update(tree_compile.stats().as_dict())
         return {
             "evaluations": self.evaluations,
             "calls": self.calls,
@@ -467,7 +473,6 @@ class CostEvaluator:
                 else 0,
             },
             "batch_eval": batch_section,
-            "tree_compile": tree_section,
         }
 
     def reset_counters(self) -> None:

@@ -7,13 +7,13 @@ the kernel) once per layer.  This module collapses one design point's
 
 1. the candidate plan (``mapper.candidate_plan``, a ready int64
    :class:`~repro.mapping.batch_candidates.CandidateBatch`) of each
-   *distinct* pending layer shape is concatenated into one
+   layer given is concatenated into one
    :class:`~repro.mapping.batch_candidates.FusedCandidateBlock` — a
    (sum-of-candidates x dims) SoA block with per-row layer attributes.
-   Layers that repeat an earlier layer's
-   :func:`~repro.perf.signature.layer_signature` (name included for
-   mappers whose stream reads it) are not searched again: they get that
-   layer's result, as an exact mapping-cache hit would;
+   ``CostEvaluator`` gives one layer per distinct
+   :func:`~repro.perf.signature.search_signature` of a design point's
+   pending layers, as on its per-layer path, and hands each result to
+   that layer's repeats;
 2. :class:`FusedBlockEvaluation` runs the one candidate-scoring kernel
    of :mod:`repro.cost.batch` once over all rows;
 3. each layer's winner is selected over its row range by
@@ -48,7 +48,7 @@ the calling process.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,6 @@ import repro.cost.batch as _batch
 from repro.mapping.batch_candidates import CandidateBatch, FusedCandidateBlock
 from repro.mapping.mapper import MappingResult, _resolve_objective
 from repro.perf.instrumentation import BatchEvalStats
-from repro.perf.signature import layer_signature
 from repro.workloads.layers import LayerShape
 
 __all__ = [
@@ -137,40 +136,25 @@ def search_layers_fused(
     per-layer path (empty plan or int64-unsafe candidate set — the
     scalar reference computes those in arbitrary-precision ints).
 
-    Each distinct :func:`~repro.perf.signature.layer_signature` (with the
-    layer name when the mapper's ``cache_layer_name_relevant`` says its
-    candidate stream reads it) is searched once.  Every later layer with
-    that signature gets the *same* :class:`MappingResult` object, as an
-    exact mapping-cache hit would, and ``stats`` counts only the
-    searches run and their rows.
+    Every layer given is searched.  ``CostEvaluator`` passes one layer
+    per distinct :func:`~repro.perf.signature.search_signature` and gives
+    each result to that layer's repeats.
     """
     started = time.perf_counter()
     objective = getattr(mapper, "objective", "latency")
     scorer = None if objective == "latency" else _resolve_objective(objective)
-    include_name = bool(getattr(mapper, "cache_layer_name_relevant", True))
-    # Signature -> index among the searched layers; None when handed back.
-    searched_index: Dict[Tuple, Optional[int]] = {}
     searched: List[LayerShape] = []
     batches: List[CandidateBatch] = []
-    fused_order: List[Tuple[LayerShape, int]] = []
     remaining: List[LayerShape] = []
     for layer in layers:
-        signature = layer_signature(layer, include_name=include_name)
-        if signature not in searched_index:
-            batch = mapper.candidate_plan(layer, config)
-            if len(batch) and _batch.int64_safe(batch, config):
-                searched_index[signature] = len(searched)
-                searched.append(layer)
-                batches.append(batch)
-            else:
-                searched_index[signature] = None
-        index = searched_index[signature]
-        if index is None:
+        batch = mapper.candidate_plan(layer, config)
+        if len(batch) and _batch.int64_safe(batch, config):
+            searched.append(layer)
+            batches.append(batch)
+        else:
             if stats is not None:
                 stats.record_fused_fallback()
             remaining.append(layer)
-        else:
-            fused_order.append((layer, index))
     if not searched:
         return [], remaining
     block = FusedCandidateBlock.from_layer_batches(searched, batches)
@@ -185,4 +169,4 @@ def search_layers_fused(
             sum(result.feasible_candidates for result in results),
             time.perf_counter() - started,
         )
-    return [(layer, results[index]) for layer, index in fused_order], remaining
+    return list(zip(searched, results)), remaining

@@ -29,18 +29,14 @@ from repro.perf.knobs import (
     resolve_executor_mode,
     tree_compile_enabled,
 )
-from repro.perf.mapping_cache import (
-    CacheStats,
-    CachingMapper,
-    MappingCache,
-    shared_cache,
-)
+from repro.perf.mapping_cache import CachingMapper, MappingCache, shared_cache
 from repro.perf.parallel import WorkerPool, parallel_map, resolve_jobs
 from repro.perf.signature import (
     config_signature,
     layer_signature,
     mapper_signature,
     search_invariant_signature,
+    search_signature,
     supports_tracing,
 )
 
@@ -50,7 +46,6 @@ __all__ = [
     "fused_eval_enabled",
     "resolve_executor_mode",
     "tree_compile_enabled",
-    "CacheStats",
     "CachingMapper",
     "MappingCache",
     "shared_cache",
@@ -61,5 +56,6 @@ __all__ = [
     "layer_signature",
     "mapper_signature",
     "search_invariant_signature",
+    "search_signature",
     "supports_tracing",
 ]

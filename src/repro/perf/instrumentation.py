@@ -73,8 +73,9 @@ class BatchEvalStats:
         self.fused_seconds += seconds
 
     def record_fused_fallback(self) -> None:
-        """One layer the fused path handed back to the per-layer search
-        (int64-unsafe candidate set, empty plan, or block failure)."""
+        """One layer search the fused path handed back to the per-layer
+        path (int64-unsafe candidate set, empty plan, or block failure);
+        layers that share the search are not counted again."""
         self.fused_fallbacks += 1
 
     @property

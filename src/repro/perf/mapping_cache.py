@@ -19,6 +19,12 @@ design-point cache:
   winner.  Sweeps over off-chip bandwidth therefore never repeat the
   candidate enumeration or the per-candidate latency model.
 
+:class:`CachingMapper` is not a mapper: ``CostEvaluator`` runs a design
+point's searches itself, one per distinct
+:func:`~repro.perf.signature.search_signature`, and a
+:class:`CachingMapper` serves its lookups and records its searches.  It
+is the only code that counts hits and misses.
+
 Both tiers are LRU-bounded and thread-safe.  The one cross-process
 store is a pickle of both tiers (:meth:`MappingCache.save` /
 ``persist_path``): with ``REPRO_MAPPING_CACHE_DIR`` set, the shared
@@ -34,7 +40,6 @@ import tempfile
 import threading
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.arch.accelerator import AcceleratorConfig
@@ -47,9 +52,9 @@ from repro.perf.knobs import (
 )
 from repro.perf.signature import (
     config_signature,
-    layer_signature,
     mapper_signature,
     search_invariant_signature,
+    search_signature,
     supports_tracing,
 )
 from repro.workloads.layers import LayerShape
@@ -58,43 +63,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle:
     # repro.mapping.mapper -> repro.cost -> repro.perf -> this module)
     from repro.mapping.mapper import MappingResult, SearchTrace
 
-__all__ = ["CacheStats", "MappingCache", "CachingMapper", "shared_cache"]
+__all__ = ["MappingCache", "CachingMapper", "shared_cache"]
 
 #: Persistence file name inside ``REPRO_MAPPING_CACHE_DIR``.
 PERSIST_FILENAME = "mapping_cache.pkl"
 #: On-disk format version; bump when signatures or traces change shape.
 #: Version 2: traces hold batch-kernel arrays instead of object pairs.
 PERSIST_VERSION = 2
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one :class:`MappingCache`."""
-
-    exact_hits: int = 0
-    rescore_hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.exact_hits + self.rescore_hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served without a full search."""
-        total = self.lookups
-        return (self.exact_hits + self.rescore_hits) / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "exact_hits": self.exact_hits,
-            "rescore_hits": self.rescore_hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-        }
-
-    def reset(self) -> None:
-        self.exact_hits = self.rescore_hits = self.misses = 0
 
 
 class MappingCache:
@@ -133,7 +108,6 @@ class MappingCache:
         self._results: "OrderedDict[Tuple, MappingResult]" = OrderedDict()
         self._traces: "OrderedDict[Tuple, SearchTrace]" = OrderedDict()
         self._lock = threading.Lock()
-        self.stats = CacheStats()
         if persist_path and os.path.exists(persist_path):
             self.load(persist_path)
 
@@ -181,7 +155,6 @@ class MappingCache:
         with self._lock:
             self._results.clear()
             self._traces.clear()
-            self.stats.reset()
 
     # -- persistence ----------------------------------------------------------
 
@@ -268,12 +241,13 @@ class MappingCache:
 
 
 class CachingMapper:
-    """Drop-in mapper wrapper backed by a :class:`MappingCache`.
+    """One mapper's view of a :class:`MappingCache`, and the one place
+    that counts its hits and misses.
 
-    Satisfies the ``Mapper`` protocol of ``CostEvaluator`` while serving
-    repeated (layer, config) searches from the cache.  Keeps local
-    counters (independent of the possibly shared cache's global stats)
-    so each evaluator can report its own hit-rate.
+    :meth:`lookup` serves a (layer, config) search from the cache;
+    :meth:`store` records a search the caller ran and the same-identity
+    layers it served.  The counters are local (the cache may be shared
+    by many evaluators), so each evaluator reports its own hit rate.
     """
 
     def __init__(self, mapper, cache: Optional[MappingCache] = None):
@@ -285,17 +259,10 @@ class CachingMapper:
         self.mapper = mapper
         self.cache = cache if cache is not None else shared_cache()
         self._mapper_sig = mapper_signature(mapper)
-        self._include_name = bool(
-            getattr(mapper, "cache_layer_name_relevant", True)
-        )
         self.objective = getattr(mapper, "objective", "latency")
         self.exact_hits = 0
         self.rescore_hits = 0
         self.misses = 0
-
-    @property
-    def name(self) -> str:
-        return getattr(self.mapper, "name", type(self.mapper).__name__)
 
     def reset_counters(self) -> None:
         self.exact_hits = self.rescore_hits = self.misses = 0
@@ -303,7 +270,7 @@ class CachingMapper:
     def _keys(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> Tuple[Tuple, Tuple]:
-        lsig = layer_signature(layer, include_name=self._include_name)
+        lsig = search_signature(self.mapper, layer)
         return (
             (self._mapper_sig, lsig, config_signature(config)),
             (self._mapper_sig, lsig, search_invariant_signature(config)),
@@ -312,12 +279,13 @@ class CachingMapper:
     def lookup(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> Optional[MappingResult]:
-        """Serve from the cache, or return None (counting nothing)."""
+        """Serve from the cache (counting an exact or a re-score hit), or
+        return None, counting nothing: the caller's :meth:`store` counts
+        the search a miss leads to."""
         exact_key, trace_key = self._keys(layer, config)
         result = self.cache.get_result(exact_key)
         if result is not None:
             self.exact_hits += 1
-            self.cache.stats.exact_hits += 1
             return result
         trace = self.cache.get_trace(trace_key)
         if trace is not None:
@@ -326,7 +294,6 @@ class CachingMapper:
             result = rescore_trace(layer, config, trace, self.objective)
             self.cache.put_result(exact_key, result)
             self.rescore_hits += 1
-            self.cache.stats.rescore_hits += 1
             return result
         return None
 
@@ -336,25 +303,20 @@ class CachingMapper:
         config: AcceleratorConfig,
         result: MappingResult,
         trace: Optional[SearchTrace] = None,
+        repeats: int = 0,
     ) -> None:
-        """Insert an externally computed search outcome (e.g. one a
-        worker process returned)."""
+        """Record one search the caller ran on ``layer`` (a miss) and the
+        ``repeats`` other layers of the same design point it served.
+        Those share ``layer``'s search identity, so each counts as the
+        exact hit it would have been had it been looked up after this
+        store.  ``trace`` (None for a fused search) feeds the re-score
+        tier."""
         exact_key, trace_key = self._keys(layer, config)
         self.cache.put_result(exact_key, result)
         if trace is not None:
             self.cache.put_trace(trace_key, trace)
-
-    def __call__(
-        self, layer: LayerShape, config: AcceleratorConfig
-    ) -> MappingResult:
-        result = self.lookup(layer, config)
-        if result is not None:
-            return result
         self.misses += 1
-        self.cache.stats.misses += 1
-        result, trace = self.mapper.search_with_trace(layer, config)
-        self.store(layer, config, result, trace)
-        return result
+        self.exact_hits += repeats
 
 
 _SHARED: Optional[MappingCache] = None

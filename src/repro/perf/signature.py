@@ -22,7 +22,10 @@ This module centralizes that contract:
 
 Hence :func:`config_signature` keys the exact-result cache tier and
 :func:`search_invariant_signature` (the same minus bandwidth and clock)
-keys the re-scorable trace tier.
+keys the re-scorable trace tier.  On the layer side,
+:func:`search_signature` is the one definition of "the same search":
+the evaluator runs one search per distinct value in a design point, and
+both cache tiers key on it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.workloads.layers import OPERANDS, LayerShape
 
 __all__ = [
     "layer_signature",
+    "search_signature",
     "config_signature",
     "search_invariant_signature",
     "mapper_signature",
@@ -54,6 +58,23 @@ def layer_signature(layer: LayerShape, include_name: bool = False) -> Tuple:
     """
     base: Tuple = (layer.operator.value, layer.dims, layer.stride)
     return base + (layer.name,) if include_name else base
+
+
+def search_signature(mapper, layer: LayerShape) -> Tuple:
+    """The identity of ``mapper``'s search on ``layer``: layers with equal
+    search signatures get the same result on one config.
+
+    It is the :func:`layer_signature`, with the name when the mapper's
+    ``cache_layer_name_relevant`` says its search reads it (True when
+    the mapper does not say), so random-mapper layers that share a shape
+    but not a name stay separate searches.  ``CostEvaluator`` groups a
+    design point's searches by it and ``CachingMapper`` keys the cache
+    with it.
+    """
+    return layer_signature(
+        layer,
+        include_name=bool(getattr(mapper, "cache_layer_name_relevant", True)),
+    )
 
 
 def config_signature(config: AcceleratorConfig) -> Tuple:

@@ -334,10 +334,8 @@ def decode_event(record: Dict[str, Any]) -> Any:
 # -- perf-counter sampling ----------------------------------------------------
 
 #: perf_summary() keys that vary run-to-run (wall clock) and therefore
-#: must not enter the journal.  ``tree_compile`` counters are
-#: process-global (the program memo outlives any one campaign), so they
-#: are not run-deterministic either.
-_VOLATILE_KEYS = frozenset({"stages", "tree_compile"})
+#: must not enter the journal.
+_VOLATILE_KEYS = frozenset({"stages"})
 
 
 def deterministic_perf_counters(summary: Dict[str, Any]) -> Dict[str, Any]:

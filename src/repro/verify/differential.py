@@ -297,9 +297,9 @@ def run_differential(
         _evaluator(workload, batch_eval=False),
         env={"REPRO_TREE_COMPILE": "1"},
     )
-    # The compiled walk changes no counter the journal keeps (the
-    # tree_compile section is telemetry-volatile), so the raw bytes must
-    # match the recursive reference, not just the canonical form.
+    # The compiled walk changes no counter the journal keeps (its memo
+    # counters never reach perf_summary()), so the raw bytes must match
+    # the recursive reference, not just the canonical form.
     compiled.expect_raw_identity = True
     outcomes.append(compiled)
 

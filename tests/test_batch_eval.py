@@ -278,10 +278,13 @@ class TestWinnerOnlyMaterialization:
         self, name, built, mid_point, conv_layer, mid_config
     ):
         mapper = CachingMapper(_ARRAY_TRACE_MAPPERS[name](), MappingCache())
-        mapper(conv_layer, mid_config)
+        searched, trace = mapper.mapper.search_with_trace(
+            conv_layer, mid_config
+        )
+        mapper.store(conv_layer, mid_config, searched, trace)
         variant = config_from_point(dict(mid_point, offchip_bw_mbps=2048))
         built.update(infos=0, mappings=0)
-        result = mapper(conv_layer, variant)
+        result = mapper.lookup(conv_layer, variant)
         assert mapper.rescore_hits == 1 and mapper.misses == 1
         assert result.feasible_candidates > 1
         assert built == {"infos": 1, "mappings": 1}

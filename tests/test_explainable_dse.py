@@ -48,6 +48,22 @@ class TestRun:
             )
         assert evaluator.evaluations == 0
 
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("name", ["top_k", "patience", "max_candidates"])
+    def test_rejects_nonpositive_search_limits(
+        self, dse_setup, edge_space, name, value
+    ):
+        """``top_k=0`` would discard the bottleneck analysis, a negative
+        ``top_k`` would keep all but the weakest sub-functions, and
+        ``max_candidates=0`` would turn every attempt into a neighbour
+        sample; ``patience`` below one is ``patience=1`` in disguise."""
+        _, evaluator, constraints = dse_setup
+        with pytest.raises(ValueError, match=name):
+            ExplainableDSE(
+                edge_space, evaluator, constraints, **{name: value}
+            )
+        assert evaluator.evaluations == 0
+
     def test_improves_over_initial_point(self, dse_setup, edge_space):
         dse, _, _ = dse_setup
         result = dse.run()

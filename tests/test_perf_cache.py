@@ -109,14 +109,18 @@ class TestMappingCacheStore:
     ):
         path = str(tmp_path / "cache.pkl")
         cache = MappingCache(persist_path=path)
-        mapper = CachingMapper(TopNMapper(top_n=25), cache)
-        cold = mapper(conv_layer, mid_config)
+        cold, trace = TopNMapper(top_n=25).search_with_trace(
+            conv_layer, mid_config
+        )
+        CachingMapper(TopNMapper(top_n=25), cache).store(
+            conv_layer, mid_config, cold, trace
+        )
         cache.save()
 
         warm_cache = MappingCache(persist_path=path)
         assert warm_cache.size() >= 1
         warm_mapper = CachingMapper(TopNMapper(top_n=25), warm_cache)
-        warm = warm_mapper(conv_layer, mid_config)
+        warm = warm_mapper.lookup(conv_layer, mid_config)
         assert warm_mapper.exact_hits == 1
         assert warm_mapper.misses == 0
         assert warm.latency == cold.latency
@@ -124,7 +128,7 @@ class TestMappingCacheStore:
 
         # The re-score tier survives the round trip too.
         variant = config_from_point(_bw_variant(mid_point, 2048))
-        rescored = warm_mapper(conv_layer, variant)
+        rescored = warm_mapper.lookup(conv_layer, variant)
         assert warm_mapper.rescore_hits == 1
         assert warm_mapper.misses == 0
         assert rescored == TopNMapper(top_n=25)(conv_layer, variant)
@@ -192,13 +196,23 @@ class TestPersistenceAcrossProcesses:
         assert warm["costs"] == cold["costs"]
 
 
+def _search_and_store(cached, layer, config):
+    """Run ``cached``'s mapper on ``layer`` and store the outcome, as
+    ``CostEvaluator`` does after a lookup misses."""
+    result, trace = cached.mapper.search_with_trace(layer, config)
+    cached.store(layer, config, result, trace)
+    return result
+
+
 class TestCachingMapperIdentity:
     @pytest.mark.parametrize("factory", ALL_MAPPERS)
     def test_exact_hit_matches_cold(self, factory, conv_layer, mid_config):
         cold = factory()(conv_layer, mid_config)
         cached = CachingMapper(factory(), MappingCache())
-        first = cached(conv_layer, mid_config)
-        second = cached(conv_layer, mid_config)
+        assert cached.lookup(conv_layer, mid_config) is None
+        first = _search_and_store(cached, conv_layer, mid_config)
+        second = cached.lookup(conv_layer, mid_config)
+        assert second is first
         assert cached.misses == 1 and cached.exact_hits == 1
         for result in (first, second):
             assert result.latency == cold.latency
@@ -213,16 +227,17 @@ class TestCachingMapperIdentity:
         """A config differing only in off-chip bandwidth must re-score the
         recorded trace to exactly the cold-search result."""
         cached = CachingMapper(factory(), MappingCache())
-        cached(conv_layer, config_from_point(mid_point))
+        _search_and_store(cached, conv_layer, config_from_point(mid_point))
         for bw in (1024, 6400, 51200):
             variant = config_from_point(_bw_variant(mid_point, bw))
             cold = factory()(conv_layer, variant)
-            warm = cached(conv_layer, variant)
+            warm = cached.lookup(conv_layer, variant)
             assert warm.latency == cold.latency
             assert warm.mapping == cold.mapping
             assert warm.candidates_evaluated == cold.candidates_evaluated
             assert warm.feasible_candidates == cold.feasible_candidates
         assert cached.rescore_hits == 3
+        assert cached.misses == 1
 
     def test_rescore_trace_function_identity(self, conv_layer, mid_point):
         mapper = TopNMapper(top_n=30)

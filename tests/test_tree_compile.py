@@ -192,27 +192,6 @@ class TestStructureMemo:
 
 
 class TestPerfSummaryCounters:
-    def test_tree_compile_section_in_perf_summary(self, tiny_workload):
-        from repro.cost.evaluator import CostEvaluator
-        from repro.mapping.mapper import TopNMapper
-
-        evaluator = CostEvaluator(tiny_workload, TopNMapper(top_n=10))
-        section = evaluator.perf_summary()["tree_compile"]
-        assert set(section) >= {
-            "enabled",
-            "hits",
-            "misses",
-            "compiled",
-            "evaluations",
-            "hit_rate",
-        }
-
-    def test_section_is_journal_volatile(self):
-        from repro.telemetry.events import deterministic_perf_counters
-
-        summary = {"evaluations": 3, "tree_compile": {"hits": 9}}
-        assert "tree_compile" not in deterministic_perf_counters(summary)
-
     def test_enabled_tracks_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_TREE_COMPILE", "0")
         assert not tree_compile.enabled()
