@@ -1,4 +1,4 @@
-"""Vectorized candidate scoring: the one NumPy SoA kernel.
+"""Vectorized candidate scoring: the one NumPy SoA kernel, in two stages.
 
 Bit-identical array twin of :func:`repro.cost.latency.evaluate_layer_mapping`:
 given a set of candidate factor arrays and a hardware configuration,
@@ -10,15 +10,29 @@ every traffic characteristic of
 candidate set* in a handful of array passes instead of one Python
 interpreter round-trip per candidate.
 
-The same kernel body scores one layer's
-:class:`~repro.mapping.batch_candidates.CandidateBatch` (the layer
-attributes — stride, depthwise flag, operator, MACs — stay scalars) and
-a design point's whole
-:class:`~repro.mapping.batch_candidates.FusedCandidateBlock`
-(:class:`repro.cost.fused.FusedBlockEvaluation`, where they are per-row
-arrays).  Both read their results through one materializer
-(:meth:`BatchLayerEvaluation.execution_infos`), one infeasibility
-decoder and one winner rule (:func:`best_of_rows`).
+The kernel is split along the signature contract of
+:mod:`repro.perf.signature`:
+
+* the **plan stage** (:class:`PlanStage`) computes every term that reads
+  only the candidates, the layer attributes and the four plan-key
+  hardware fields (``pes``, ``l1_bytes``, ``l2_bytes``,
+  ``bytes_per_element``): tile sizes, the PE/RF/SPM checks, ``t_comp``,
+  the per-operand NoC event counts and the off-chip traffic;
+* the **NoC/bandwidth stage** reads the rest of the config: physical
+  links, NoC rounds, the four NoC checks, ``t_noc`` and ``t_dma``
+  (:meth:`BatchLayerEvaluation._noc_stage` per row,
+  :func:`tiling_noc_stage` per tiling).
+
+A per-layer search (:class:`BatchLayerEvaluation`) runs both stages and
+then the reuse and utilization terms that only the materializer reads.
+A fused block (:mod:`repro.cost.fused`) keeps the plan-stage terms next
+to each memoized top-N plan and runs only the NoC/bandwidth stage over
+its rows, then the whole kernel
+(:class:`repro.cost.fused.FusedBlockEvaluation`, where the layer
+attributes — stride, depthwise flag, operator, MACs — are per-row
+arrays) over the rows it picked.  Both read their results through one
+materializer (:meth:`BatchLayerEvaluation.execution_infos`) and one
+latency rule (:func:`latency_winner`, :func:`segment_latency_winners`).
 
 Exactness contract (asserted by ``tests/test_batch_eval.py`` and
 ``tests/test_fused_eval.py``):
@@ -29,15 +43,15 @@ Exactness contract (asserted by ``tests/test_batch_eval.py`` and
 * float quantities replicate the scalar model's *operation order*, so
   IEEE-754 determinism makes them bitwise equal (e.g. ``t_noc`` is
   ``events * ((rounds * tile_bytes) / noc_bytes_per_cycle)`` in exactly
-  that association);
+  that association, whichever stage forms the parenthesis);
 * :meth:`BatchLayerEvaluation.execution_infos` materializes
   ``ExecutionInfo`` objects with the same Python types (int vs float)
   and dict insertion orders as the scalar path, and
   :meth:`BatchLayerEvaluation.infeasibility` reproduces the scalar
   :class:`InfeasibleMapping` reasons verbatim, including which check
   fires first;
-* :func:`best_of_rows` keeps the scalar first-strictly-best
-  tie-breaking for every mapping objective.
+* :func:`best_of_batch` and :func:`segment_latency_winners` keep the
+  scalar first-strictly-best tie-breaking for every mapping objective.
 
 Because the kernels run in int64 rather than arbitrary-precision Python
 ints, :func:`int64_safe` guards against (pathological) candidate sets
@@ -82,12 +96,16 @@ from repro.workloads.layers import (
 
 __all__ = [
     "int64_safe",
+    "plan_int64_safe",
     "latency_winner",
-    "best_of_rows",
+    "segment_latency_winners",
+    "best_of_batch",
     "evaluate_layer_mappings_batch",
     "tile_elements_rows",
     "relevant_prod_rows",
     "reuse_rows",
+    "tiling_noc_stage",
+    "PlanStage",
     "BatchLayerEvaluation",
     "FEASIBLE",
     "FAIL_PES",
@@ -114,6 +132,16 @@ _COL = {d: i for i, d in enumerate(LOOP_DIMS)}
 _PerRow = Union[int, bool, np.ndarray]
 
 
+def _products_int64_safe(
+    per_dim: np.ndarray, config: AcceleratorConfig
+) -> bool:
+    """The overflow bound of :func:`int64_safe` over ``per_dim``, each
+    row's per-dim product of its four levels' factors."""
+    totals = per_dim.astype(np.float64).prod(axis=1)
+    scale = float(config.pes) * float(config.bytes_per_element) * 64.0
+    return bool(float(totals.max()) * scale < 2.0**62)
+
+
 def int64_safe(batch: CandidateBatch, config: AcceleratorConfig) -> bool:
     """Conservatively check that the batch kernels cannot overflow int64.
 
@@ -127,10 +155,32 @@ def int64_safe(batch: CandidateBatch, config: AcceleratorConfig) -> bool:
     """
     if not len(batch):
         return True
-    per_dim = batch.dram * batch.spm * batch.spatial * batch.rf
-    totals = per_dim.astype(np.float64).prod(axis=1)
-    scale = float(config.pes) * float(config.bytes_per_element) * 64.0
-    return bool(float(totals.max()) * scale < 2.0**62)
+    return _products_int64_safe(
+        batch.dram * batch.spm * batch.spatial * batch.rf, config
+    )
+
+
+def plan_int64_safe(
+    table: np.ndarray, row: np.ndarray, config: AcceleratorConfig
+) -> bool:
+    """:func:`int64_safe` of the batch a compact plan gathers (a
+    ``(tilings, 4, 7)`` factor ``table`` and each row's tiling), from
+    its tilings: the level product is taken once per tiling (int64
+    products wrap identically in any order) and read per row.  It reads
+    only ``pes`` and ``bytes_per_element`` of ``config``."""
+    if not len(row):
+        return True
+    return _products_int64_safe(table.prod(axis=1)[row], config)
+
+
+def _latency(
+    t_comp: np.ndarray, t_noc: Dict[Operand, np.ndarray], t_dma: np.ndarray
+) -> np.ndarray:
+    """Per-row latency: the chained ``np.maximum`` of the six terms."""
+    latency = t_comp
+    for op in _NOC_OPERANDS:
+        latency = np.maximum(latency, t_noc[op])
+    return np.maximum(latency, t_dma)
 
 
 def latency_winner(
@@ -149,13 +199,32 @@ def latency_winner(
     ``feasible`` is False are masked to ``+inf``; the caller guarantees
     at least one feasible row.
     """
-    latency = t_comp
-    for op in _NOC_OPERANDS:
-        latency = np.maximum(latency, t_noc[op])
-    latency = np.maximum(latency, t_dma)
+    latency = _latency(t_comp, t_noc, t_dma)
     if feasible is not None:
         latency = np.where(feasible, latency, np.inf)
     return int(np.argmin(latency))
+
+
+def segment_latency_winners(
+    t_comp: np.ndarray,
+    t_noc: Dict[Operand, np.ndarray],
+    t_dma: np.ndarray,
+    feasible: np.ndarray,
+    offsets: np.ndarray,
+) -> np.ndarray:
+    """:func:`latency_winner` of every segment in one pass.
+
+    Segment ``k`` owns rows ``offsets[k]:offsets[k + 1]`` and is not
+    empty.  Infeasible rows are masked to ``+inf``, the segment minimum
+    comes from ``np.minimum.reduceat``, and a segment's winner is its
+    first row equal to that minimum: ``np.argmin``'s rule.  A segment
+    without a feasible row gets its first row; the caller drops it.
+    """
+    latency = np.where(feasible, _latency(t_comp, t_noc, t_dma), np.inf)
+    starts = offsets[:-1]
+    lows = np.minimum.reduceat(latency, starts)
+    at_low = np.flatnonzero(latency == np.repeat(lows, np.diff(offsets)))
+    return at_low[np.searchsorted(at_low, starts)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,7 +323,203 @@ def reuse_rows(
     return out
 
 
-class BatchLayerEvaluation:
+def _noc_rounds(
+    groups: Dict[Operand, np.ndarray], config: AcceleratorConfig
+) -> Tuple[Dict[Operand, int], Dict[Operand, np.ndarray]]:
+    """NoC/bandwidth stage, first step: each operand's physical links
+    and the broadcast rounds its concurrent groups need on them."""
+    links = {op: config.physical_links(op) for op in _NOC_OPERANDS}
+    rounds = {
+        op: np.ceil(groups[op] / links[op]).astype(np.int64)
+        for op in _NOC_OPERANDS
+    }
+    return links, rounds
+
+
+def _noc_event_cycles(
+    rounds: Dict[Operand, np.ndarray],
+    tile_bytes: Dict[Operand, np.ndarray],
+    config: AcceleratorConfig,
+) -> Dict[Operand, np.ndarray]:
+    """Cycles of one NoC event per operand: the parenthesis of
+    ``t_noc = events * ((rounds * tile_bytes) / noc_bytes_per_cycle)``."""
+    noc_bpc = config.noc_bytes_per_cycle
+    return {
+        op: (rounds[op] * tile_bytes[op]) / noc_bpc for op in _NOC_OPERANDS
+    }
+
+
+def tiling_noc_stage(
+    groups: Dict[Operand, np.ndarray],
+    tile_bytes: Dict[Operand, np.ndarray],
+    fits: np.ndarray,
+    config: AcceleratorConfig,
+) -> Tuple[np.ndarray, Dict[Operand, np.ndarray]]:
+    """The NoC/bandwidth stage over tilings instead of rows.
+
+    Rounds, the four NoC checks and the per-event cycles read only a
+    row's tiling (its spatial and RF factors), so a fused block runs
+    them once per tiling and gathers per row.  ``groups`` and
+    ``tile_bytes`` are per NoC operand (PSUM's are O's), ``fits`` the
+    PE/RF/SPM verdict.  Returns the feasibility of each tiling and
+    :func:`_noc_event_cycles`, both to be gathered by each row's tiling.
+    """
+    _links, rounds = _noc_rounds(groups, config)
+    feasible = fits.copy()
+    for op in _NOC_OPERANDS:
+        feasible &= rounds[op] <= config.virt_unicast[op]
+    return feasible, _noc_event_cycles(rounds, tile_bytes, config)
+
+
+class PlanStage:
+    """The plan stage of the kernel over the rows of one candidate set.
+
+    Every term here reads only the candidates, the layer attributes and
+    the plan-key hardware fields ``pes``, ``l1_bytes``, ``l2_bytes`` and
+    ``bytes_per_element`` (see :mod:`repro.perf.signature`).  It fills
+    the tile-size, capacity and off-chip attributes of
+    :class:`BatchLayerEvaluation`; ``fail_code`` holds only the PE, RF
+    and SPM checks, which fire before the NoC checks.  A standalone
+    stage also keeps :attr:`events`, the per-operand NoC event counts
+    that a fused block memoizes with the plan.
+    """
+
+    def __init__(
+        self,
+        cands,
+        config: AcceleratorConfig,
+        stride: _PerRow,
+        dwise: _PerRow,
+        operators: Sequence[OperatorType],
+        opcode: Optional[np.ndarray],
+    ):
+        self.events, _fetches = self._plan_stage(
+            cands, config, stride, dwise, operators, opcode
+        )
+
+    def _fail(self, ok: np.ndarray, violated: np.ndarray, code: int) -> None:
+        """Give ``code`` to the rows still ``ok`` that ``violated``."""
+        newly = ok & violated
+        self.fail_code[newly] = code
+        ok[newly] = False
+
+    def _plan_stage(
+        self,
+        cands,
+        config: AcceleratorConfig,
+        stride: _PerRow,
+        dwise: _PerRow,
+        operators: Sequence[OperatorType],
+        opcode: Optional[np.ndarray],
+    ) -> Tuple[Dict[Operand, np.ndarray], Tuple[Dict, Dict]]:
+        """Fill the plan-stage attributes over the rows of ``cands`` (a
+        ``CandidateBatch`` or ``FusedCandidateBlock``).
+
+        Layer attributes are scalars for one layer or per-row arrays for
+        a block; ``opcode`` indexes ``operators`` per row (see
+        :func:`relevant_prod_rows`).  Returns the per-operand NoC event
+        counts and the SPM/DRAM fetch counts, which the NoC stage and
+        the reuse terms read; they are not kept, so a search trace does
+        not grow.
+        """
+        n = len(cands)
+        bpe = config.bytes_per_element
+
+        # -- resource feasibility (mirrors the scalar check order) ----------
+        self.pes_used = cands.spatial.prod(axis=1)
+        self.rf_bytes = {
+            op: elems * bpe
+            for op, elems in tile_elements_rows(cands.rf, stride, dwise).items()
+        }
+        self.rf_total = (
+            self.rf_bytes[Operand.I]
+            + self.rf_bytes[Operand.W]
+            + self.rf_bytes[Operand.O]
+        )
+        spm_tile = cands.rf * cands.spatial * cands.spm
+        self.spm_bytes = {
+            op: elems * bpe
+            for op, elems in tile_elements_rows(spm_tile, stride, dwise).items()
+        }
+        self.spm_total = (
+            self.spm_bytes[Operand.I]
+            + self.spm_bytes[Operand.W]
+            + self.spm_bytes[Operand.O]
+        )
+        self.groups: Dict[Operand, np.ndarray] = {
+            op: relevant_prod_rows(operators, opcode, cands.spatial, op)
+            for op in _DATA_OPERANDS
+        }
+        self.groups[Operand.PSUM] = self.groups[Operand.O]
+
+        self.fail_code = np.zeros(n, dtype=np.int64)
+        ok = np.ones(n, dtype=bool)
+        self._fail(ok, self.pes_used > config.pes, FAIL_PES)
+        self._fail(ok, self.rf_total > config.l1_bytes, FAIL_RF)
+        self._fail(ok, 2 * self.spm_total > config.l2_bytes, FAIL_SPM)
+
+        # -- computation ------------------------------------------------------
+        iters_dram = cands.dram.prod(axis=1)
+        iters_spm = cands.spm.prod(axis=1)
+        iters_rf = cands.rf.prod(axis=1)
+        t_comp_int = iters_dram * iters_spm * iters_rf
+        self.t_comp = t_comp_int.astype(np.float64)
+
+        # -- NoC distribution events -------------------------------------------
+        fetches2 = {
+            op: iters_spm
+            // reuse_rows(operators, opcode, cands.spm, cands.spm_code, op)
+            for op in _DATA_OPERANDS
+        }
+        out_tiles2 = relevant_prod_rows(operators, opcode, cands.spm, Operand.O)
+        events = {
+            Operand.I: iters_dram * fetches2[Operand.I],
+            Operand.W: iters_dram * fetches2[Operand.W],
+            Operand.O: iters_dram * fetches2[Operand.O],
+            Operand.PSUM: iters_dram
+            * np.maximum(0, fetches2[Operand.O] - out_tiles2),
+        }
+        self.noc_bytes_per_group = {
+            Operand.I: self.rf_bytes[Operand.I],
+            Operand.W: self.rf_bytes[Operand.W],
+            Operand.O: self.rf_bytes[Operand.O],
+            Operand.PSUM: self.rf_bytes[Operand.O],
+        }
+
+        # -- DMA transfers ----------------------------------------------------
+        fetches3 = {
+            op: iters_dram
+            // reuse_rows(operators, opcode, cands.dram, cands.dram_code, op)
+            for op in _DATA_OPERANDS
+        }
+        self.off_int = {
+            Operand.I: fetches3[Operand.I] * self.spm_bytes[Operand.I],
+            Operand.W: fetches3[Operand.W] * self.spm_bytes[Operand.W],
+        }
+        out_writes = fetches3[Operand.O] * self.spm_bytes[Operand.O]
+        full_tile = cands.dram * cands.spm * cands.spatial * cands.rf
+        padded_out_bytes = (
+            tile_elements_rows(full_tile, stride, dwise)[Operand.O] * bpe
+        )
+        self.off_float = {
+            Operand.O: out_writes.astype(np.float64),
+            Operand.PSUM: np.maximum(0, out_writes - padded_out_bytes).astype(
+                np.float64
+            ),
+        }
+        # Same float-addition order as ``sum(data_offchip.values())``.
+        # Kept: it is the only input of ``t_dma`` that a re-score on a
+        # new bandwidth or clock needs (``rescore_trace``).
+        self.offchip_total = (
+            self.off_int[Operand.I].astype(np.float64)
+            + self.off_int[Operand.W].astype(np.float64)
+            + self.off_float[Operand.O]
+            + self.off_float[Operand.PSUM]
+        )
+        return events, (fetches2, fetches3)
+
+
+class BatchLayerEvaluation(PlanStage):
     """Kernel results for one candidate set on one hardware config.
 
     Array attributes are indexed by candidate row; per-operand
@@ -293,133 +558,20 @@ class BatchLayerEvaluation:
         opcode: Optional[np.ndarray],
         macs: _PerRow,
     ) -> None:
-        """The candidate-scoring kernel over the rows of ``cands`` (a
-        ``CandidateBatch`` or ``FusedCandidateBlock``).
-
-        Layer attributes are scalars for one layer or per-row arrays for
-        a block; ``opcode`` indexes ``operators`` per row (see
-        :func:`relevant_prod_rows`).  Every step mirrors the scalar
-        model's check order and operation order.
-        """
-        n = len(cands)
-        bpe = config.bytes_per_element
-
-        # -- resource feasibility (mirrors the scalar check order) ----------
-        self.pes_used = cands.spatial.prod(axis=1)
-        self.rf_bytes = {
-            op: elems * bpe
-            for op, elems in tile_elements_rows(cands.rf, stride, dwise).items()
-        }
-        self.rf_total = (
-            self.rf_bytes[Operand.I]
-            + self.rf_bytes[Operand.W]
-            + self.rf_bytes[Operand.O]
+        """The whole candidate-scoring kernel over the rows of ``cands``:
+        the plan stage, the NoC/bandwidth stage, then the traffic, reuse
+        and utilization terms that only the materializer reads.  Every
+        step mirrors the scalar model's check order and operation
+        order."""
+        events, (fetches2, fetches3) = self._plan_stage(
+            cands, config, stride, dwise, operators, opcode
         )
-        spm_tile = cands.rf * cands.spatial * cands.spm
-        self.spm_bytes = {
-            op: elems * bpe
-            for op, elems in tile_elements_rows(spm_tile, stride, dwise).items()
-        }
-        self.spm_total = (
-            self.spm_bytes[Operand.I]
-            + self.spm_bytes[Operand.W]
-            + self.spm_bytes[Operand.O]
-        )
+        self._noc_stage(config, events)
 
-        # -- NoC compatibility ----------------------------------------------
-        self.groups: Dict[Operand, np.ndarray] = {
-            op: relevant_prod_rows(operators, opcode, cands.spatial, op)
-            for op in _DATA_OPERANDS
-        }
-        self.groups[Operand.PSUM] = self.groups[Operand.O]
-        self.links = {op: config.physical_links(op) for op in _NOC_OPERANDS}
-        self.rounds = {
-            op: np.ceil(self.groups[op] / self.links[op]).astype(np.int64)
+        self.data_noc: Dict[Operand, np.ndarray] = {
+            op: events[op] * self.groups[op] * self.noc_bytes_per_group[op]
             for op in _NOC_OPERANDS
         }
-
-        self.fail_code = np.zeros(n, dtype=np.int64)
-        ok = np.ones(n, dtype=bool)
-
-        def _check(violated: np.ndarray, code: int) -> None:
-            newly = ok & violated
-            self.fail_code[newly] = code
-            ok[newly] = False
-
-        _check(self.pes_used > config.pes, FAIL_PES)
-        _check(self.rf_total > config.l1_bytes, FAIL_RF)
-        _check(2 * self.spm_total > config.l2_bytes, FAIL_SPM)
-        for i, op in enumerate(_NOC_OPERANDS):
-            _check(self.rounds[op] > config.virt_unicast[op], FAIL_NOC_BASE + i)
-        self.feasible = ok
-
-        # -- computation ------------------------------------------------------
-        iters_dram = cands.dram.prod(axis=1)
-        iters_spm = cands.spm.prod(axis=1)
-        iters_rf = cands.rf.prod(axis=1)
-        t_comp_int = iters_dram * iters_spm * iters_rf
-        self.t_comp = t_comp_int.astype(np.float64)
-
-        # -- NoC distribution -------------------------------------------------
-        fetches2 = {
-            op: iters_spm
-            // reuse_rows(operators, opcode, cands.spm, cands.spm_code, op)
-            for op in _DATA_OPERANDS
-        }
-        out_tiles2 = relevant_prod_rows(operators, opcode, cands.spm, Operand.O)
-        events = {
-            Operand.I: iters_dram * fetches2[Operand.I],
-            Operand.W: iters_dram * fetches2[Operand.W],
-            Operand.O: iters_dram * fetches2[Operand.O],
-            Operand.PSUM: iters_dram
-            * np.maximum(0, fetches2[Operand.O] - out_tiles2),
-        }
-        tile_bytes_for = {
-            Operand.I: self.rf_bytes[Operand.I],
-            Operand.W: self.rf_bytes[Operand.W],
-            Operand.O: self.rf_bytes[Operand.O],
-            Operand.PSUM: self.rf_bytes[Operand.O],
-        }
-        self.noc_bytes_per_group = tile_bytes_for
-        noc_bpc = config.noc_bytes_per_cycle
-        self.t_noc: Dict[Operand, np.ndarray] = {}
-        self.data_noc: Dict[Operand, np.ndarray] = {}
-        for op in _NOC_OPERANDS:
-            per_event_cycles = (self.rounds[op] * tile_bytes_for[op]) / noc_bpc
-            self.t_noc[op] = events[op] * per_event_cycles
-            self.data_noc[op] = events[op] * self.groups[op] * tile_bytes_for[op]
-
-        # -- DMA transfers ----------------------------------------------------
-        fetches3 = {
-            op: iters_dram
-            // reuse_rows(operators, opcode, cands.dram, cands.dram_code, op)
-            for op in _DATA_OPERANDS
-        }
-        self.off_int = {
-            Operand.I: fetches3[Operand.I] * self.spm_bytes[Operand.I],
-            Operand.W: fetches3[Operand.W] * self.spm_bytes[Operand.W],
-        }
-        out_writes = fetches3[Operand.O] * self.spm_bytes[Operand.O]
-        full_tile = cands.dram * cands.spm * cands.spatial * cands.rf
-        padded_out_bytes = (
-            tile_elements_rows(full_tile, stride, dwise)[Operand.O] * bpe
-        )
-        self.off_float = {
-            Operand.O: out_writes.astype(np.float64),
-            Operand.PSUM: np.maximum(0, out_writes - padded_out_bytes).astype(
-                np.float64
-            ),
-        }
-        # Same float-addition order as ``sum(data_offchip.values())``.
-        # Kept: it is the only input of ``t_dma`` that a re-score on a
-        # new bandwidth or clock needs (``rescore_trace``).
-        self.offchip_total = (
-            self.off_int[Operand.I].astype(np.float64)
-            + self.off_int[Operand.W].astype(np.float64)
-            + self.off_float[Operand.O]
-            + self.off_float[Operand.PSUM]
-        )
-        self.t_dma = self.offchip_total / config.dram_bytes_per_cycle
 
         # -- remaining (unexploited) reuse -----------------------------------
         self.reuse_rf: Dict[Operand, np.ndarray] = {}
@@ -436,6 +588,25 @@ class BatchLayerEvaluation:
         denominator = np.where(self.t_comp > 0, self.t_comp * pes_f, 1.0)
         self.utilization = np.where(self.t_comp > 0, macs / denominator, 0.0)
 
+    def _noc_stage(
+        self, config: AcceleratorConfig, events: Dict[Operand, np.ndarray]
+    ) -> None:
+        """The NoC/bandwidth stage per row: links, rounds, the four NoC
+        checks (after the plan stage's), ``t_noc`` and ``t_dma``."""
+        self.links, self.rounds = _noc_rounds(self.groups, config)
+        ok = self.fail_code == FEASIBLE
+        for i, op in enumerate(_NOC_OPERANDS):
+            violated = self.rounds[op] > config.virt_unicast[op]
+            self._fail(ok, violated, FAIL_NOC_BASE + i)
+        self.feasible = ok
+        cycles = _noc_event_cycles(
+            self.rounds, self.noc_bytes_per_group, config
+        )
+        self.t_noc: Dict[Operand, np.ndarray] = {
+            op: events[op] * cycles[op] for op in _NOC_OPERANDS
+        }
+        self.t_dma = self.offchip_total / config.dram_bytes_per_cycle
+
     def __len__(self) -> int:
         return len(self.fail_code)
 
@@ -444,12 +615,13 @@ class BatchLayerEvaluation:
         """Positions of the feasible candidates, in candidate order."""
         return np.flatnonzero(self.feasible)
 
-    def execution_infos(
-        self, indices: Sequence[int], layer: Optional[LayerShape] = None
-    ) -> List[ExecutionInfo]:
+    def _macs(self, idx: np.ndarray) -> list:
+        """The ``macs`` field of each row in ``idx``: the layer's."""
+        return [self.layer.macs] * len(idx)
+
+    def execution_infos(self, indices: Sequence[int]) -> List[ExecutionInfo]:
         """The scalar-identical :class:`ExecutionInfo` of every row in
-        ``indices`` (feasible rows of ``layer`` only; it defaults to the
-        evaluated layer and is required for a fused block).
+        ``indices`` (feasible rows only).
 
         Python types and dict insertion orders mirror
         ``evaluate_layer_mapping`` exactly (e.g. ``data_offchip`` holds
@@ -497,7 +669,7 @@ class BatchLayerEvaluation:
         )
         pes = self.pes_used[idx].tolist()
         util = self.utilization[idx].tolist()
-        macs = (layer if layer is not None else self.layer).macs
+        macs = self._macs(idx)
 
         infos: List[ExecutionInfo] = []
         for k in range(len(t_comp)):
@@ -531,7 +703,7 @@ class BatchLayerEvaluation:
                     I: rs_i[k], W: rs_w[k], O: rs_o[k], PSUM: rs_o[k]
                 },
                 "pes_used": pes[k],
-                "macs": macs,
+                "macs": macs[k],
                 "utilized_macs_fraction": util[k],
             })
             infos.append(info)
@@ -589,46 +761,35 @@ def _select_best(
     return best_mapping, best_exec
 
 
-def best_of_rows(
+def best_of_batch(
     evaluation: BatchLayerEvaluation,
-    rows: slice,
-    batch: CandidateBatch,
-    layer: LayerShape,
-    config: AcceleratorConfig,
     scorer: Optional[Scorer] = None,
 ) -> Tuple[Optional[Mapping], Optional[ExecutionInfo]]:
-    """One layer's winner among ``rows`` of ``evaluation``.
+    """The winner of a per-layer search's evaluation.
 
-    ``batch`` holds that layer's candidates, in row order.  With no
-    ``scorer`` (the latency objective) the winner is picked on the
-    arrays by :func:`latency_winner` and only its ``Mapping`` /
+    With no ``scorer`` (the latency objective) the winner is picked on
+    the arrays by :func:`latency_winner` and only its ``Mapping`` /
     ``ExecutionInfo`` are built.  Energy and EDP pass their scorer,
     which reads whole ``ExecutionInfo`` objects, so every feasible row
     is built and :func:`_select_best` scores them.  Either way the
     result is the scalar reference's, first strictly-best row included;
     ``(None, None)`` when no row is feasible.
     """
-    feasible = evaluation.feasible[rows]
+    batch, feasible = evaluation.batch, evaluation.feasible
     if scorer is not None:
-        local = np.flatnonzero(feasible)
+        rows = np.flatnonzero(feasible)
         return _select_best(
-            layer,
-            config,
-            zip(
-                batch.mappings(local),
-                evaluation.execution_infos(local + rows.start, layer),
-            ),
+            evaluation.layer,
+            evaluation.config,
+            zip(batch.mappings(rows), evaluation.execution_infos(rows)),
             scorer,
         )
     if not feasible.any():
         return None, None
     winner = latency_winner(
-        evaluation.t_comp[rows],
-        {op: evaluation.t_noc[op][rows] for op in _NOC_OPERANDS},
-        evaluation.t_dma[rows],
-        feasible,
+        evaluation.t_comp, evaluation.t_noc, evaluation.t_dma, feasible
     )
-    (execution,) = evaluation.execution_infos((rows.start + winner,), layer)
+    (execution,) = evaluation.execution_infos((winner,))
     return batch.mapping(winner), execution
 
 

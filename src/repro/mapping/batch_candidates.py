@@ -210,42 +210,31 @@ class CandidateBatch:
 
 
 @dataclass(frozen=True)
-class FusedCandidateBlock:
-    """Every layer's candidate set of one design point, as one SoA block.
+class FusedCandidateBlock(CandidateBatch):
+    """Candidate rows of many layers of one design point, as one SoA block.
 
-    Concatenates per-layer :class:`CandidateBatch` arrays row-wise and
-    broadcasts each layer's shape attributes (stride, depthwise flag,
-    operator, MAC count) to per-row arrays, so the fused kernels in
-    :mod:`repro.cost.fused` evaluate the whole campaign step —
-    ``sum(candidates over layers)`` rows — in single array passes instead
-    of one kernel invocation per layer.
+    A :class:`CandidateBatch` whose rows run layer by layer, with each
+    layer's shape attributes (stride, depthwise flag, operator, MAC
+    count) broadcast to per-row arrays, so the kernels in
+    :mod:`repro.cost.batch` score every layer's rows in single array
+    passes instead of one kernel invocation per layer.  A fused search
+    (:mod:`repro.cost.fused`) builds one over the rows of its memo
+    misses and one over the rows it picked.
 
-    Attributes:
-        layers: The fused layers, in evaluation order.
-        batches: The originating per-layer batches (winner mappings are
-            materialized back through them).
+    Attributes (besides the :class:`CandidateBatch` factor arrays):
+        layers: The block's layers, in row order.
         offsets: Row-range bounds; layer ``k`` owns rows
-            ``offsets[k]:offsets[k + 1]``.
-        dram/spm/spatial/rf: ``(n, 7)`` int64 factor arrays (``LOOP_DIMS``
-            columns), ``n`` summed over layers.
-        dram_code/spm_code: ``(n,)`` stationary-operand codes.
+            ``offsets[k]:offsets[k + 1]`` (a range may be empty).
         stride: ``(n,)`` int64 per-row layer stride.
         dwise: ``(n,)`` bool per-row depthwise flag.
         opcode: ``(n,)`` int64 index into :attr:`operators`.
         macs: ``(n,)`` int64 per-row layer MAC count.
         operators: Distinct :class:`OperatorType` members present, in
-            first-appearance order (the fused kernels mask rows by code).
+            first-appearance order (the kernels mask rows by code).
     """
 
     layers: Tuple[LayerShape, ...]
-    batches: Tuple[CandidateBatch, ...]
     offsets: Tuple[int, ...]
-    dram: np.ndarray
-    spm: np.ndarray
-    spatial: np.ndarray
-    rf: np.ndarray
-    dram_code: np.ndarray
-    spm_code: np.ndarray
     stride: np.ndarray
     dwise: np.ndarray
     opcode: np.ndarray
@@ -253,19 +242,15 @@ class FusedCandidateBlock:
     operators: Tuple[OperatorType, ...]
 
     @classmethod
-    def from_layer_batches(
+    def from_rows(
         cls,
         layers: Sequence[LayerShape],
-        batches: Sequence[CandidateBatch],
+        counts: Sequence[int],
+        **factors: np.ndarray,
     ) -> "FusedCandidateBlock":
-        """Concatenate per-layer batches into one block (row counts may
-        differ per layer; empty batches contribute an empty row range)."""
-        if len(layers) != len(batches):
-            raise ValueError(
-                f"layer/batch count mismatch: {len(layers)} layers, "
-                f"{len(batches)} batches"
-            )
-        counts = [len(b) for b in batches]
+        """A block over rows already in layer order: ``factors`` are the
+        :class:`CandidateBatch` arrays, and layer ``k`` owns the next
+        ``counts[k]`` rows."""
         offsets = [0]
         for count in counts:
             offsets.append(offsets[-1] + count)
@@ -276,20 +261,10 @@ class FusedCandidateBlock:
                 operators.append(layer.operator)
             codes.append(operators.index(layer.operator))
         counts_arr = np.asarray(counts, dtype=np.int64)
-
-        def _concat(field: str) -> np.ndarray:
-            return np.concatenate([getattr(b, field) for b in batches])
-
         return cls(
+            **factors,
             layers=tuple(layers),
-            batches=tuple(batches),
             offsets=tuple(offsets),
-            dram=_concat("dram"),
-            spm=_concat("spm"),
-            spatial=_concat("spatial"),
-            rf=_concat("rf"),
-            dram_code=_concat("dram_code"),
-            spm_code=_concat("spm_code"),
             stride=np.repeat(
                 np.asarray([l.stride for l in layers], dtype=np.int64),
                 counts_arr,
@@ -308,9 +283,6 @@ class FusedCandidateBlock:
             ),
             operators=tuple(operators),
         )
-
-    def __len__(self) -> int:
-        return self.offsets[-1]
 
     def rows(self, layer_index: int) -> slice:
         """Row range owned by layer ``layer_index``."""

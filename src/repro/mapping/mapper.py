@@ -17,11 +17,15 @@ one array with them.
 
 A top-N plan depends only on the layer signature, four hardware fields
 (``pes``, ``l1_bytes``, ``l2_bytes``, ``bytes_per_element``) and the
-mapper's ``max_spatial`` and ``top_n``, and DNNs repeat layer shapes
-across layers and design points.  So the drawn tilings and each row's
-tiling index and stationary codes are memoized process-wide in a bounded
-LRU (:func:`_top_n_plan`, read-only arrays), and every search gathers
-its own fresh batch from them.
+mapper's ``max_spatial`` and ``top_n`` (:meth:`TopNMapper.plan_key`),
+and DNNs repeat layer shapes across layers and design points.  So the
+drawn tilings and each row's tiling index and stationary codes are
+memoized process-wide in a bounded LRU (:func:`_top_n_plan`, read-only
+arrays), and every per-layer search gathers its own fresh batch from
+them.  A second bounded memo under the same key, :data:`_top_n_terms`,
+holds what a fused block reads of a plan: the plan-stage terms of the
+scoring kernel (:mod:`repro.cost.batch`), which read the same fields.
+Only the fused path (:mod:`repro.cost.fused`) fills or reads it.
 """
 
 from __future__ import annotations
@@ -29,11 +33,22 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import threading
 import time
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from operator import floordiv, mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -416,9 +431,75 @@ def _distinct_tilings(
             yield spatial + rf + spm + tuple(map(floordiv, remaining1, spm))
 
 
-#: Entries of the top-N plan memo (:func:`_top_n_plan`).  An entry is
-#: about 7 KB at ``top_n=150``, so a full memo holds under 10 MB.
+#: Entries of the top-N plan memo (:func:`_top_n_plan`) and of the fused
+#: path's terms memo (:data:`_top_n_terms`).  A plan is about 7 KB at
+#: ``top_n=150``, so a full plan memo holds under 10 MB.  A terms entry
+#: adds about 40 B per row (four NoC event counts and the off-chip
+#: total) plus 57 B per tiling (``t_comp``, three NoC group counts,
+#: three RF tile sizes and the capacity verdict): about 7 KB more at
+#: ``top_n=150``, where a plan averages 147 rows over 23.5 tilings.
 _TOP_N_PLANS = 1024
+
+
+class _MemoInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _BoundedMemo:
+    """A thread-safe LRU map of at most ``maxsize`` entries.
+
+    Unlike ``functools.lru_cache`` it does not compute on a miss: the
+    fused path scores every miss of a block in one pass and then stores
+    each entry.  Its counters are for tests (:meth:`cache_info`), as
+    ``_top_n_plan``'s are; they outlive any one campaign, so no journal
+    or ``perf_summary()`` reads them.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def get(self, key: Hashable):
+        """The entry of ``key`` (now the most recent), or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self._hits += 1
+            return entry
+
+    def put(self, key: Hashable, entry) -> None:
+        """Store ``entry``, evicting the least recent beyond the bound."""
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def cache_info(self) -> _MemoInfo:
+        with self._lock:
+            return _MemoInfo(
+                self._hits, self._misses, self.maxsize, len(self._entries)
+            )
+
+    def cache_clear(self) -> None:
+        """Drop every entry and zero the counters."""
+        with self._lock:
+            self._entries.clear()
+            self._hits = self._misses = 0
+
+
+#: The fused path's plan-stage terms of each top-N plan
+#: (``repro.cost.fused.PlanTerms``), keyed exactly like
+#: :func:`_top_n_plan`.  The per-layer path never fills or reads it.
+_top_n_terms = _BoundedMemo(_TOP_N_PLANS)
 
 
 @functools.lru_cache(maxsize=_TOP_N_PLANS)
@@ -506,27 +587,13 @@ def _top_n_plan(
     return plan
 
 
-def _top_n_batch(
-    layer: LayerShape,
-    config: AcceleratorConfig,
-    max_spatial: int,
-    top_n: int,
-) -> CandidateBatch:
-    """The top-N candidates of ``layer`` on ``config`` as one int64
-    :class:`CandidateBatch`, gathered from the memoized plan
-    (:func:`_top_n_plan`) into fresh arrays: a caller may write into the
-    batch without changing any later plan."""
-    table, row, code = _top_n_plan(
-        *layer_signature(layer),
-        config.pes,
-        config.l1_bytes,
-        config.l2_bytes,
-        config.bytes_per_element,
-        max_spatial,
-        top_n,
-    )
-    levels = table[row]
-    return CandidateBatch(
+def _candidate_arrays(
+    levels: np.ndarray, code: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """The :class:`CandidateBatch` arrays of rows given as plan-table
+    rows (``(n, 4, 7)``: spatial, RF, SPM and DRAM factors) and plan
+    stationary-code pairs."""
+    return dict(
         dram=levels[:, 3],
         spm=levels[:, 2],
         spatial=levels[:, 0],
@@ -534,6 +601,15 @@ def _top_n_batch(
         dram_code=code // len(STATIONARY_CHOICES),
         spm_code=code % len(STATIONARY_CHOICES),
     )
+
+
+def _top_n_batch(key: Tuple) -> CandidateBatch:
+    """The top-N candidates of plan ``key`` (:meth:`TopNMapper.plan_key`)
+    as one int64 :class:`CandidateBatch`, gathered from the memoized
+    plan (:func:`_top_n_plan`) into fresh arrays: a caller may write
+    into the batch without changing any later plan."""
+    table, row, code = _top_n_plan(*key)
+    return CandidateBatch(**_candidate_arrays(table[row], code))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -647,21 +723,15 @@ def _best_of_traced_batch(
     """Batched twin of the scalar loop in :func:`_best_of_traced`.
 
     Scores the whole candidate set through the vectorized kernel, picks
-    the winner with :func:`repro.cost.batch.best_of_rows` (the fused
-    path's rule too) and keeps the kernel arrays as the trace
-    (:meth:`SearchTrace.from_batch`).  The result is bit-identical to
-    the scalar reference.
+    the winner with :func:`repro.cost.batch.best_of_batch` and keeps the
+    kernel arrays as the trace (:meth:`SearchTrace.from_batch`).  The
+    result is bit-identical to the scalar reference.
     """
     started = time.perf_counter()
     evaluation = _cost_batch.BatchLayerEvaluation(layer, batch, config)
     rows = evaluation.feasible_indices
-    best_mapping, best_exec = _cost_batch.best_of_rows(
-        evaluation,
-        slice(0, len(batch)),
-        batch,
-        layer,
-        config,
-        None if objective == "latency" else scorer,
+    best_mapping, best_exec = _cost_batch.best_of_batch(
+        evaluation, None if objective == "latency" else scorer
     )
     if stats is not None:
         stats.record_batch(len(batch), len(rows), time.perf_counter() - started)
@@ -801,6 +871,23 @@ class TopNMapper:
         """Cache identity of this mapper (see ``repro.perf.signature``)."""
         return (self.name, self.top_n, self.max_spatial, self.objective)
 
+    def plan_key(self, layer: LayerShape, config: AcceleratorConfig) -> Tuple:
+        """The nine plain values one search's plan depends on: the
+        :func:`~repro.perf.signature.layer_signature`, ``pes``,
+        ``l1_bytes``, ``l2_bytes``, ``bytes_per_element``,
+        ``max_spatial`` and ``top_n``.  It keys the plan memo
+        (:func:`_top_n_plan`) and the fused path's terms memo
+        (:data:`_top_n_terms`); every search reads it once."""
+        return (
+            *layer_signature(layer),
+            config.pes,
+            config.l1_bytes,
+            config.l2_bytes,
+            config.bytes_per_element,
+            self.max_spatial,
+            self.top_n,
+        )
+
     def candidate_plan(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> CandidateBatch:
@@ -809,9 +896,11 @@ class TopNMapper:
         This is the fused-evaluation protocol (``repro.cost.fused``): a
         caller may score the batch itself; doing so is exactly
         equivalent to :meth:`search_with_trace`.  Each call returns
-        fresh arrays gathered from the process-wide plan memo.
+        fresh arrays gathered from the process-wide plan memo.  A fused
+        block reads the memo through :meth:`plan_key` instead, and
+        gathers only the rows it picks.
         """
-        return _top_n_batch(layer, config, self.max_spatial, self.top_n)
+        return _top_n_batch(self.plan_key(layer, config))
 
     def search_with_trace(
         self, layer: LayerShape, config: AcceleratorConfig

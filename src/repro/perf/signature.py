@@ -11,12 +11,20 @@ This module centralizes that contract:
   ``bytes_per_element``.  The top-N plan memo
   (``repro.mapping.mapper._top_n_plan``) keys on exactly these four,
   the :func:`layer_signature` and the mapper's ``max_spatial`` and
-  ``top_n``, so layers that differ only in name or ``repeats`` and
-  configs that differ only in the fields below share one plan;
-* feasibility checks additionally read the NoC configuration
-  (``noc_datawidth_bits``, physical/virtual unicast links);
-* only candidate *scoring* reads ``offchip_bw_mbps`` / ``freq_mhz``
-  (through ``dram_bytes_per_cycle`` -> ``t_dma``), and a recorded
+  ``top_n`` (``TopNMapper.plan_key``), so layers that differ only in
+  name or ``repeats`` and configs that differ only in the fields below
+  share one plan;
+* the scoring kernel's *plan stage* (``repro.cost.batch.PlanStage``:
+  tile sizes, the PE/RF/SPM checks, ``t_comp``, NoC event counts and
+  off-chip traffic) reads exactly the plan key too.  So the fused path
+  memoizes the plan-stage terms it needs beside each top-N plan, under
+  the same key (``repro.mapping.mapper._top_n_terms``);
+* the NoC configuration (``noc_datawidth_bits``, physical/virtual
+  unicast links) and the bandwidth enter only in the kernel's second,
+  NoC/bandwidth stage: NoC rounds and feasibility checks, ``t_noc`` and
+  ``t_dma``;
+* of those, only ``offchip_bw_mbps`` / ``freq_mhz`` are read by nothing
+  but ``t_dma`` (through ``dram_bytes_per_cycle``), and a recorded
   :class:`repro.mapping.mapper.SearchTrace` can be exactly re-scored for
   those.
 

@@ -10,29 +10,37 @@ indistinguishable from the per-layer reference loop in everything but
 speed.
 """
 
+import functools
+import sys
+import threading
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.cost.fused as fused_module
 from repro.arch import build_edge_design_space, config_from_point
+from repro.cost.batch import BatchLayerEvaluation, PlanStage, int64_safe
 from repro.cost.evaluator import CostEvaluator
 from repro.cost.fused import (
     FusedBlockEvaluation,
+    PlanTerms,
     search_layers_fused,
     supports_fused,
 )
 from repro.mapping.batch_candidates import FusedCandidateBlock
 from repro.mapping.mapper import (
+    _TOP_N_PLANS,
     FixedDataflowMapper,
     RandomSearchMapper,
     TopNMapper,
+    _top_n_terms,
 )
 from repro.perf.instrumentation import BatchEvalStats
 from repro.perf.mapping_cache import MappingCache
 from repro.perf.signature import layer_signature
 from repro.workloads import (
-    Workload,
     conv2d,
     depthwise_conv2d,
     gemm,
@@ -40,13 +48,15 @@ from repro.workloads import (
 )
 
 from tests.test_batch_eval import (
+    assert_mappings_identical,
     assert_outcomes_identical,
     assert_results_identical,
 )
-
-
-def _workload(layers) -> Workload:
-    return Workload(name="fused-test", layers=tuple(layers))
+from tests.test_candidate_generation import (
+    _configs as _plan_configs,
+    _layers as _plan_layers,
+    _plan_changes,
+)
 
 
 # -- randomized multi-layer workloads ------------------------------------------
@@ -183,7 +193,9 @@ class TestSearchLayersFused:
         strings through the fused block's row diagnostics."""
         layer = resnet18.layer("conv3_x")
         batch = TopNMapper(top_n=30).candidate_plan(layer, tiny_config)
-        block = FusedCandidateBlock.from_layer_batches([layer], [batch])
+        block = FusedCandidateBlock.from_rows(
+            [layer], [len(batch)], **vars(batch)
+        )
         evaluation = FusedBlockEvaluation(block, tiny_config)
         from repro.cost.latency import evaluate_layer_mapping
 
@@ -372,3 +384,352 @@ class TestSupportsFused:
 
     def test_fixed_dataflow_unsupported(self):
         assert not supports_fused(FixedDataflowMapper())
+
+
+# -- the five steps of a fused block ------------------------------------------
+
+_SPACE = build_edge_design_space()
+
+
+@st.composite
+def _edge_configs(draw):
+    """Any point of the edge design space, NoC and bandwidth included."""
+    point = _SPACE.minimum_point()
+    for parameter in _SPACE.parameters:
+        point[parameter.name] = draw(st.sampled_from(parameter.values))
+    return config_from_point(point)
+
+
+#: Mapper name -> factory ``(objective, batch_eval) -> mapper``.
+_BLOCK_MAPPERS = {
+    "top-n-1": lambda objective, batch_eval=True: TopNMapper(
+        top_n=1, objective=objective, batch_eval=batch_eval
+    ),
+    "top-n-9": lambda objective, batch_eval=True: TopNMapper(
+        top_n=9, objective=objective, batch_eval=batch_eval
+    ),
+    "top-n-150": lambda objective, batch_eval=True: TopNMapper(
+        top_n=150, objective=objective, batch_eval=batch_eval
+    ),
+    "random": lambda objective, batch_eval=True: RandomSearchMapper(
+        trials=30, seed=11, objective=objective, batch_eval=batch_eval
+    ),
+}
+_OBJECTIVES = ("latency", "energy", "edp")
+
+
+def _reference(make, layers, config):
+    """The scalar reference's result of every layer, in order."""
+    reference = make(batch_eval=False)
+    return [reference.search_with_trace(layer, config)[0] for layer in layers]
+
+
+def _assert_block_matches(make, layers, config, expected, stats=None):
+    """One fused block over ``layers`` equals ``expected`` (the scalar
+    reference's results), mappings down to their value types."""
+    fused, remaining = search_layers_fused(make(), layers, config, stats=stats)
+    assert remaining == []
+    assert [layer for layer, _ in fused] == list(layers)
+    for (_, result), want in zip(fused, expected):
+        assert_results_identical(want, result)
+        if want.mapping is not None:
+            assert_mappings_identical(want.mapping, result.mapping)
+    return fused
+
+
+@pytest.fixture
+def cold_terms():
+    """An empty terms memo, and an empty one again afterwards."""
+    _top_n_terms.cache_clear()
+    yield _top_n_terms
+    _top_n_terms.cache_clear()
+
+
+class TestFusedBlockSteps:
+    @given(
+        layers=st.lists(_plan_layers(), min_size=1, max_size=4),
+        config=_edge_configs(),
+        mapper=st.sampled_from(sorted(_BLOCK_MAPPERS)),
+        objective=st.sampled_from(_OBJECTIVES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_cold_warm_evicted_and_cleared(
+        self, layers, config, mapper, objective
+    ):
+        """Every operator, stride 1-3 and edge-space config, every
+        mapper and objective: the block equals the scalar reference
+        whatever the terms memo holds."""
+        make = functools.partial(_BLOCK_MAPPERS[mapper], objective)
+        expected = _reference(make, layers, config)
+        _top_n_terms.cache_clear()
+        try:
+            _assert_block_matches(make, layers, config, expected)  # cold
+            _assert_block_matches(make, layers, config, expected)  # warm
+            _top_n_terms.maxsize = 1  # each stored entry evicts the last
+            _assert_block_matches(make, layers, config, expected)
+            _assert_block_matches(make, layers, config, expected)
+            _top_n_terms.maxsize = _TOP_N_PLANS
+            _top_n_terms.cache_clear()
+            _assert_block_matches(make, layers, config, expected)
+        finally:
+            _top_n_terms.maxsize = _TOP_N_PLANS
+            _top_n_terms.cache_clear()
+
+    @pytest.mark.parametrize("objective", _OBJECTIVES)
+    def test_block_mixing_memoized_and_missing_layers(
+        self, objective, cold_terms, resnet18, mid_config
+    ):
+        """Random-mapper and missing top-N plans are scored in one
+        plan-stage pass beside memoized ones."""
+        make = functools.partial(_BLOCK_MAPPERS["top-n-150"], objective)
+        layers = list(resnet18.layers)
+        search_layers_fused(make(), layers[::3], mid_config)
+        before = cold_terms.cache_info()
+        assert before.currsize == len(layers[::3])
+        _assert_block_matches(
+            make, layers, mid_config, _reference(make, layers, mid_config)
+        )
+        after = cold_terms.cache_info()
+        assert after.hits - before.hits == len(layers[::3])
+        assert after.misses - before.misses == len(layers) - len(layers[::3])
+        assert after.currsize == len(layers)
+
+    def test_layers_without_a_feasible_row(self, cold_terms, resnet18):
+        """At 4096 PEs on the smallest NoC, the first nine top-N rows
+        of every layer but ``fc`` fail, so the block's segments are
+        empty, non-empty and empty again."""
+        point = build_edge_design_space().minimum_point()
+        point.update(pes=4096, l1_bytes=256, l2_kb=512)
+        config = config_from_point(point)
+        layers = [resnet18.layers[0], resnet18.layer("fc"), resnet18.layers[1]]
+        for objective in _OBJECTIVES:
+            make = functools.partial(_BLOCK_MAPPERS["top-n-9"], objective)
+            expected = _reference(make, layers, config)
+            assert [r.feasible_candidates for r in expected] == [0, 5, 0]
+            for _ in range(2):  # cold, then warm
+                fused = _assert_block_matches(make, layers, config, expected)
+                for (_, result), want in zip(fused, expected):
+                    assert result.candidates_evaluated == 9
+                    if not want.feasible_candidates:
+                        assert (result.mapping, result.execution) == (
+                            None,
+                            None,
+                        )
+
+    @pytest.mark.parametrize("mapper", ["top-n-9", "random"])
+    def test_int64_unsafe_plan_is_handed_back(
+        self, mapper, cold_terms, monkeypatch, mid_config
+    ):
+        """A plan whose traffic could overflow int64 goes back to the
+        per-layer path as a fused fallback; a top-N plan's verdict is
+        stored with its terms and computed once."""
+        huge = gemm("huge", 2**20, 2**20, 2**12)
+        small = gemm("small", 64, 128, 8)
+        verdicts = []
+        plan_int64_safe = fused_module._batch.plan_int64_safe
+
+        def counted(*args):
+            verdicts.append(plan_int64_safe(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(fused_module._batch, "plan_int64_safe", counted)
+        make = functools.partial(_BLOCK_MAPPERS[mapper], "latency")
+        plan = make().candidate_plan(huge, mid_config)
+        assert not int64_safe(plan, mid_config)
+        (expected,) = _reference(make, [small], mid_config)
+        stats = BatchEvalStats()
+        for rep in (1, 2):
+            fused, remaining = search_layers_fused(
+                make(), [huge, small], mid_config, stats=stats
+            )
+            assert remaining == [huge]
+            assert [layer for layer, _ in fused] == [small]
+            assert_results_identical(expected, fused[0][1])
+            assert stats.fused_fallbacks == rep
+            assert stats.fused_layers == rep
+        top_n = mapper != "random"
+        assert verdicts == ([False, True] if top_n else [])
+        assert cold_terms.cache_info().currsize == (2 if top_n else 0)
+
+
+class TestPlanTermsMemo:
+    @given(
+        layer=_plan_layers(),
+        config=_plan_configs(),
+        top_n=st.sampled_from([1, 9, 150]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_keys_on_exactly_the_plan_key(self, layer, config, top_n):
+        """Changing the NoC width, either unicast map, the bandwidth or
+        the clock (or the layer's name or repeats) reuses the stored
+        terms; changing any of the nine key fields misses.  Every
+        result equals the scalar reference on its own config."""
+        _top_n_terms.cache_clear()
+        try:
+            budgets = {"top_n": top_n, "max_spatial": 16}
+            make = functools.partial(TopNMapper, **budgets)
+            search_layers_fused(make(), [layer], config)
+            assert _top_n_terms.cache_info()[:2] == (0, 1)
+            for field, layer2, config2, changes, read in _plan_changes(
+                layer, config
+            ):
+                changed = functools.partial(
+                    TopNMapper, **{**budgets, **changes}
+                )
+                before = _top_n_terms.cache_info()
+                _assert_block_matches(
+                    changed,
+                    [layer2],
+                    config2,
+                    _reference(changed, [layer2], config2),
+                )
+                after = _top_n_terms.cache_info()
+                assert after.misses - before.misses == int(read), field
+                assert after.hits - before.hits == int(not read), field
+        finally:
+            _top_n_terms.cache_clear()
+
+    def test_entries_are_read_only(self, cold_terms, resnet18, mid_config):
+        layer = resnet18.layer("conv3_x")
+        mapper = TopNMapper(top_n=150)
+        search_layers_fused(mapper, [layer], mid_config)
+        entry = cold_terms.get(mapper.plan_key(layer, mid_config))
+        assert isinstance(entry, PlanTerms) and entry.int64_safe
+        arrays = [value for value in entry if isinstance(value, np.ndarray)]
+        assert len(arrays) == 9
+        assert not any(array.flags.writeable for array in arrays)
+        tilings, rows = len(entry.table), len(entry.row)
+        assert entry.t_comp.shape == entry.fits.shape == (tilings,)
+        assert entry.groups.shape == entry.tile_bytes.shape == (tilings, 3)
+        assert entry.events.shape == (rows, 4)
+        assert entry.offchip_total.shape == (rows,)
+        assert cold_terms.maxsize == _TOP_N_PLANS
+
+    def test_per_layer_path_never_fills_the_memo(
+        self, cold_terms, resnet18, mid_point, mid_config
+    ):
+        for objective in _OBJECTIVES:
+            mapper = TopNMapper(top_n=60, objective=objective)
+            for layer in resnet18.layers:
+                mapper.search_with_trace(layer, mid_config)
+        evaluator = CostEvaluator(
+            resnet18, TopNMapper(top_n=60), fused_eval=False
+        )
+        evaluator.evaluate(mid_point)
+        assert evaluator.batch_eval_stats.fused_blocks == 0
+        assert cold_terms.cache_info() == (0, 0, _TOP_N_PLANS, 0)
+
+
+    def test_threads_share_the_memo_safely(
+        self, cold_terms, monkeypatch, resnet18, mid_config
+    ):
+        """More threads than cores, switching every microsecond, on a
+        memo bound that forces evictions: no count is lost, the bound
+        holds and every block still equals the scalar reference."""
+        layers = list(resnet18.layers)
+        make = functools.partial(_BLOCK_MAPPERS["top-n-9"], "latency")
+        expected = _reference(make, layers, mid_config)
+        monkeypatch.setattr(cold_terms, "maxsize", 4)
+        threads_, blocks = 8, 10
+        errors = []
+
+        def worker(shift):
+            try:
+                order = layers[shift:] + layers[:shift]
+                want = expected[shift:] + expected[:shift]
+                for _ in range(blocks):
+                    _assert_block_matches(make, order, mid_config, want)
+            except Exception as exc:  # re-raised below, in the test thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=worker, args=(k % len(layers),))
+                for k in range(threads_)
+            ]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert errors == []
+        info = cold_terms.cache_info()
+        assert info.hits + info.misses == threads_ * blocks * len(layers)
+        assert info.currsize <= 4
+
+
+class TestFusedBlockMechanism:
+    """What a block computes, pinned with spies."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        calls = {"kernel_rows": [], "plan_rows": [], "infos": 0, "plans": 0}
+        score = BatchLayerEvaluation._score
+        plan_init = PlanStage.__init__
+        infos = BatchLayerEvaluation.execution_infos
+        candidate_plan = TopNMapper.candidate_plan
+
+        def spied_score(self, cands, *args, **kwargs):
+            calls["kernel_rows"].append(len(cands))
+            return score(self, cands, *args, **kwargs)
+
+        def spied_plan_init(self, cands, *args, **kwargs):
+            calls["plan_rows"].append(len(cands))
+            return plan_init(self, cands, *args, **kwargs)
+
+        def spied_infos(self, *args):
+            calls["infos"] += 1
+            return infos(self, *args)
+
+        def spied_candidate_plan(self, *args):
+            calls["plans"] += 1
+            return candidate_plan(self, *args)
+
+        monkeypatch.setattr(BatchLayerEvaluation, "_score", spied_score)
+        monkeypatch.setattr(PlanStage, "__init__", spied_plan_init)
+        monkeypatch.setattr(
+            BatchLayerEvaluation, "execution_infos", spied_infos
+        )
+        monkeypatch.setattr(TopNMapper, "candidate_plan", spied_candidate_plan)
+        return calls
+
+    def test_warm_latency_block_scores_only_its_winners(
+        self, cold_terms, spies, resnet18, mid_config
+    ):
+        layers = list(resnet18.layers)
+        mapper = TopNMapper(top_n=150)
+        search_layers_fused(mapper, layers, mid_config)
+        rows = sum(
+            len(mapper.candidate_plan(layer, mid_config)) for layer in layers
+        )
+        assert spies["plan_rows"] == [rows]  # the misses, in one pass
+        assert spies["kernel_rows"] == [len(layers)]
+        for key in spies:
+            spies[key] = [] if isinstance(spies[key], list) else 0
+        fused, _ = search_layers_fused(mapper, layers, mid_config)
+        assert all(result.feasible for _, result in fused)
+        assert spies == {
+            "kernel_rows": [len(layers)],  # one winner per layer
+            "plan_rows": [],
+            "infos": 1,
+            "plans": 0,  # no CandidateBatch gather
+        }
+
+    @pytest.mark.parametrize("objective", ["energy", "edp"])
+    def test_energy_and_edp_blocks_score_their_feasible_rows(
+        self, objective, cold_terms, spies, resnet18, mid_config
+    ):
+        """The whole kernel runs once, over every feasible row; their
+        objects are built one layer at a time."""
+        layers = list(resnet18.layers)
+        fused, _ = search_layers_fused(
+            TopNMapper(top_n=60, objective=objective), layers, mid_config
+        )
+        assert spies["kernel_rows"] == [
+            sum(result.feasible_candidates for _, result in fused)
+        ]
+        assert spies["infos"] == len(layers)

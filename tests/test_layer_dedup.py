@@ -44,13 +44,14 @@ PATHS = [(fused, cache) for fused in (False, True) for cache in (False, True)]
 
 def _spy(mapper) -> list:
     """Record the name of every layer ``mapper`` searches, on either path:
-    a fused block and a per-layer search each read the layer's candidate
-    plan once; the fixed-dataflow mapper has no plan."""
+    a fused block and a per-layer search each read the layer's plan key
+    (top-N) or candidate plan (random) once; the fixed-dataflow mapper
+    has no plan."""
     searched = []
-    method = (
-        "candidate_plan"
-        if hasattr(mapper, "candidate_plan")
-        else "search_with_trace"
+    method = next(
+        name
+        for name in ("plan_key", "candidate_plan", "search_with_trace")
+        if hasattr(mapper, name)
     )
     inner = getattr(mapper, method)
 
