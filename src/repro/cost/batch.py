@@ -2,37 +2,37 @@
 
 Bit-identical array twin of :func:`repro.cost.latency.evaluate_layer_mapping`:
 given a set of candidate factor arrays and a hardware configuration,
-:class:`BatchLayerEvaluation` derives feasibility (PE / register-file /
-scratchpad capacity, NoC virtual-unicast compatibility), the three
-latency factors (``t_comp``, per-operand NoC rounds, ``t_dma``), and
-every traffic characteristic of
-:class:`~repro.cost.execution_info.ExecutionInfo` for the *whole
-candidate set* in a handful of array passes instead of one Python
-interpreter round-trip per candidate.
+the kernel derives feasibility (PE / register-file / scratchpad
+capacity, NoC virtual-unicast compatibility), the three latency factors
+(``t_comp``, per-operand NoC rounds, ``t_dma``), and every traffic
+characteristic of :class:`~repro.cost.execution_info.ExecutionInfo` for
+the *whole candidate set* in a handful of array passes instead of one
+Python interpreter round-trip per candidate.
 
 The kernel is split along the signature contract of
 :mod:`repro.perf.signature`:
 
-* the **plan stage** (:class:`PlanStage`) computes every term that reads
-  only the candidates, the layer attributes and the four plan-key
-  hardware fields (``pes``, ``l1_bytes``, ``l2_bytes``,
-  ``bytes_per_element``): tile sizes, the PE/RF/SPM checks, ``t_comp``,
-  the per-operand NoC event counts and the off-chip traffic;
+* the **plan stage** (:class:`PlanStage`, :func:`plan_terms`) computes
+  every term that reads only the candidates, the layer attributes and
+  the four plan-key hardware fields (``pes``, ``l1_bytes``,
+  ``l2_bytes``, ``bytes_per_element``): tile sizes, the PE/RF/SPM
+  checks, ``t_comp``, the NoC event counts, the reuse fetch counts and
+  the off-chip traffic.  It keeps them as :class:`PlanTerms`, once per
+  tiling where a term does not read the row's stationary codes;
 * the **NoC/bandwidth stage** reads the rest of the config: physical
-  links, NoC rounds, the four NoC checks, ``t_noc`` and ``t_dma``
-  (:meth:`BatchLayerEvaluation._noc_stage` per row,
-  :func:`tiling_noc_stage` per tiling).
+  links, NoC rounds and the four NoC checks, once per tiling
+  (:func:`tiling_noc_stage`), then ``t_noc`` and ``t_dma`` per row.
 
-A per-layer search (:class:`BatchLayerEvaluation`) runs both stages and
-then the reuse and utilization terms that only the materializer reads.
-A fused block (:mod:`repro.cost.fused`) keeps the plan-stage terms next
-to each memoized top-N plan and runs only the NoC/bandwidth stage over
-its rows, then the whole kernel
-(:class:`repro.cost.fused.FusedBlockEvaluation`, where the layer
-attributes — stride, depthwise flag, operator, MACs — are per-row
-arrays) over the rows it picked.  Both read their results through one
-materializer (:meth:`BatchLayerEvaluation.execution_infos`) and one
-latency rule (:func:`latency_winner`, :func:`segment_latency_winners`).
+A :class:`BatchLayerEvaluation` is a plan's terms plus its NoC stage on
+one config.  Built from a ``CandidateBatch`` it runs both stages; built
+:meth:`~BatchLayerEvaluation.from_terms` (a top-N search, whose terms
+are memoized beside its plan) it runs the NoC stage alone.  A fused
+block (:mod:`repro.cost.fused`) runs the NoC stage over many layers'
+terms at once.  Every path picks with one latency rule
+(:func:`latency_winner`, :func:`segment_latency_winners`) and builds
+the objects of only the rows it picked with one materializer
+(:meth:`BatchLayerEvaluation.execution_infos`), which gathers them
+from the terms and the NoC results.
 
 Exactness contract (asserted by ``tests/test_batch_eval.py`` and
 ``tests/test_fused_eval.py``):
@@ -63,12 +63,14 @@ explicitly.
 
 from __future__ import annotations
 
+import copy
 import functools
+import math
 from typing import (
     Callable,
-    Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -79,7 +81,12 @@ import numpy as np
 
 from repro.arch.accelerator import AcceleratorConfig
 from repro.cost.execution_info import ExecutionInfo, InfeasibleMapping
-from repro.mapping.batch_candidates import CandidateBatch
+from repro.mapping.batch_candidates import (
+    CandidateBatch,
+    FusedCandidateBlock,
+    candidate_arrays,
+    plan_mappings,
+)
 from repro.mapping.mapping import (
     STATIONARY_CHOICES,
     Mapping,
@@ -105,6 +112,9 @@ __all__ = [
     "relevant_prod_rows",
     "reuse_rows",
     "tiling_noc_stage",
+    "PlanTerms",
+    "plan_terms",
+    "concat_terms",
     "PlanStage",
     "BatchLayerEvaluation",
     "FEASIBLE",
@@ -118,6 +128,9 @@ __all__ = [
 _DATA_OPERANDS = (Operand.I, Operand.W, Operand.O)
 #: NoC check / dict-population order of the scalar model.
 _NOC_OPERANDS = (Operand.I, Operand.W, Operand.O, Operand.PSUM)
+#: Column of each NoC operand in an ``(n, 3)`` I/W/O term: PSUM travels
+#: in O's groups and tiles.
+_NOC_COLUMNS = [0, 1, 2, 2]
 
 #: Per-candidate failure codes (first scalar check that fires).
 FEASIBLE = 0
@@ -173,44 +186,26 @@ def plan_int64_safe(
     return _products_int64_safe(table.prod(axis=1)[row], config)
 
 
-def _latency(
-    t_comp: np.ndarray, t_noc: Dict[Operand, np.ndarray], t_dma: np.ndarray
-) -> np.ndarray:
-    """Per-row latency: the chained ``np.maximum`` of the six terms."""
-    latency = t_comp
-    for op in _NOC_OPERANDS:
-        latency = np.maximum(latency, t_noc[op])
-    return np.maximum(latency, t_dma)
-
-
 def latency_winner(
-    t_comp: np.ndarray,
-    t_noc: Dict[Operand, np.ndarray],
-    t_dma: np.ndarray,
-    feasible: Optional[np.ndarray] = None,
+    latency: np.ndarray, feasible: Optional[np.ndarray] = None
 ) -> int:
     """Row of the latency-optimal candidate: the first row at the minimum.
 
-    Latency is the chained ``np.maximum`` of ``t_comp``, the four
-    ``t_noc`` arrays and ``t_dma``.  Every term is a finite non-negative
-    float, so this equals ``ExecutionInfo.latency``'s ``max(...)``
-    exactly; ``np.argmin`` returns the first occurrence of the minimum,
-    which is the scalar first-strictly-best rule.  Rows where
-    ``feasible`` is False are masked to ``+inf``; the caller guarantees
-    at least one feasible row.
+    ``latency`` is :meth:`BatchLayerEvaluation.latency`, the maximum of
+    ``t_comp``, the four ``t_noc`` terms and ``t_dma``.  Every term is a
+    finite non-negative float, so this equals ``ExecutionInfo.latency``'s
+    ``max(...)`` exactly; ``np.argmin`` returns the first occurrence of
+    the minimum, which is the scalar first-strictly-best rule.  Rows
+    where ``feasible`` is False are masked to ``+inf``; the caller
+    guarantees at least one feasible row.
     """
-    latency = _latency(t_comp, t_noc, t_dma)
     if feasible is not None:
         latency = np.where(feasible, latency, np.inf)
     return int(np.argmin(latency))
 
 
 def segment_latency_winners(
-    t_comp: np.ndarray,
-    t_noc: Dict[Operand, np.ndarray],
-    t_dma: np.ndarray,
-    feasible: np.ndarray,
-    offsets: np.ndarray,
+    latency: np.ndarray, feasible: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
     """:func:`latency_winner` of every segment in one pass.
 
@@ -220,36 +215,55 @@ def segment_latency_winners(
     first row equal to that minimum: ``np.argmin``'s rule.  A segment
     without a feasible row gets its first row; the caller drops it.
     """
-    latency = np.where(feasible, _latency(t_comp, t_noc, t_dma), np.inf)
+    latency = np.where(feasible, latency, np.inf)
     starts = offsets[:-1]
     lows = np.minimum.reduceat(latency, starts)
     at_low = np.flatnonzero(latency == np.repeat(lows, np.diff(offsets)))
     return at_low[np.searchsorted(at_low, starts)]
 
 
+def _cols(dims: Tuple[Dim, ...]) -> List[int]:
+    """Column indices of ``dims``."""
+    return [_COL[d] for d in dims]
+
+
 @functools.lru_cache(maxsize=None)
-def _cols(dims: Tuple[Dim, ...]) -> np.ndarray:
-    """Column indices of ``dims`` (read-only; memoized per dim tuple)."""
-    cols = np.array([_COL[d] for d in dims], dtype=np.intp)
-    cols.setflags(write=False)
-    return cols
+def _dim_masks(
+    operators: Tuple[OperatorType, ...]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Which loop dims the reuse terms multiply, per operator (read-only,
+    memoized per operator tuple).
 
-
-def _prod_dims(arr: np.ndarray, dims: Tuple[Dim, ...]) -> np.ndarray:
-    """Row-wise product over the columns of ``dims`` (no dims -> 1)."""
-    if not dims:
-        return np.ones(arr.shape[0], dtype=np.int64)
-    return arr[:, _cols(dims)].prod(axis=1)
+    ``relevant[o, k]`` (``(operators, 3, 7)``) marks the dims indexing
+    data operand ``k`` (I, W, O) under operator ``o``;
+    ``free[o, s, k]`` (``(operators, 3, 3, 7)``) marks the dims indexing
+    neither stationary choice ``s`` nor operand ``k``: the dims
+    ``Mapping.reuse_at`` multiplies.
+    """
+    relevant = np.zeros((len(operators), 3, len(LOOP_DIMS)), dtype=bool)
+    free = np.zeros(
+        (len(operators), len(STATIONARY_CHOICES), 3, len(LOOP_DIMS)),
+        dtype=bool,
+    )
+    for o, operator in enumerate(operators):
+        for k, operand in enumerate(_DATA_OPERANDS):
+            relevant[o, k, _cols(_relevant_dims(operator, operand))] = True
+            for st, stationary in enumerate(STATIONARY_CHOICES):
+                dims = _free_dims(operator, stationary, operand)
+                free[o, st, k, _cols(dims)] = True
+    relevant.setflags(write=False)
+    free.setflags(write=False)
+    return relevant, free
 
 
 def tile_elements_rows(
     tile: np.ndarray, stride: _PerRow, dwise: _PerRow
-) -> Dict[Operand, np.ndarray]:
+) -> np.ndarray:
     """Vectorized :func:`repro.mapping.mapping.operand_tile_elements`.
 
     ``tile`` is an ``(n, 7)`` array of tile extents in ``LOOP_DIMS``
     order; ``stride``/``dwise`` are the layer's (scalars) or per-row
-    arrays.  Returns per-operand element counts for I/W/O; the
+    arrays.  Returns the ``(n, 3)`` I, W and O element counts; the
     arithmetic is the scalar model's verbatim (all int64, so the
     ``np.where`` channel selection is exact).
     """
@@ -262,33 +276,27 @@ def tile_elements_rows(
         w_channels, i_channels = (1, m) if dwise else (c, c)
     rows = (oy - 1) * stride + fy
     cols = (ox - 1) * stride + fx
-    return {
-        Operand.I: n_ * i_channels * rows * cols,
-        Operand.W: m * w_channels * fy * fx,
-        Operand.O: n_ * m * oy * ox,
-    }
+    out = np.empty((len(tile), 3), dtype=np.int64)
+    out[:, 0] = n_ * i_channels * rows * cols
+    out[:, 1] = m * w_channels * fy * fx
+    out[:, 2] = n_ * m * oy * ox
+    return out
 
 
 def relevant_prod_rows(
     operators: Sequence[OperatorType],
     opcode: Optional[np.ndarray],
     factors: np.ndarray,
-    operand: Operand,
 ) -> np.ndarray:
-    """Row-wise product of ``factors`` over the dims indexing ``operand``.
+    """Row-wise product of ``factors`` over the dims indexing I, W and O:
+    ``(n, 3)``.
 
     ``opcode`` indexes ``operators`` per row; with a single operator it
-    is not read (every row has that operator's relevant-dim set).
+    is not read (every row has that operator's relevant-dim sets).
     """
-    if len(operators) == 1:
-        return _prod_dims(factors, _relevant_dims(operators[0], operand))
-    out = np.ones(factors.shape[0], dtype=np.int64)
-    for code, operator in enumerate(operators):
-        mask = opcode == code
-        if not mask.any():
-            continue
-        out[mask] = _prod_dims(factors[mask], _relevant_dims(operator, operand))
-    return out
+    relevant = _dim_masks(tuple(operators))[0]
+    mask = relevant[0] if len(operators) == 1 else relevant[opcode]
+    return np.where(mask, factors[:, None, :], 1).prod(axis=2)
 
 
 def reuse_rows(
@@ -296,79 +304,80 @@ def reuse_rows(
     opcode: Optional[np.ndarray],
     factors: np.ndarray,
     codes: np.ndarray,
-    operand: Operand,
 ) -> np.ndarray:
-    """Per-row temporal reuse of ``operand`` at one level.
+    """Per-row temporal reuse of I, W and O at one level: ``(n, 3)``.
 
     Mirrors ``Mapping.reuse_at``: the product of the level's factors over
-    dims irrelevant to both the (per-row) stationary operand and
-    ``operand``, masking over the operator x stationary product when the
-    operator varies row to row (``opcode`` as in
+    dims irrelevant to both the (per-row) stationary operand ``codes``
+    and each operand, under each row's operator (``opcode`` as in
     :func:`relevant_prod_rows`).
     """
-    out = np.ones(factors.shape[0], dtype=np.int64)
-    for code, operator in enumerate(operators):
-        op_mask = None if len(operators) == 1 else opcode == code
-        if op_mask is not None and not op_mask.any():
-            continue
-        for st_code, stationary in enumerate(STATIONARY_CHOICES):
-            mask = codes == st_code
-            if op_mask is not None:
-                mask &= op_mask
-            if not mask.any():
-                continue
-            free = _free_dims(operator, stationary, operand)
-            if free:
-                out[mask] = _prod_dims(factors[mask], free)
-    return out
+    free = _dim_masks(tuple(operators))[1]
+    mask = free[0, codes] if len(operators) == 1 else free[opcode, codes]
+    return np.where(mask, factors[:, None, :], 1).prod(axis=2)
 
 
-def _noc_rounds(
-    groups: Dict[Operand, np.ndarray], config: AcceleratorConfig
-) -> Tuple[Dict[Operand, int], Dict[Operand, np.ndarray]]:
-    """NoC/bandwidth stage, first step: each operand's physical links
-    and the broadcast rounds its concurrent groups need on them."""
-    links = {op: config.physical_links(op) for op in _NOC_OPERANDS}
-    rounds = {
-        op: np.ceil(groups[op] / links[op]).astype(np.int64)
-        for op in _NOC_OPERANDS
-    }
-    return links, rounds
+class PlanTerms(NamedTuple):
+    """One candidate plan and the plan-stage terms of its rows.
 
+    ``table``, ``row`` and ``code`` are the plan in the top-N memo's
+    compact form: a ``(tilings, 4, 7)`` table of spatial, RF, SPM and
+    DRAM factors, and per row its tiling and stationary-code pair
+    (``dram_code * 3 + spm_code``).  ``int64_safe`` is the plan's
+    overflow verdict (:func:`plan_int64_safe`); an unsafe plan carries
+    no terms.
 
-def _noc_event_cycles(
-    rounds: Dict[Operand, np.ndarray],
-    tile_bytes: Dict[Operand, np.ndarray],
-    config: AcceleratorConfig,
-) -> Dict[Operand, np.ndarray]:
-    """Cycles of one NoC event per operand: the parenthesis of
-    ``t_noc = events * ((rounds * tile_bytes) / noc_bytes_per_cycle)``."""
-    noc_bpc = config.noc_bytes_per_cycle
-    return {
-        op: (rounds[op] * tile_bytes[op]) / noc_bpc for op in _NOC_OPERANDS
-    }
+    Terms of a tiling, stored once per tiling because they do not read
+    a row's stationary codes: ``t_comp``; ``fail_code``, the first of
+    the PE, RF and SPM checks that fails (int8, :data:`FEASIBLE` when
+    none does); ``pes_used``; ``groups``, ``rf_bytes`` and
+    ``spm_bytes`` (``(tilings, 3)``: the I, W and O NoC group counts, RF
+    tile bytes and SPM tile bytes); ``padded_out_bytes``, the bytes of
+    the whole padded output tile; and ``spm_relevant`` and
+    ``dram_relevant`` (``(tilings, 3)``: the product of the SPM and of
+    the DRAM factors over the dims indexing I, W and O, the divisors of
+    the remaining-reuse terms).
 
-
-def tiling_noc_stage(
-    groups: Dict[Operand, np.ndarray],
-    tile_bytes: Dict[Operand, np.ndarray],
-    fits: np.ndarray,
-    config: AcceleratorConfig,
-) -> Tuple[np.ndarray, Dict[Operand, np.ndarray]]:
-    """The NoC/bandwidth stage over tilings instead of rows.
-
-    Rounds, the four NoC checks and the per-event cycles read only a
-    row's tiling (its spatial and RF factors), so a fused block runs
-    them once per tiling and gathers per row.  ``groups`` and
-    ``tile_bytes`` are per NoC operand (PSUM's are O's), ``fits`` the
-    PE/RF/SPM verdict.  Returns the feasibility of each tiling and
-    :func:`_noc_event_cycles`, both to be gathered by each row's tiling.
+    Terms of a row: ``events`` (``(rows, 4)``: the I, W, O and PSUM NoC
+    event counts), ``dram_fetches`` (``(rows, 3)``: the I, W and O
+    fetch counts at the DRAM level) and ``offchip_total``, the off-chip
+    bytes that ``t_dma`` divides.  The SPM-level fetch counts are not
+    stored: a row's I, W and O event counts are its DRAM iterations
+    times them.  Memoized arrays are read-only.
     """
-    _links, rounds = _noc_rounds(groups, config)
-    feasible = fits.copy()
-    for op in _NOC_OPERANDS:
-        feasible &= rounds[op] <= config.virt_unicast[op]
-    return feasible, _noc_event_cycles(rounds, tile_bytes, config)
+
+    table: np.ndarray
+    row: np.ndarray
+    code: np.ndarray
+    int64_safe: bool
+    t_comp: Optional[np.ndarray] = None
+    fail_code: Optional[np.ndarray] = None
+    pes_used: Optional[np.ndarray] = None
+    groups: Optional[np.ndarray] = None
+    rf_bytes: Optional[np.ndarray] = None
+    spm_bytes: Optional[np.ndarray] = None
+    padded_out_bytes: Optional[np.ndarray] = None
+    spm_relevant: Optional[np.ndarray] = None
+    dram_relevant: Optional[np.ndarray] = None
+    events: Optional[np.ndarray] = None
+    dram_fetches: Optional[np.ndarray] = None
+    offchip_total: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_batch(cls, batch: CandidateBatch, safe: bool) -> "PlanTerms":
+        """``batch`` as an unscored plan in which every row is its own
+        tiling, with overflow verdict ``safe``."""
+        return cls(
+            np.stack([batch.spatial, batch.rf, batch.spm, batch.dram], axis=1),
+            np.arange(len(batch)),
+            batch.dram_code * len(STATIONARY_CHOICES) + batch.spm_code,
+            safe,
+        )
+
+
+#: The :class:`PlanTerms` fields held once per tiling, and once per row.
+_TILING_TERMS = PlanTerms._fields[4:13]
+_ROW_TERMS = PlanTerms._fields[13:]
 
 
 class PlanStage:
@@ -376,12 +385,15 @@ class PlanStage:
 
     Every term here reads only the candidates, the layer attributes and
     the plan-key hardware fields ``pes``, ``l1_bytes``, ``l2_bytes`` and
-    ``bytes_per_element`` (see :mod:`repro.perf.signature`).  It fills
-    the tile-size, capacity and off-chip attributes of
-    :class:`BatchLayerEvaluation`; ``fail_code`` holds only the PE, RF
-    and SPM checks, which fire before the NoC checks.  A standalone
-    stage also keeps :attr:`events`, the per-operand NoC event counts
-    that a fused block memoizes with the plan.
+    ``bytes_per_element`` (see :mod:`repro.perf.signature`), and every
+    step mirrors the scalar model's check order and operation order.
+    Its attributes are the :class:`PlanTerms` fields, one entry per row;
+    :func:`plan_terms` keeps the per-tiling ones once per tiling.
+
+    ``cands`` is a ``CandidateBatch`` or ``FusedCandidateBlock``.  Layer
+    attributes are scalars for one layer or per-row arrays for a block;
+    ``opcode`` indexes ``operators`` per row (see
+    :func:`relevant_prod_rows`).
     """
 
     def __init__(
@@ -393,140 +405,178 @@ class PlanStage:
         operators: Sequence[OperatorType],
         opcode: Optional[np.ndarray],
     ):
-        self.events, _fetches = self._plan_stage(
-            cands, config, stride, dwise, operators, opcode
-        )
-
-    def _fail(self, ok: np.ndarray, violated: np.ndarray, code: int) -> None:
-        """Give ``code`` to the rows still ``ok`` that ``violated``."""
-        newly = ok & violated
-        self.fail_code[newly] = code
-        ok[newly] = False
-
-    def _plan_stage(
-        self,
-        cands,
-        config: AcceleratorConfig,
-        stride: _PerRow,
-        dwise: _PerRow,
-        operators: Sequence[OperatorType],
-        opcode: Optional[np.ndarray],
-    ) -> Tuple[Dict[Operand, np.ndarray], Tuple[Dict, Dict]]:
-        """Fill the plan-stage attributes over the rows of ``cands`` (a
-        ``CandidateBatch`` or ``FusedCandidateBlock``).
-
-        Layer attributes are scalars for one layer or per-row arrays for
-        a block; ``opcode`` indexes ``operators`` per row (see
-        :func:`relevant_prod_rows`).  Returns the per-operand NoC event
-        counts and the SPM/DRAM fetch counts, which the NoC stage and
-        the reuse terms read; they are not kept, so a search trace does
-        not grow.
-        """
         n = len(cands)
         bpe = config.bytes_per_element
 
         # -- resource feasibility (mirrors the scalar check order) ----------
         self.pes_used = cands.spatial.prod(axis=1)
-        self.rf_bytes = {
-            op: elems * bpe
-            for op, elems in tile_elements_rows(cands.rf, stride, dwise).items()
-        }
-        self.rf_total = (
-            self.rf_bytes[Operand.I]
-            + self.rf_bytes[Operand.W]
-            + self.rf_bytes[Operand.O]
-        )
+        self.rf_bytes = tile_elements_rows(cands.rf, stride, dwise) * bpe
         spm_tile = cands.rf * cands.spatial * cands.spm
-        self.spm_bytes = {
-            op: elems * bpe
-            for op, elems in tile_elements_rows(spm_tile, stride, dwise).items()
-        }
-        self.spm_total = (
-            self.spm_bytes[Operand.I]
-            + self.spm_bytes[Operand.W]
-            + self.spm_bytes[Operand.O]
-        )
-        self.groups: Dict[Operand, np.ndarray] = {
-            op: relevant_prod_rows(operators, opcode, cands.spatial, op)
-            for op in _DATA_OPERANDS
-        }
-        self.groups[Operand.PSUM] = self.groups[Operand.O]
+        self.spm_bytes = tile_elements_rows(spm_tile, stride, dwise) * bpe
+        self.groups = relevant_prod_rows(operators, opcode, cands.spatial)
 
-        self.fail_code = np.zeros(n, dtype=np.int64)
+        self.fail_code = np.zeros(n, dtype=np.int8)
         ok = np.ones(n, dtype=bool)
-        self._fail(ok, self.pes_used > config.pes, FAIL_PES)
-        self._fail(ok, self.rf_total > config.l1_bytes, FAIL_RF)
-        self._fail(ok, 2 * self.spm_total > config.l2_bytes, FAIL_SPM)
+        for violated, code in (
+            (self.pes_used > config.pes, FAIL_PES),
+            (self.rf_bytes.sum(axis=1) > config.l1_bytes, FAIL_RF),
+            (2 * self.spm_bytes.sum(axis=1) > config.l2_bytes, FAIL_SPM),
+        ):
+            newly = ok & violated
+            self.fail_code[newly] = code
+            ok[newly] = False
 
         # -- computation ------------------------------------------------------
         iters_dram = cands.dram.prod(axis=1)
         iters_spm = cands.spm.prod(axis=1)
         iters_rf = cands.rf.prod(axis=1)
-        t_comp_int = iters_dram * iters_spm * iters_rf
-        self.t_comp = t_comp_int.astype(np.float64)
+        self.t_comp = (iters_dram * iters_spm * iters_rf).astype(np.float64)
 
         # -- NoC distribution events -------------------------------------------
-        fetches2 = {
-            op: iters_spm
-            // reuse_rows(operators, opcode, cands.spm, cands.spm_code, op)
-            for op in _DATA_OPERANDS
-        }
-        out_tiles2 = relevant_prod_rows(operators, opcode, cands.spm, Operand.O)
-        events = {
-            Operand.I: iters_dram * fetches2[Operand.I],
-            Operand.W: iters_dram * fetches2[Operand.W],
-            Operand.O: iters_dram * fetches2[Operand.O],
-            Operand.PSUM: iters_dram
-            * np.maximum(0, fetches2[Operand.O] - out_tiles2),
-        }
-        self.noc_bytes_per_group = {
-            Operand.I: self.rf_bytes[Operand.I],
-            Operand.W: self.rf_bytes[Operand.W],
-            Operand.O: self.rf_bytes[Operand.O],
-            Operand.PSUM: self.rf_bytes[Operand.O],
-        }
+        self.spm_relevant = relevant_prod_rows(operators, opcode, cands.spm)
+        self.dram_relevant = relevant_prod_rows(operators, opcode, cands.dram)
+        spm_fetches = iters_spm[:, None] // reuse_rows(
+            operators, opcode, cands.spm, cands.spm_code
+        )
+        self.events = np.empty((n, len(_NOC_OPERANDS)), dtype=np.int64)
+        self.events[:, :3] = iters_dram[:, None] * spm_fetches
+        # PSUM: the O fetches beyond the SPM-level output tiles.
+        self.events[:, 3] = iters_dram * np.maximum(
+            0, spm_fetches[:, 2] - self.spm_relevant[:, 2]
+        )
 
         # -- DMA transfers ----------------------------------------------------
-        fetches3 = {
-            op: iters_dram
-            // reuse_rows(operators, opcode, cands.dram, cands.dram_code, op)
-            for op in _DATA_OPERANDS
-        }
-        self.off_int = {
-            Operand.I: fetches3[Operand.I] * self.spm_bytes[Operand.I],
-            Operand.W: fetches3[Operand.W] * self.spm_bytes[Operand.W],
-        }
-        out_writes = fetches3[Operand.O] * self.spm_bytes[Operand.O]
+        self.dram_fetches = iters_dram[:, None] // reuse_rows(
+            operators, opcode, cands.dram, cands.dram_code
+        )
+        offchip = self.dram_fetches * self.spm_bytes  # I, W and out writes
         full_tile = cands.dram * cands.spm * cands.spatial * cands.rf
-        padded_out_bytes = (
-            tile_elements_rows(full_tile, stride, dwise)[Operand.O] * bpe
+        self.padded_out_bytes = (
+            tile_elements_rows(full_tile, stride, dwise)[:, 2] * bpe
         )
-        self.off_float = {
-            Operand.O: out_writes.astype(np.float64),
-            Operand.PSUM: np.maximum(0, out_writes - padded_out_bytes).astype(
-                np.float64
-            ),
-        }
         # Same float-addition order as ``sum(data_offchip.values())``.
-        # Kept: it is the only input of ``t_dma`` that a re-score on a
-        # new bandwidth or clock needs (``rescore_trace``).
         self.offchip_total = (
-            self.off_int[Operand.I].astype(np.float64)
-            + self.off_int[Operand.W].astype(np.float64)
-            + self.off_float[Operand.O]
-            + self.off_float[Operand.PSUM]
+            offchip[:, 0].astype(np.float64)
+            + offchip[:, 1].astype(np.float64)
+            + offchip[:, 2].astype(np.float64)
+            + np.maximum(0, offchip[:, 2] - self.padded_out_bytes).astype(
+                np.float64
+            )
         )
-        return events, (fetches2, fetches3)
 
 
-class BatchLayerEvaluation(PlanStage):
-    """Kernel results for one candidate set on one hardware config.
+def plan_terms(
+    layers: Sequence[LayerShape],
+    plans: Sequence[PlanTerms],
+    config: AcceleratorConfig,
+) -> List[PlanTerms]:
+    """The plan stage in one pass over every row of ``plans`` (plan
+    ``k`` is layer ``k``'s), split back into one :class:`PlanTerms` per
+    plan, with read-only arrays.  Callers score only int64-safe plans.
 
-    Array attributes are indexed by candidate row; per-operand
-    quantities live in dicts of arrays.  Constructed from one layer's
-    ``CandidateBatch``; :class:`repro.cost.fused.FusedBlockEvaluation`
-    runs the same kernel (:meth:`_score`) over a multi-layer block and
-    shares every reader below.
+    A tiling's terms are taken from any one of its rows: they do not
+    read the row's stationary codes.  Every tiling of a plan is some
+    row's (a top-N plan draws a tiling only for a row).
+    """
+    tiling_offsets = np.cumsum([0] + [len(plan.table) for plan in plans])
+    row_offsets = np.cumsum([0] + [len(plan.row) for plan in plans])
+    tiling = np.concatenate(
+        [plan.row + start for plan, start in zip(plans, tiling_offsets)]
+    )
+    levels = np.concatenate([plan.table for plan in plans])[tiling]
+    code = np.concatenate([plan.code for plan in plans])
+    factors = candidate_arrays(levels, code)
+    if len(layers) == 1:  # the layer's attributes as scalars
+        (layer,) = layers
+        stage = PlanStage(
+            CandidateBatch(**factors),
+            config,
+            layer.stride,
+            layer.operator is OperatorType.DWCONV,
+            (layer.operator,),
+            None,
+        )
+    else:
+        block = FusedCandidateBlock.from_rows(
+            layers, [len(plan.row) for plan in plans], **factors
+        )
+        stage = PlanStage(
+            block,
+            config,
+            block.stride,
+            block.dwise,
+            block.operators,
+            block.opcode,
+        )
+    any_row = np.zeros(tiling_offsets[-1], dtype=np.intp)
+    any_row[tiling] = np.arange(len(tiling))
+    per_tiling = [getattr(stage, name)[any_row] for name in _TILING_TERMS]
+    per_row = [getattr(stage, name) for name in _ROW_TERMS]
+    scored = []
+    for k, plan in enumerate(plans):
+        if len(plans) == 1:
+            terms = per_tiling + per_row
+        else:  # copies, so that an entry does not pin the whole pass
+            tilings = slice(tiling_offsets[k], tiling_offsets[k + 1])
+            rows = slice(row_offsets[k], row_offsets[k + 1])
+            terms = [array[tilings].copy() for array in per_tiling]
+            terms += [array[rows].copy() for array in per_row]
+        for array in terms:
+            array.setflags(write=False)
+        scored.append(PlanTerms(*plan[:4], *terms))
+    return scored
+
+
+def concat_terms(terms: Sequence[PlanTerms]) -> PlanTerms:
+    """One :class:`PlanTerms` over the rows of every plan in ``terms``,
+    in order: each plan's tiling indices shift past the earlier plans'
+    tables."""
+    if len(terms) == 1:
+        return terms[0]
+    starts = np.cumsum([0] + [len(entry.table) for entry in terms[:-1]])
+    fields = {
+        name: np.concatenate([getattr(entry, name) for entry in terms])
+        for name in ("table", "code") + _TILING_TERMS + _ROW_TERMS
+    }
+    row = np.concatenate(
+        [entry.row + start for entry, start in zip(terms, starts)]
+    )
+    return PlanTerms(row=row, int64_safe=True, **fields)
+
+
+def tiling_noc_stage(
+    terms: PlanTerms, config: AcceleratorConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The NoC/bandwidth stage over tilings instead of rows.
+
+    Rounds, the four NoC checks and the per-event cycles read only a
+    row's tiling (its spatial and RF factors), so they run once per
+    tiling of ``terms`` and are gathered per row.  Returns each tiling's
+    feasibility (its plan-stage checks and the NoC checks) and the
+    ``(tilings, 4)`` cycles of one I, W, O and PSUM NoC event: the
+    parenthesis of ``t_noc = events * ((rounds * tile_bytes) /
+    noc_bytes_per_cycle)``.
+    """
+    links = np.array([config.physical_links(op) for op in _NOC_OPERANDS])
+    virt = np.array([config.virt_unicast[op] for op in _NOC_OPERANDS])
+    rounds = np.ceil(terms.groups[:, _NOC_COLUMNS] / links).astype(np.int64)
+    feasible = (terms.fail_code == FEASIBLE) & (rounds <= virt).all(axis=1)
+    tile_bytes = terms.rf_bytes[:, _NOC_COLUMNS]
+    return feasible, (rounds * tile_bytes) / config.noc_bytes_per_cycle
+
+
+class BatchLayerEvaluation:
+    """A plan's terms plus its NoC/bandwidth stage on one config.
+
+    ``feasible`` is per candidate row; every other per-row quantity is
+    derived from :attr:`terms`, the per-tiling :attr:`cycles` and
+    :attr:`config` when it is read, so an evaluation kept as a search
+    trace holds little beyond the terms it may share with the top-N
+    memo.  Constructed from one layer's ``CandidateBatch`` it runs the
+    whole kernel (:meth:`_score`); :meth:`from_terms` runs the NoC stage
+    over terms already scored.
+    :class:`repro.cost.fused.FusedBlockEvaluation` runs the NoC stage
+    over a multi-layer block and shares every reader below.
     """
 
     def __init__(
@@ -535,175 +585,175 @@ class BatchLayerEvaluation(PlanStage):
         batch: CandidateBatch,
         config: AcceleratorConfig,
     ):
-        self.layer = layer
-        self.batch = batch
-        self.config = config
-        self._score(
-            batch,
-            config,
-            stride=layer.stride,
-            dwise=layer.operator is OperatorType.DWCONV,
-            operators=(layer.operator,),
-            opcode=None,
-            macs=layer.macs,
-        )
+        self._score(layer, batch, config)
+
+    @classmethod
+    def from_terms(
+        cls, terms: PlanTerms, config: AcceleratorConfig, macs: int
+    ) -> "BatchLayerEvaluation":
+        """The NoC stage over one layer's scored ``terms`` (its layer
+        has ``macs`` MACs)."""
+        evaluation = cls.__new__(cls)
+        evaluation._noc_stage(terms, config, macs)
+        return evaluation
 
     def _score(
         self,
-        cands,
+        layer: LayerShape,
+        batch: CandidateBatch,
         config: AcceleratorConfig,
-        stride: _PerRow,
-        dwise: _PerRow,
-        operators: Sequence[OperatorType],
-        opcode: Optional[np.ndarray],
-        macs: _PerRow,
     ) -> None:
-        """The whole candidate-scoring kernel over the rows of ``cands``:
-        the plan stage, the NoC/bandwidth stage, then the traffic, reuse
-        and utilization terms that only the materializer reads.  Every
-        step mirrors the scalar model's check order and operation
-        order."""
-        events, (fetches2, fetches3) = self._plan_stage(
-            cands, config, stride, dwise, operators, opcode
+        """The whole kernel over the rows of ``batch``: the plan stage,
+        each row its own tiling, then the NoC/bandwidth stage."""
+        (terms,) = plan_terms(
+            [layer], [PlanTerms.from_batch(batch, True)], config
         )
-        self._noc_stage(config, events)
-
-        self.data_noc: Dict[Operand, np.ndarray] = {
-            op: events[op] * self.groups[op] * self.noc_bytes_per_group[op]
-            for op in _NOC_OPERANDS
-        }
-
-        # -- remaining (unexploited) reuse -----------------------------------
-        self.reuse_rf: Dict[Operand, np.ndarray] = {}
-        self.reuse_spm: Dict[Operand, np.ndarray] = {}
-        for op in _DATA_OPERANDS:
-            min2 = relevant_prod_rows(operators, opcode, cands.spm, op)
-            min3 = relevant_prod_rows(operators, opcode, cands.dram, op)
-            self.reuse_rf[op] = fetches2[op] / min2
-            self.reuse_spm[op] = fetches3[op] / min3
-        self.reuse_rf[Operand.PSUM] = self.reuse_rf[Operand.O]
-        self.reuse_spm[Operand.PSUM] = self.reuse_spm[Operand.O]
-
-        pes_f = self.pes_used.astype(np.float64)
-        denominator = np.where(self.t_comp > 0, self.t_comp * pes_f, 1.0)
-        self.utilization = np.where(self.t_comp > 0, macs / denominator, 0.0)
+        self._noc_stage(terms, config, layer.macs)
 
     def _noc_stage(
-        self, config: AcceleratorConfig, events: Dict[Operand, np.ndarray]
+        self, terms: PlanTerms, config: AcceleratorConfig, macs: _PerRow
     ) -> None:
-        """The NoC/bandwidth stage per row: links, rounds, the four NoC
-        checks (after the plan stage's), ``t_noc`` and ``t_dma``."""
-        self.links, self.rounds = _noc_rounds(self.groups, config)
-        ok = self.fail_code == FEASIBLE
-        for i, op in enumerate(_NOC_OPERANDS):
-            violated = self.rounds[op] > config.virt_unicast[op]
-            self._fail(ok, violated, FAIL_NOC_BASE + i)
-        self.feasible = ok
-        cycles = _noc_event_cycles(
-            self.rounds, self.noc_bytes_per_group, config
-        )
-        self.t_noc: Dict[Operand, np.ndarray] = {
-            op: events[op] * cycles[op] for op in _NOC_OPERANDS
-        }
-        self.t_dma = self.offchip_total / config.dram_bytes_per_cycle
+        """The NoC/bandwidth stage once per tiling
+        (:func:`tiling_noc_stage`), and each row's feasibility.
+        ``macs`` is the layer's MAC count, or a block's per row."""
+        self.terms = terms
+        self.config = config
+        self.macs = macs
+        feasible, self.cycles = tiling_noc_stage(terms, config)
+        self.feasible = feasible[terms.row]
 
     def __len__(self) -> int:
-        return len(self.fail_code)
+        return len(self.feasible)
 
     @property
     def feasible_indices(self) -> np.ndarray:
         """Positions of the feasible candidates, in candidate order."""
         return np.flatnonzero(self.feasible)
 
-    def _macs(self, idx: np.ndarray) -> list:
-        """The ``macs`` field of each row in ``idx``: the layer's."""
-        return [self.layer.macs] * len(idx)
+    def rescored(self, config: AcceleratorConfig) -> "BatchLayerEvaluation":
+        """This evaluation on ``config``, which differs from its own
+        config only in off-chip bandwidth and clock.  Those reach only
+        ``t_dma``, which every reader derives from :attr:`config`, so
+        the copy shares the terms and the NoC results."""
+        clone = copy.copy(self)
+        clone.config = config
+        return clone
+
+    def latency(self) -> np.ndarray:
+        """Per-row latency: the maximum of ``t_comp``, the four
+        ``t_noc = events * cycles`` and ``t_dma = offchip_total /
+        dram_bytes_per_cycle``."""
+        terms = self.terms
+        t_noc = terms.events * self.cycles[terms.row]
+        latency = np.maximum(terms.t_comp[terms.row], t_noc.max(axis=1))
+        return np.maximum(
+            latency, terms.offchip_total / self.config.dram_bytes_per_cycle
+        )
+
+    def _macs(self, idx: np.ndarray) -> Tuple[_PerRow, list]:
+        """The MACs of the rows in ``idx``, as the utilization operand
+        and as field values: the layer's."""
+        return self.macs, [self.macs] * len(idx)
+
+    def mappings(self, indices: Sequence[int]) -> List[Mapping]:
+        """The :class:`Mapping` of every row in ``indices``."""
+        idx = np.asarray(indices, dtype=np.intp)
+        terms = self.terms
+        return plan_mappings(terms.table[terms.row[idx]], terms.code[idx])
 
     def execution_infos(self, indices: Sequence[int]) -> List[ExecutionInfo]:
         """The scalar-identical :class:`ExecutionInfo` of every row in
-        ``indices`` (feasible rows only).
+        ``indices`` (feasible rows only), gathered from the terms and
+        the NoC results: the one materializer of every batch path.
 
         Python types and dict insertion orders mirror
         ``evaluate_layer_mapping`` exactly (e.g. ``data_offchip`` holds
-        ints for I/W and floats for O/PSUM).  Converts each field array
-        to a Python list once (``.tolist()`` yields exact Python ints
-        from int64 and floats from float64, the types the scalar path
-        produces) instead of one NumPy scalar round-trip per field per
-        candidate, and fills the frozen ``ExecutionInfo`` instances
-        directly through ``__dict__`` — the same trusted-constructor
-        trick as ``Mapping._trusted``, since the per-field
-        ``object.__setattr__`` of the generated ``__init__`` dominates
-        construction time at batch sizes.
+        ints for I/W and floats for O/PSUM).  The remaining quantities
+        are formed over the gathered rows only, in the kernel's
+        operation order.  Each field array becomes a Python list once
+        (``.tolist()`` yields exact Python ints from int64 and floats
+        from float64, the types the scalar path produces) instead of one
+        NumPy scalar round-trip per field per candidate, and the frozen
+        ``ExecutionInfo`` instances are filled directly through
+        ``__dict__`` — the same trusted-constructor trick as
+        ``Mapping._trusted``, since the per-field ``object.__setattr__``
+        of the generated ``__init__`` dominates construction time at
+        batch sizes.
         """
         idx = np.asarray(indices, dtype=np.intp)
-        I, W, O, PSUM = Operand.I, Operand.W, Operand.O, Operand.PSUM
+        terms = self.terms
+        tiling = terms.row[idx]
+        I, W, O, PSUM = _NOC_OPERANDS
+        f64 = np.float64
 
-        def _f(arr: np.ndarray) -> list:  # exact int -> float conversion
-            return arr[idx].astype(np.float64).tolist()
+        events = terms.events[idx]
+        dram_fetches = terms.dram_fetches[idx]
+        # The I, W and O events are the DRAM iterations times the SPM
+        # fetch counts, so those divide back out exactly.
+        dram_iters = terms.table[tiling, 3].prod(axis=1)
+        spm_fetches = events[:, :3] // dram_iters[:, None]
+        groups = terms.groups[tiling]
+        rf_bytes = terms.rf_bytes[tiling]
+        spm_bytes = terms.spm_bytes[tiling]
+        out_writes = dram_fetches[:, 2] * spm_bytes[:, 2]
+        t_comp = terms.t_comp[tiling]
+        pes = terms.pes_used[tiling]
+        macs, macs_list = self._macs(idx)
+        denominator = np.where(t_comp > 0, t_comp * pes.astype(f64), 1.0)
 
-        t_comp = self.t_comp[idx].tolist()
-        t_dma = self.t_dma[idx].tolist()
-        tn_i, tn_w, tn_o, tn_p = (
-            self.t_noc[op][idx].tolist() for op in _NOC_OPERANDS
+        t_noc = (events * self.cycles[tiling]).tolist()
+        t_dma = (
+            terms.offchip_total[idx] / self.config.dram_bytes_per_cycle
+        ).tolist()
+        off_iw = (dram_fetches[:, :2] * spm_bytes[:, :2]).tolist()
+        off_o = out_writes.astype(f64).tolist()
+        off_p = (
+            np.maximum(0, out_writes - terms.padded_out_bytes[tiling])
+            .astype(f64)
+            .tolist()
         )
-        off_i = self.off_int[I][idx].tolist()
-        off_w = self.off_int[W][idx].tolist()
-        off_o = self.off_float[O][idx].tolist()
-        off_p = self.off_float[PSUM][idx].tolist()
-        dn_i, dn_w, dn_o, dn_p = (
-            self.data_noc[op][idx].tolist() for op in _NOC_OPERANDS
-        )
-        g_i, g_w, g_o, g_p = (
-            self.groups[op][idx].tolist() for op in _NOC_OPERANDS
-        )
-        nb_i, nb_w, nb_o, nb_p = (
-            _f(self.noc_bytes_per_group[op]) for op in _NOC_OPERANDS
-        )
-        rf_i, rf_w, rf_o = (_f(self.rf_bytes[op]) for op in _DATA_OPERANDS)
-        sp_i, sp_w, sp_o = (_f(self.spm_bytes[op]) for op in _DATA_OPERANDS)
-        rr_i, rr_w, rr_o = (
-            self.reuse_rf[op][idx].tolist() for op in _DATA_OPERANDS
-        )
-        rs_i, rs_w, rs_o = (
-            self.reuse_spm[op][idx].tolist() for op in _DATA_OPERANDS
-        )
-        pes = self.pes_used[idx].tolist()
-        util = self.utilization[idx].tolist()
-        macs = self._macs(idx)
+        data_noc = (
+            events * groups[:, _NOC_COLUMNS] * rf_bytes[:, _NOC_COLUMNS]
+        ).tolist()
+        group_counts = groups.tolist()
+        rf_f = rf_bytes.astype(f64).tolist()
+        spm_f = spm_bytes.astype(f64).tolist()
+        reuse_rf = (spm_fetches / terms.spm_relevant[tiling]).tolist()
+        reuse_spm = (dram_fetches / terms.dram_relevant[tiling]).tolist()
+        util = np.where(t_comp > 0, macs / denominator, 0.0).tolist()
+        t_comp = t_comp.tolist()
+        pes = pes.tolist()
 
         infos: List[ExecutionInfo] = []
         for k in range(len(t_comp)):
+            tn, dn, g = t_noc[k], data_noc[k], group_counts[k]
+            rf, sp, rr, rs = rf_f[k], spm_f[k], reuse_rf[k], reuse_spm[k]
             info = object.__new__(ExecutionInfo)
             info.__dict__.update({
                 "t_comp": t_comp[k],
-                "t_noc": {I: tn_i[k], W: tn_w[k], O: tn_o[k], PSUM: tn_p[k]},
+                "t_noc": {I: tn[0], W: tn[1], O: tn[2], PSUM: tn[3]},
                 "t_dma": t_dma[k],
                 "data_offchip": {
-                    I: off_i[k], W: off_w[k], O: off_o[k], PSUM: off_p[k]
+                    I: off_iw[k][0],
+                    W: off_iw[k][1],
+                    O: off_o[k],
+                    PSUM: off_p[k],
                 },
-                "data_noc": {
-                    I: dn_i[k], W: dn_w[k], O: dn_o[k], PSUM: dn_p[k]
-                },
-                "noc_groups_needed": {
-                    I: g_i[k], W: g_w[k], O: g_o[k], PSUM: g_p[k]
-                },
+                "data_noc": {I: dn[0], W: dn[1], O: dn[2], PSUM: dn[3]},
+                "noc_groups_needed": {I: g[0], W: g[1], O: g[2], PSUM: g[2]},
                 "noc_bytes_per_group": {
-                    I: nb_i[k], W: nb_w[k], O: nb_o[k], PSUM: nb_p[k]
+                    I: rf[0], W: rf[1], O: rf[2], PSUM: rf[2]
                 },
-                "data_rf": {
-                    I: rf_i[k], W: rf_w[k], O: rf_o[k], PSUM: rf_o[k]
-                },
-                "data_spm": {
-                    I: sp_i[k], W: sp_w[k], O: sp_o[k], PSUM: sp_o[k]
-                },
+                "data_rf": {I: rf[0], W: rf[1], O: rf[2], PSUM: rf[2]},
+                "data_spm": {I: sp[0], W: sp[1], O: sp[2], PSUM: sp[2]},
                 "reuse_available_rf": {
-                    I: rr_i[k], W: rr_w[k], O: rr_o[k], PSUM: rr_o[k]
+                    I: rr[0], W: rr[1], O: rr[2], PSUM: rr[2]
                 },
                 "reuse_available_spm": {
-                    I: rs_i[k], W: rs_w[k], O: rs_o[k], PSUM: rs_o[k]
+                    I: rs[0], W: rs[1], O: rs[2], PSUM: rs[2]
                 },
                 "pes_used": pes[k],
-                "macs": macs[k],
+                "macs": macs_list[k],
                 "utilized_macs_fraction": util[k],
             })
             infos.append(info)
@@ -712,30 +762,36 @@ class BatchLayerEvaluation(PlanStage):
     def infeasibility(self, i: int) -> InfeasibleMapping:
         """The scalar-identical :class:`InfeasibleMapping` of row ``i``
         (only valid for infeasible rows)."""
-        code = int(self.fail_code[i])
-        config = self.config
+        terms, config = self.terms, self.config
+        tiling = int(terms.row[i])
+        code = int(terms.fail_code[tiling])
         if code == FAIL_PES:
             return InfeasibleMapping(
-                f"spatial unrolling needs {int(self.pes_used[i])} PEs, "
+                f"spatial unrolling needs {int(terms.pes_used[tiling])} PEs, "
                 f"hardware has {config.pes}"
             )
         if code == FAIL_RF:
             return InfeasibleMapping(
-                f"RF tile needs {int(self.rf_total[i])} B, "
+                f"RF tile needs {int(terms.rf_bytes[tiling].sum())} B, "
                 f"register file holds {config.l1_bytes} B"
             )
         if code == FAIL_SPM:
+            spm_total = int(terms.spm_bytes[tiling].sum())
             return InfeasibleMapping(
-                f"double-buffered SPM tile needs {2 * int(self.spm_total[i])} B, "
+                f"double-buffered SPM tile needs {2 * spm_total} B, "
                 f"scratchpad holds {config.l2_bytes} B"
             )
-        op = _NOC_OPERANDS[code - FAIL_NOC_BASE]
-        return InfeasibleMapping(
-            f"mapping demands {int(self.groups[op][i])} concurrent unicast "
-            f"groups; NoC provides {self.links[op]} physical x "
-            f"{config.virt_unicast[op]} virtual links",
-            operand=op,
-        )
+        for op, column in zip(_NOC_OPERANDS, _NOC_COLUMNS):
+            groups = int(terms.groups[tiling, column])
+            links = config.physical_links(op)
+            if math.ceil(groups / links) > config.virt_unicast[op]:
+                return InfeasibleMapping(
+                    f"mapping demands {groups} concurrent unicast groups; "
+                    f"NoC provides {links} physical x "
+                    f"{config.virt_unicast[op]} virtual links",
+                    operand=op,
+                )
+        raise ValueError(f"row {i} is feasible")
 
 
 #: A mapping-objective scorer: ``(layer, execution, config) -> value``.
@@ -762,35 +818,35 @@ def _select_best(
 
 
 def best_of_batch(
+    layer: LayerShape,
     evaluation: BatchLayerEvaluation,
     scorer: Optional[Scorer] = None,
 ) -> Tuple[Optional[Mapping], Optional[ExecutionInfo]]:
-    """The winner of a per-layer search's evaluation.
+    """The winner of a per-layer search's evaluation of ``layer``.
 
     With no ``scorer`` (the latency objective) the winner is picked on
     the arrays by :func:`latency_winner` and only its ``Mapping`` /
-    ``ExecutionInfo`` are built.  Energy and EDP pass their scorer,
+    ``ExecutionInfo`` are gathered.  Energy and EDP pass their scorer,
     which reads whole ``ExecutionInfo`` objects, so every feasible row
-    is built and :func:`_select_best` scores them.  Either way the
+    is gathered and :func:`_select_best` scores them.  Either way the
     result is the scalar reference's, first strictly-best row included;
     ``(None, None)`` when no row is feasible.
     """
-    batch, feasible = evaluation.batch, evaluation.feasible
+    feasible = evaluation.feasible
     if scorer is not None:
         rows = np.flatnonzero(feasible)
         return _select_best(
-            evaluation.layer,
+            layer,
             evaluation.config,
-            zip(batch.mappings(rows), evaluation.execution_infos(rows)),
+            zip(evaluation.mappings(rows), evaluation.execution_infos(rows)),
             scorer,
         )
     if not feasible.any():
         return None, None
-    winner = latency_winner(
-        evaluation.t_comp, evaluation.t_noc, evaluation.t_dma, feasible
-    )
+    winner = latency_winner(evaluation.latency(), feasible)
+    (mapping,) = evaluation.mappings((winner,))
     (execution,) = evaluation.execution_infos((winner,))
-    return batch.mapping(winner), execution
+    return mapping, execution
 
 
 def evaluate_layer_mappings_batch(

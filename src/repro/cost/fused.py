@@ -12,52 +12,50 @@ Most of a search's arithmetic reads only the fields a top-N plan is
 keyed on (see :mod:`repro.perf.signature`), and campaigns re-run the
 same plans on design points that differ elsewhere.  So the scoring
 kernel of :mod:`repro.cost.batch` is split into a plan stage and a
-NoC/bandwidth stage, and the plan-stage terms a block needs are
-memoized beside each top-N plan (:data:`repro.mapping.mapper._top_n_terms`,
-keyed by :meth:`~repro.mapping.mapper.TopNMapper.plan_key`).  A block
-(:func:`search_layers_fused`) runs five steps:
+NoC/bandwidth stage, and every plan-stage term is memoized beside each
+top-N plan (:data:`repro.mapping.mapper._top_n_terms`, keyed by
+:meth:`~repro.mapping.mapper.TopNMapper.plan_key`), which the per-layer
+top-N search reads too.  A block (:func:`search_layers_fused`) runs
+five steps:
 
 1. look up each layer's plan and terms: a top-N plan by its plan key; a
    random-mapper plan (``candidate_plan``, seeded by the layer name) is
    never memoized.  A layer whose plan is empty or int64-unsafe is
    handed back; a top-N entry keeps that verdict, so it is computed once
    per plan;
-2. score the plan stage (:class:`repro.cost.batch.PlanStage`) in one
+2. score the plan stage (:func:`repro.cost.batch.plan_terms`) in one
    pass over the rows of every layer whose terms are missing — the memo
    misses and any random-mapper plans — and store the top-N ones;
-3. gather the block's terms and run only the NoC/bandwidth stage over
-   them (:func:`repro.cost.batch.tiling_noc_stage`, once per tiling,
-   gathered per row): ``feasible``, ``t_noc`` and ``t_dma``;
+3. run only the NoC/bandwidth stage over the block's terms
+   (:class:`FusedBlockEvaluation`: once per tiling, gathered per row);
 4. latency objective: pick every layer's winner in one segmented pass
-   (:func:`repro.cost.batch.segment_latency_winners`), and count each
-   layer's feasible rows with one ``np.add.reduceat``.  Energy and EDP
-   need every feasible row instead;
-5. gather only those rows' factors from the plans into one small
-   :class:`~repro.mapping.batch_candidates.FusedCandidateBlock` and run
-   the whole kernel over it (:class:`FusedBlockEvaluation`).  A latency
-   block builds its winners' ``ExecutionInfo``\\ s and ``Mapping``\\ s
-   with one bulk call each; energy and EDP build each layer's feasible
-   rows and keep the first strictly best by their scorer
-   (:meth:`FusedBlockEvaluation.layer_result`).
+   (:func:`repro.cost.batch.segment_latency_winners`); each layer's
+   feasible rows are counted with one ``np.add.reduceat``.  Energy and
+   EDP need every feasible row instead;
+5. gather the ``ExecutionInfo``\\ s and ``Mapping``\\ s of only those
+   rows from the terms (:meth:`FusedBlockEvaluation.layer_result`).  A
+   latency block gathers its winners with one bulk call each; energy
+   and EDP gather each layer's feasible rows and keep the first
+   strictly best by their scorer.
 
-A top-N layer whose terms are memoized gets no ``CandidateBatch``
-gather at all: only its picked rows are gathered.
+No step re-runs the kernel over rows already scored: a top-N layer
+whose terms are memoized runs the NoC stage alone, and its picked rows
+are gathered, not re-scored.
 
 Exactness contract (asserted by ``tests/test_fused_eval.py``): results
 scatter back bit-identically to the per-layer scalar/batch paths — same
 values, same Python types, same dict insertion orders, same
 first-strictly-best tie-breaking, and the same candidate and feasible
 counts.  Both stages run the kernel's operations in its association,
-and the picked rows are re-scored by the whole kernel.
+and the gather forms the rest in that association too.
 
 What the fused path *skips* is the re-scorable
 :class:`~repro.mapping.mapper.SearchTrace` (a per-layer search keeps
-its ``BatchLayerEvaluation`` arrays and feasible rows); layer results
-stored into the mapping cache therefore populate the exact tier only.
-Correctness is unaffected — a re-score of a trace is bit-identical to a
-cold search, so a missing trace merely costs a future bandwidth-sweep
-re-score its shortcut.  The per-layer path never fills or reads the
-terms memo.
+its terms and NoC results); layer results stored into the mapping
+cache therefore populate the exact tier only.  Correctness is
+unaffected — a re-score of a trace is bit-identical to a cold search,
+so a missing trace merely costs a future bandwidth-sweep re-score its
+shortcut.
 
 The path is opt-in via ``REPRO_FUSED_EVAL=1`` or
 ``CostEvaluator(fused_eval=True)`` (the campaign service always passes
@@ -72,24 +70,22 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.accelerator import AcceleratorConfig
 import repro.cost.batch as _batch
+from repro.cost.batch import PlanTerms
 from repro.cost.execution_info import ExecutionInfo
-from repro.mapping.batch_candidates import FusedCandidateBlock
 from repro.mapping.mapper import (
     MappingResult,
-    _candidate_arrays,
     _resolve_objective,
-    _top_n_plan,
-    _top_n_terms,
+    top_n_plan_terms,
 )
-from repro.mapping.mapping import STATIONARY_CHOICES, Mapping
+from repro.mapping.mapping import Mapping
 from repro.perf.instrumentation import BatchEvalStats
-from repro.workloads.layers import LayerShape, Operand
+from repro.workloads.layers import LayerShape
 
 __all__ = [
     "supports_fused",
@@ -97,9 +93,6 @@ __all__ = [
     "FusedBlockEvaluation",
     "search_layers_fused",
 ]
-
-_DATA_OPERANDS = (Operand.I, Operand.W, Operand.O)
-_NOC_OPERANDS = (Operand.I, Operand.W, Operand.O, Operand.PSUM)
 
 
 def supports_fused(mapper) -> bool:
@@ -109,177 +102,80 @@ def supports_fused(mapper) -> bool:
     return callable(getattr(mapper, "candidate_plan", None))
 
 
-class PlanTerms(NamedTuple):
-    """One candidate plan and the plan-stage terms a fused block reads.
-
-    ``table``, ``row`` and ``code`` are the plan in the top-N memo's
-    compact form: a ``(tilings, 4, 7)`` table of spatial, RF, SPM and
-    DRAM factors, and per row its tiling and stationary-code pair
-    (``dram_code * 3 + spm_code``).  ``int64_safe`` is the plan's
-    overflow verdict (:func:`repro.cost.batch.plan_int64_safe`); an
-    unsafe plan carries no terms.
-
-    Terms of a tiling, stored once per tiling: ``t_comp``, ``groups``
-    and ``tile_bytes`` (``(tilings, 3)``: the I, W and O NoC group
-    counts and RF tile bytes) and ``fits``, the PE/RF/SPM verdict.
-    Terms of a row, which read its stationary codes: ``events``
-    (``(rows, 4)``: the I, W, O and PSUM NoC event counts) and
-    ``offchip_total``.  Memoized arrays are read-only.
-    """
-
-    table: np.ndarray
-    row: np.ndarray
-    code: np.ndarray
-    int64_safe: bool
-    t_comp: Optional[np.ndarray] = None
-    groups: Optional[np.ndarray] = None
-    tile_bytes: Optional[np.ndarray] = None
-    fits: Optional[np.ndarray] = None
-    events: Optional[np.ndarray] = None
-    offchip_total: Optional[np.ndarray] = None
-
-
 class FusedBlockEvaluation(_batch.BatchLayerEvaluation):
-    """The whole kernel over a block of rows of many layers.
+    """Steps 3 to 5 over a block of many layers' terms.
 
-    Runs :meth:`BatchLayerEvaluation._score
-    <repro.cost.batch.BatchLayerEvaluation._score>` — the one
-    candidate-scoring kernel — over a block: layer attributes (stride,
-    depthwise flag, operator, MACs) are per-row arrays from the block,
-    hardware parameters are scalars from ``config``.  In a fused search
-    the block holds only the rows the search picked: each layer's
-    latency winner, or every feasible row for energy and EDP.
-    Materialization and infeasibility decoding are the per-layer
-    path's.  ``__init__`` does not chain to the parent's, which builds
-    from one layer.
+    ``__init__`` runs the NoC/bandwidth stage over the concatenated
+    terms of ``layers`` (layer ``k`` owns rows ``offsets[k]:offsets[k +
+    1]``) and counts each layer's feasible rows; :meth:`layer_result`
+    picks and gathers a layer's result.  Materialization and the
+    latency rule are the per-layer path's.
     """
 
-    def __init__(self, block: FusedCandidateBlock, config: AcceleratorConfig):
-        self.block = block
-        self.config = config
-        self._score(
-            block,
-            config,
-            stride=block.stride,
-            dwise=block.dwise,
-            operators=block.operators,
-            opcode=block.opcode,
-            macs=block.macs,
+    def __init__(
+        self,
+        layers: Sequence[LayerShape],
+        terms: Sequence[PlanTerms],
+        config: AcceleratorConfig,
+    ):
+        self.layers = tuple(layers)
+        counts = [len(entry.row) for entry in terms]
+        self.offsets = np.cumsum([0] + counts)
+        macs = np.repeat(
+            np.array([layer.macs for layer in layers], dtype=np.int64), counts
+        )
+        self._noc_stage(_batch.concat_terms(terms), config, macs)
+        self.feasible_counts = np.add.reduceat(
+            self.feasible, self.offsets[:-1], dtype=np.int64
         )
 
-    def _macs(self, idx: np.ndarray) -> list:
-        return self.block.macs[idx].tolist()
-
-    def _outcomes(
-        self, rows: np.ndarray
-    ) -> List[Tuple[Mapping, ExecutionInfo]]:
-        """The ``(Mapping, ExecutionInfo)`` of ``rows``, built with one
-        bulk call each."""
-        return list(zip(self.block.mappings(rows), self.execution_infos(rows)))
+    def _macs(self, idx: np.ndarray) -> Tuple[np.ndarray, list]:
+        macs = self.macs[idx]
+        return macs, macs.tolist()
 
     @functools.cached_property
-    def winners(self) -> List[Tuple[Mapping, ExecutionInfo]]:
-        """Every row's objects, built on first access: the latency
-        objective's block holds one winner per layer at most."""
-        return self._outcomes(np.arange(len(self.block)))
+    def winners(self) -> List[Optional[Tuple[Mapping, ExecutionInfo]]]:
+        """Each layer's latency winner, or None when it has no feasible
+        row: picked in one segmented pass and gathered with one bulk
+        call each."""
+        has_winner = self.feasible_counts > 0
+        picked = _batch.segment_latency_winners(
+            self.latency(), self.feasible, self.offsets
+        )[has_winner]
+        built = iter(zip(self.mappings(picked), self.execution_infos(picked)))
+        return [next(built) if ok else None for ok in has_winner.tolist()]
 
     def layer_result(
-        self,
-        layer_index: int,
-        candidates: int,
-        feasible: int,
-        scorer: Optional[_batch.Scorer] = None,
+        self, layer_index: int, scorer: Optional[_batch.Scorer] = None
     ) -> MappingResult:
-        """The :class:`MappingResult` of layer ``layer_index``, whose
-        search scored ``candidates`` rows of which ``feasible`` passed.
+        """The :class:`MappingResult` of layer ``layer_index``.
 
-        With no ``scorer`` (the latency objective) the layer's rows here
-        are its winner alone, or none, and every layer's winner is built
-        in one bulk call (:attr:`winners`).  Otherwise they are the
-        layer's feasible rows, built here, one layer at a time, and the
-        first strictly best by ``scorer`` wins.  A block's feasible rows
-        run to thousands; building them all at once made an energy
-        campaign on EfficientNet-B0 about a fifth slower than building
-        them layer by layer.
+        With no ``scorer`` (the latency objective) it is the layer's
+        entry of :attr:`winners`, which builds every layer's on first
+        access.  Otherwise the layer's feasible rows are gathered here,
+        one layer at a time, and the first strictly best by ``scorer``
+        wins.  A block's feasible rows run to thousands; building them
+        all at once made an energy campaign on EfficientNet-B0 about a
+        fifth slower than building them layer by layer.
         """
-        rows = self.block.rows(layer_index)
+        start, stop = self.offsets[layer_index], self.offsets[layer_index + 1]
         if scorer is None:
-            winner = self.winners[rows]
-            mapping, execution = winner[0] if winner else (None, None)
+            winner = self.winners[layer_index]
+            mapping, execution = winner if winner else (None, None)
         else:
+            rows = start + np.flatnonzero(self.feasible[start:stop])
             mapping, execution = _batch._select_best(
-                self.block.layers[layer_index],
+                self.layers[layer_index],
                 self.config,
-                self._outcomes(np.arange(rows.start, rows.stop)),
+                zip(self.mappings(rows), self.execution_infos(rows)),
                 scorer,
             )
         return MappingResult(
             mapping=mapping,
             execution=execution,
-            candidates_evaluated=candidates,
-            feasible_candidates=feasible,
+            candidates_evaluated=int(stop - start),
+            feasible_candidates=int(self.feasible_counts[layer_index]),
         )
-
-
-def _noc_columns(per_data_operand: np.ndarray) -> dict:
-    """The ``(n, 3)`` I/W/O columns as the NoC stage's per-operand dict
-    (PSUM travels in O's groups and tiles)."""
-    columns = dict(zip(_DATA_OPERANDS, per_data_operand.T))
-    columns[Operand.PSUM] = columns[Operand.O]
-    return columns
-
-
-def _score_plan_stage(
-    layers: Sequence[LayerShape],
-    plans: Sequence[PlanTerms],
-    config: AcceleratorConfig,
-) -> List[PlanTerms]:
-    """Step 2: the plan stage in one pass over every row of ``plans``,
-    split back into one read-only :class:`PlanTerms` per plan.
-
-    A tiling's terms are taken from any one of its rows: they do not
-    read the row's stationary codes.  Every tiling of a plan is some
-    row's (a top-N plan draws a tiling only for a row).
-    """
-    tiling_offsets = np.cumsum([0] + [len(plan.table) for plan in plans])
-    row_offsets = np.cumsum([0] + [len(plan.row) for plan in plans])
-    tiling = np.concatenate(
-        [plan.row + start for plan, start in zip(plans, tiling_offsets)]
-    )
-    levels = np.concatenate([plan.table for plan in plans])[tiling]
-    code = np.concatenate([plan.code for plan in plans])
-    block = FusedCandidateBlock.from_rows(
-        layers,
-        [len(plan.row) for plan in plans],
-        **_candidate_arrays(levels, code),
-    )
-    stage = _batch.PlanStage(
-        block, config, block.stride, block.dwise, block.operators, block.opcode
-    )
-    any_row = np.zeros(tiling_offsets[-1], dtype=np.intp)
-    any_row[tiling] = np.arange(len(tiling))
-    per_tiling = (
-        stage.t_comp[any_row],
-        np.stack([stage.groups[op][any_row] for op in _DATA_OPERANDS], axis=1),
-        np.stack(
-            [stage.rf_bytes[op][any_row] for op in _DATA_OPERANDS], axis=1
-        ),
-        (stage.fail_code == _batch.FEASIBLE)[any_row],
-    )
-    per_row = (
-        np.stack([stage.events[op] for op in _NOC_OPERANDS], axis=1),
-        stage.offchip_total,
-    )
-    scored = []
-    for k, plan in enumerate(plans):
-        tilings = slice(tiling_offsets[k], tiling_offsets[k + 1])
-        rows = slice(row_offsets[k], row_offsets[k + 1])
-        terms = [array[tilings].copy() for array in per_tiling]
-        terms += [array[rows].copy() for array in per_row]
-        for array in terms:
-            array.setflags(write=False)
-        scored.append(PlanTerms(*plan[:4], *terms))
-    return scored
 
 
 def _block_terms(
@@ -292,50 +188,38 @@ def _block_terms(
     block searches with each one's :class:`PlanTerms`, and the layers
     handed back (empty or int64-unsafe plan)."""
     plan_key = getattr(mapper, "plan_key", None)
+    if plan_key is not None:
+        entries = top_n_plan_terms(
+            layers, [plan_key(layer, config) for layer in layers], config
+        )
+    else:
+        entries = []
+        for layer in layers:
+            batch = mapper.candidate_plan(layer, config)
+            entries.append(
+                PlanTerms.from_batch(batch, _batch.int64_safe(batch, config))
+            )
+        safe = [
+            k for k, plan in enumerate(entries)
+            if len(plan.row) and plan.int64_safe
+        ]
+        if safe:
+            scored = _batch.plan_terms(
+                [layers[k] for k in safe], [entries[k] for k in safe], config
+            )
+            for k, entry in zip(safe, scored):
+                entries[k] = entry
     searched: List[LayerShape] = []
     terms: List[PlanTerms] = []
     remaining: List[LayerShape] = []
-    missing: List[Tuple[int, Optional[Tuple]]] = []
-    for layer in layers:
-        key = None
-        if plan_key is not None:
-            key = plan_key(layer, config)
-            entry = _top_n_terms.get(key)
-            if entry is None:
-                table, row, code = _top_n_plan(*key)
-                safe = _batch.plan_int64_safe(table, row, config)
-                entry = PlanTerms(table, row, code, safe)
-                if not entry.int64_safe:
-                    _top_n_terms.put(key, entry)
-        else:
-            batch = mapper.candidate_plan(layer, config)
-            entry = PlanTerms(
-                np.stack(
-                    [batch.spatial, batch.rf, batch.spm, batch.dram], axis=1
-                ),
-                np.arange(len(batch)),
-                batch.dram_code * len(STATIONARY_CHOICES) + batch.spm_code,
-                _batch.int64_safe(batch, config),
-            )
+    for layer, entry in zip(layers, entries):
         if not len(entry.row) or not entry.int64_safe:
             if stats is not None:
                 stats.record_fused_fallback()
             remaining.append(layer)
-            continue
-        if entry.t_comp is None:
-            missing.append((len(terms), key))
-        searched.append(layer)
-        terms.append(entry)
-    if missing:
-        scored = _score_plan_stage(
-            [searched[i] for i, _ in missing],
-            [terms[i] for i, _ in missing],
-            config,
-        )
-        for (i, key), entry in zip(missing, scored):
-            terms[i] = entry
-            if key is not None:
-                _top_n_terms.put(key, entry)
+        else:
+            searched.append(layer)
+            terms.append(entry)
     return searched, terms, remaining
 
 
@@ -364,64 +248,16 @@ def search_layers_fused(
     searched, terms, remaining = _block_terms(mapper, layers, config, stats)
     if not searched:
         return [], remaining
-
-    # -- 3. the NoC/bandwidth stage, once per tiling --------------------------
-    counts = [len(entry.row) for entry in terms]
-    offsets = np.cumsum([0] + counts)
-    tiling_starts = np.cumsum([0] + [len(entry.table) for entry in terms])
-    tiling = np.concatenate(
-        [entry.row + start for entry, start in zip(terms, tiling_starts)]
-    )
-    feasible_tiling, cycles = _batch.tiling_noc_stage(
-        _noc_columns(np.concatenate([entry.groups for entry in terms])),
-        _noc_columns(np.concatenate([entry.tile_bytes for entry in terms])),
-        np.concatenate([entry.fits for entry in terms]),
-        config,
-    )
-    feasible = feasible_tiling[tiling]
-
-    # -- 4. every layer's picked rows in one segmented pass -------------------
-    feasible_counts = np.add.reduceat(feasible, offsets[:-1], dtype=np.int64)
-    if scorer is None:
-        events = np.concatenate([entry.events for entry in terms])
-        t_noc = {
-            op: events[:, i] * cycles[op][tiling]
-            for i, op in enumerate(_NOC_OPERANDS)
-        }
-        t_dma = (
-            np.concatenate([entry.offchip_total for entry in terms])
-            / config.dram_bytes_per_cycle
-        )
-        t_comp = np.concatenate([entry.t_comp for entry in terms])[tiling]
-        has_winner = feasible_counts > 0
-        picked = _batch.segment_latency_winners(
-            t_comp, t_noc, t_dma, feasible, offsets
-        )[has_winner]
-        picked_counts = has_winner.astype(np.int64)
-    else:
-        picked = np.flatnonzero(feasible)
-        picked_counts = feasible_counts
-
-    # -- 5. the whole kernel and the objects of the picked rows only ----------
-    levels = np.concatenate([entry.table for entry in terms])[tiling[picked]]
-    code = np.concatenate([entry.code for entry in terms])[picked]
-    evaluation = FusedBlockEvaluation(
-        FusedCandidateBlock.from_rows(
-            searched, picked_counts.tolist(), **_candidate_arrays(levels, code)
-        ),
-        config,
-    )
+    evaluation = FusedBlockEvaluation(searched, terms, config)
     results = [
-        evaluation.layer_result(
-            index, counts[index], int(feasible_counts[index]), scorer
-        )
+        evaluation.layer_result(index, scorer)
         for index in range(len(searched))
     ]
     if stats is not None:
         stats.record_fused(
             len(searched),
-            int(offsets[-1]),
-            int(feasible_counts.sum()),
+            len(evaluation),
+            int(evaluation.feasible_counts.sum()),
             time.perf_counter() - started,
         )
     return list(zip(searched, results)), remaining

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Dict,
     Iterable,
     List,
     Mapping as MappingT,
@@ -52,10 +53,32 @@ from repro.workloads.layers import (
     OperatorType,
 )
 
-__all__ = ["CandidateSpec", "CandidateBatch", "FusedCandidateBlock"]
+__all__ = [
+    "CandidateSpec",
+    "CandidateBatch",
+    "FusedCandidateBlock",
+    "candidate_arrays",
+    "plan_mappings",
+]
 
 #: Stationary-operand code of each :data:`STATIONARY_CHOICES` member.
 STATIONARY_CODES = {op: i for i, op in enumerate(STATIONARY_CHOICES)}
+
+
+def candidate_arrays(
+    levels: np.ndarray, code: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """The :class:`CandidateBatch` arrays of rows given as plan-table
+    rows (``(n, 4, 7)``: spatial, RF, SPM and DRAM factors) and plan
+    stationary-code pairs (``dram_code * 3 + spm_code``)."""
+    return dict(
+        dram=levels[:, 3],
+        spm=levels[:, 2],
+        spatial=levels[:, 0],
+        rf=levels[:, 1],
+        dram_code=code // len(STATIONARY_CHOICES),
+        spm_code=code % len(STATIONARY_CHOICES),
+    )
 
 
 def _mapping(
@@ -77,6 +100,18 @@ def _mapping(
         dram_stationary=STATIONARY_CHOICES[dram_code],
         spm_stationary=STATIONARY_CHOICES[spm_code],
     )
+
+
+def plan_mappings(levels: np.ndarray, code: np.ndarray) -> List[Mapping]:
+    """The :class:`Mapping` of every row given as in
+    :func:`candidate_arrays`, with one ``tolist()`` per array."""
+    pairs = len(STATIONARY_CHOICES)
+    return [
+        _mapping(dram, spm, spatial, rf, pair // pairs, pair % pairs)
+        for (spatial, rf, spm, dram), pair in zip(
+            levels.tolist(), code.tolist()
+        )
+    ]
 
 
 class CandidateSpec(NamedTuple):
@@ -211,34 +246,27 @@ class CandidateBatch:
 
 @dataclass(frozen=True)
 class FusedCandidateBlock(CandidateBatch):
-    """Candidate rows of many layers of one design point, as one SoA block.
+    """Candidate rows of many layers, as one SoA block.
 
     A :class:`CandidateBatch` whose rows run layer by layer, with each
-    layer's shape attributes (stride, depthwise flag, operator, MAC
-    count) broadcast to per-row arrays, so the kernels in
+    layer's shape attributes (stride, depthwise flag, operator)
+    broadcast to per-row arrays, so the kernels in
     :mod:`repro.cost.batch` score every layer's rows in single array
-    passes instead of one kernel invocation per layer.  A fused search
-    (:mod:`repro.cost.fused`) builds one over the rows of its memo
-    misses and one over the rows it picked.
+    passes instead of one kernel invocation per layer.  The plan stage
+    (:func:`repro.cost.batch.plan_terms`) builds one over the rows of
+    every plan it scores in one pass.
 
     Attributes (besides the :class:`CandidateBatch` factor arrays):
-        layers: The block's layers, in row order.
-        offsets: Row-range bounds; layer ``k`` owns rows
-            ``offsets[k]:offsets[k + 1]`` (a range may be empty).
         stride: ``(n,)`` int64 per-row layer stride.
         dwise: ``(n,)`` bool per-row depthwise flag.
         opcode: ``(n,)`` int64 index into :attr:`operators`.
-        macs: ``(n,)`` int64 per-row layer MAC count.
         operators: Distinct :class:`OperatorType` members present, in
             first-appearance order (the kernels mask rows by code).
     """
 
-    layers: Tuple[LayerShape, ...]
-    offsets: Tuple[int, ...]
     stride: np.ndarray
     dwise: np.ndarray
     opcode: np.ndarray
-    macs: np.ndarray
     operators: Tuple[OperatorType, ...]
 
     @classmethod
@@ -251,9 +279,6 @@ class FusedCandidateBlock(CandidateBatch):
         """A block over rows already in layer order: ``factors`` are the
         :class:`CandidateBatch` arrays, and layer ``k`` owns the next
         ``counts[k]`` rows."""
-        offsets = [0]
-        for count in counts:
-            offsets.append(offsets[-1] + count)
         operators: list = []
         codes = []
         for layer in layers:
@@ -263,8 +288,6 @@ class FusedCandidateBlock(CandidateBatch):
         counts_arr = np.asarray(counts, dtype=np.int64)
         return cls(
             **factors,
-            layers=tuple(layers),
-            offsets=tuple(offsets),
             stride=np.repeat(
                 np.asarray([l.stride for l in layers], dtype=np.int64),
                 counts_arr,
@@ -277,13 +300,5 @@ class FusedCandidateBlock(CandidateBatch):
                 counts_arr,
             ),
             opcode=np.repeat(np.asarray(codes, dtype=np.int64), counts_arr),
-            macs=np.repeat(
-                np.asarray([l.macs for l in layers], dtype=np.int64),
-                counts_arr,
-            ),
             operators=tuple(operators),
         )
-
-    def rows(self, layer_index: int) -> slice:
-        """Row range owned by layer ``layer_index``."""
-        return slice(self.offsets[layer_index], self.offsets[layer_index + 1])

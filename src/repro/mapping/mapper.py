@@ -21,11 +21,13 @@ mapper's ``max_spatial`` and ``top_n`` (:meth:`TopNMapper.plan_key`),
 and DNNs repeat layer shapes across layers and design points.  So the
 drawn tilings and each row's tiling index and stationary codes are
 memoized process-wide in a bounded LRU (:func:`_top_n_plan`, read-only
-arrays), and every per-layer search gathers its own fresh batch from
-them.  A second bounded memo under the same key, :data:`_top_n_terms`,
-holds what a fused block reads of a plan: the plan-stage terms of the
-scoring kernel (:mod:`repro.cost.batch`), which read the same fields.
-Only the fused path (:mod:`repro.cost.fused`) fills or reads it.
+arrays).  A second bounded memo under the same key, :data:`_top_n_terms`,
+holds each plan with the plan-stage terms of the scoring kernel
+(:mod:`repro.cost.batch`), which read the same fields.  A per-layer
+top-N search and a fused block (:mod:`repro.cost.fused`) both read it
+(:func:`top_n_plan_terms`), run only the NoC/bandwidth stage and gather
+the rows they pick; ``candidate_plan`` gathers a fresh batch from the
+plan memo for callers that score a batch themselves.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from repro.cost.execution_info import ExecutionInfo, InfeasibleMapping
 import repro.cost.batch as _cost_batch
 import repro.cost.energy as _cost_energy
 import repro.cost.latency as _cost_latency
-from repro.mapping.batch_candidates import CandidateBatch
+from repro.mapping.batch_candidates import CandidateBatch, candidate_arrays
 from repro.mapping.dataflow import (
     SPATIAL_DIMS,
     _greedy_tile_counts_cached,
@@ -78,6 +80,7 @@ __all__ = [
     "MappingResult",
     "SearchTrace",
     "rescore_trace",
+    "top_n_plan_terms",
     "FixedDataflowMapper",
     "TopNMapper",
     "RandomSearchMapper",
@@ -140,18 +143,21 @@ class SearchTrace:
     * ``SearchTrace(feasible, candidates_evaluated)`` holds the feasible
       ``(mapping, execution)`` pairs in evaluation order (the scalar
       reference loop and :class:`FixedDataflowMapper` build these);
-    * :meth:`from_batch` keeps a batch search's
-      :class:`~repro.cost.batch.BatchLayerEvaluation` and its feasible
-      row indices instead, so no object is built until one is asked
-      for.  :attr:`feasible` then materializes the pairs on first
+    * :meth:`from_evaluation` keeps a batch search's
+      :class:`~repro.cost.batch.BatchLayerEvaluation`: the plan's
+      :class:`~repro.cost.batch.PlanTerms` plus the per-tiling NoC
+      results.  A top-N trace shares its terms with the memo
+      (:data:`_top_n_terms`); a random-mapper trace owns its terms,
+      since random plans are never memoized.  No object is built until
+      one is asked for: :attr:`feasible` gathers the pairs on first
       access and caches them.
 
-    Both shapes re-score to the same result: the array re-score picks
-    its winner with :func:`repro.cost.batch.latency_winner`, whose
-    chained ``np.maximum`` equals ``ExecutionInfo.latency``'s
-    ``max(...)`` (every term is a finite non-negative float) and whose
-    ``np.argmin`` returns the first minimum, the first-strictly-best
-    rule of the object loop.
+    Both shapes re-score to the same result: the array re-score runs the
+    search's own winner rule on the new configuration, whose
+    :func:`repro.cost.batch.latency_winner` maximum equals
+    ``ExecutionInfo.latency``'s ``max(...)`` (every term is a finite
+    non-negative float) and whose ``np.argmin`` returns the first
+    minimum, the first-strictly-best rule of the object loop.
     """
 
     def __init__(
@@ -161,33 +167,29 @@ class SearchTrace:
     ):
         self._feasible = tuple(feasible)
         self.candidates_evaluated = candidates_evaluated
-        #: The batch kernels' arrays and feasible rows, or None.
+        #: The batch search's terms and NoC results, or None.
         self.evaluation: Optional["_cost_batch.BatchLayerEvaluation"] = None
-        self.rows: Optional[np.ndarray] = None
 
     @classmethod
-    def from_batch(
-        cls,
-        evaluation: "_cost_batch.BatchLayerEvaluation",
-        rows: np.ndarray,
+    def from_evaluation(
+        cls, evaluation: "_cost_batch.BatchLayerEvaluation"
     ) -> "SearchTrace":
-        """The trace of a batch search: its kernel arrays and the
-        positions of its feasible candidates, in candidate order."""
+        """The trace of a batch search: its terms and NoC results."""
         trace = cls((), len(evaluation))
         trace._feasible = None
         trace.evaluation = evaluation
-        trace.rows = rows
         return trace
 
     @property
     def feasible(self) -> Tuple[Tuple[Mapping, ExecutionInfo], ...]:
         """Every feasible ``(mapping, execution)`` pair, in evaluation
-        order (built from the kernel arrays on first access)."""
+        order (gathered from the terms on first access)."""
         if self._feasible is None:
-            evaluation, rows = self.evaluation, self.rows
+            evaluation = self.evaluation
+            rows = evaluation.feasible_indices
             self._feasible = tuple(
                 zip(
-                    evaluation.batch.mappings(rows),
+                    evaluation.mappings(rows),
                     evaluation.execution_infos(rows),
                 )
             )
@@ -196,8 +198,8 @@ class SearchTrace:
     @property
     def feasible_count(self) -> int:
         """Number of feasible candidates, without building any pair."""
-        if self.rows is not None:
-            return len(self.rows)
+        if self.evaluation is not None:
+            return int(np.count_nonzero(self.evaluation.feasible))
         return len(self._feasible)
 
 
@@ -215,34 +217,29 @@ def rescore_trace(
     returned result is bit-identical to a cold search on ``config``
     (provided ``config`` matches the traced one on every other field).
 
-    A latency re-score of a batch trace (:meth:`SearchTrace.from_batch`)
-    is one NumPy pass: ``t_dma' = offchip_total / dram_bytes_per_cycle``
-    over the kernel arrays — the expression a cold batch search on
-    ``config`` evaluates — then :func:`repro.cost.batch.latency_winner`
-    picks the first feasible row at the minimum, and only that winner is
-    built.  Other objectives, and object traces, loop over
-    :attr:`SearchTrace.feasible` with the objective's scorer; both
-    routes agree because the chained ``np.maximum`` equals
+    A batch trace (:meth:`SearchTrace.from_evaluation`) is re-scored by
+    the search's own pick over its terms and NoC results on ``config``
+    (:meth:`~repro.cost.batch.BatchLayerEvaluation.rescored`): for
+    latency, ``t_dma' = offchip_total / dram_bytes_per_cycle`` over the
+    rows, the expression a cold search on ``config`` evaluates, then
+    :func:`repro.cost.batch.latency_winner` picks the first feasible
+    row at the minimum and only that winner is gathered.  Object traces
+    loop over :attr:`SearchTrace.feasible` with the objective's scorer;
+    both routes agree because the latency maximum equals
     ``ExecutionInfo.latency`` and ``np.argmin`` keeps the first minimum.
     """
     scorer = _resolve_objective(objective)
-    dram_bpc = config.dram_bytes_per_cycle
-    best_exec: Optional[ExecutionInfo] = None
-    best_mapping: Optional[Mapping] = None
     evaluation = trace.evaluation
-    if evaluation is not None and objective == "latency":
-        if len(trace.rows):
-            t_dma = evaluation.offchip_total / dram_bpc
-            winner = _cost_batch.latency_winner(
-                evaluation.t_comp, evaluation.t_noc, t_dma,
-                evaluation.feasible,
-            )
-            best_mapping = evaluation.batch.mapping(winner)
-            best_exec = replace(
-                evaluation.execution_infos((winner,))[0],
-                t_dma=float(t_dma[winner]),
-            )
+    if evaluation is not None:
+        best_mapping, best_exec = _cost_batch.best_of_batch(
+            layer,
+            evaluation.rescored(config),
+            None if objective == "latency" else scorer,
+        )
     else:
+        dram_bpc = config.dram_bytes_per_cycle
+        best_exec: Optional[ExecutionInfo] = None
+        best_mapping: Optional[Mapping] = None
         best_score = float("inf")
         for mapping, execution in trace.feasible:
             rescored = replace(
@@ -431,12 +428,13 @@ def _distinct_tilings(
             yield spatial + rf + spm + tuple(map(floordiv, remaining1, spm))
 
 
-#: Entries of the top-N plan memo (:func:`_top_n_plan`) and of the fused
-#: path's terms memo (:data:`_top_n_terms`).  A plan is about 7 KB at
-#: ``top_n=150``, so a full plan memo holds under 10 MB.  A terms entry
-#: adds about 40 B per row (four NoC event counts and the off-chip
-#: total) plus 57 B per tiling (``t_comp``, three NoC group counts,
-#: three RF tile sizes and the capacity verdict): about 7 KB more at
+#: Entries of the top-N plan memo (:func:`_top_n_plan`) and of the terms
+#: memo (:data:`_top_n_terms`).  A plan is about 7 KB at ``top_n=150``,
+#: so a full plan memo holds under 10 MB.  A terms entry adds 64 B per
+#: row (four NoC event counts, three DRAM fetch counts and the off-chip
+#: total) plus 145 B per tiling (``t_comp``, the capacity verdict, the
+#: PEs used, three NoC group counts, three RF and three SPM tile sizes,
+#: the padded output tile and six reuse divisors): about 13 KB more at
 #: ``top_n=150``, where a plan averages 147 rows over 23.5 tilings.
 _TOP_N_PLANS = 1024
 
@@ -451,11 +449,11 @@ class _MemoInfo(NamedTuple):
 class _BoundedMemo:
     """A thread-safe LRU map of at most ``maxsize`` entries.
 
-    Unlike ``functools.lru_cache`` it does not compute on a miss: the
-    fused path scores every miss of a block in one pass and then stores
-    each entry.  Its counters are for tests (:meth:`cache_info`), as
-    ``_top_n_plan``'s are; they outlive any one campaign, so no journal
-    or ``perf_summary()`` reads them.
+    Unlike ``functools.lru_cache`` it does not compute on a miss:
+    :func:`top_n_plan_terms` scores every miss of a fused block in one
+    pass and then stores each entry.  Its counters are for tests
+    (:meth:`cache_info`), as ``_top_n_plan``'s are; they outlive any one
+    campaign, so no journal or ``perf_summary()`` reads them.
     """
 
     def __init__(self, maxsize: int):
@@ -496,9 +494,9 @@ class _BoundedMemo:
             self._hits = self._misses = 0
 
 
-#: The fused path's plan-stage terms of each top-N plan
-#: (``repro.cost.fused.PlanTerms``), keyed exactly like
-#: :func:`_top_n_plan`.  The per-layer path never fills or reads it.
+#: Each top-N plan with its plan-stage terms
+#: (:class:`repro.cost.batch.PlanTerms`), keyed exactly like
+#: :func:`_top_n_plan`; filled and read by :func:`top_n_plan_terms`.
 _top_n_terms = _BoundedMemo(_TOP_N_PLANS)
 
 
@@ -587,29 +585,50 @@ def _top_n_plan(
     return plan
 
 
-def _candidate_arrays(
-    levels: np.ndarray, code: np.ndarray
-) -> Dict[str, np.ndarray]:
-    """The :class:`CandidateBatch` arrays of rows given as plan-table
-    rows (``(n, 4, 7)``: spatial, RF, SPM and DRAM factors) and plan
-    stationary-code pairs."""
-    return dict(
-        dram=levels[:, 3],
-        spm=levels[:, 2],
-        spatial=levels[:, 0],
-        rf=levels[:, 1],
-        dram_code=code // len(STATIONARY_CHOICES),
-        spm_code=code % len(STATIONARY_CHOICES),
-    )
-
-
 def _top_n_batch(key: Tuple) -> CandidateBatch:
     """The top-N candidates of plan ``key`` (:meth:`TopNMapper.plan_key`)
     as one int64 :class:`CandidateBatch`, gathered from the memoized
     plan (:func:`_top_n_plan`) into fresh arrays: a caller may write
     into the batch without changing any later plan."""
     table, row, code = _top_n_plan(*key)
-    return CandidateBatch(**_candidate_arrays(table[row], code))
+    return CandidateBatch(**candidate_arrays(table[row], code))
+
+
+def top_n_plan_terms(
+    layers: Sequence[LayerShape],
+    keys: Sequence[Tuple],
+    config: AcceleratorConfig,
+) -> List["_cost_batch.PlanTerms"]:
+    """The memoized :class:`~repro.cost.batch.PlanTerms` of each
+    layer's top-N plan (``keys[k]`` is ``layers[k]``'s
+    :meth:`TopNMapper.plan_key`).
+
+    Every miss is scored in one plan-stage pass
+    (:func:`repro.cost.batch.plan_terms`) and stored in
+    :data:`_top_n_terms`.  An int64-unsafe plan is stored with its
+    verdict and no terms, so the verdict is computed once per plan.
+    """
+    entries = []
+    missing = []
+    for k, key in enumerate(keys):
+        entry = _top_n_terms.get(key)
+        if entry is None:
+            table, row, code = _top_n_plan(*key)
+            safe = _cost_batch.plan_int64_safe(table, row, config)
+            entry = _cost_batch.PlanTerms(table, row, code, safe)
+            if safe:
+                missing.append(k)
+            else:
+                _top_n_terms.put(key, entry)
+        entries.append(entry)
+    if missing:
+        scored = _cost_batch.plan_terms(
+            [layers[k] for k in missing], [entries[k] for k in missing], config
+        )
+        for k, entry in zip(missing, scored):
+            entries[k] = entry
+            _top_n_terms.put(keys[k], entry)
+    return entries
 
 
 @functools.lru_cache(maxsize=65536)
@@ -712,36 +731,39 @@ def _resolve_objective(objective: str):
         ) from None
 
 
-def _best_of_traced_batch(
+def _best_of_evaluation(
     layer: LayerShape,
-    config: AcceleratorConfig,
-    batch: CandidateBatch,
+    evaluation: "_cost_batch.BatchLayerEvaluation",
     objective: str,
-    scorer,
     stats: Optional[BatchEvalStats],
+    started: float,
 ) -> Tuple[MappingResult, SearchTrace]:
     """Batched twin of the scalar loop in :func:`_best_of_traced`.
 
-    Scores the whole candidate set through the vectorized kernel, picks
-    the winner with :func:`repro.cost.batch.best_of_batch` and keeps the
-    kernel arrays as the trace (:meth:`SearchTrace.from_batch`).  The
-    result is bit-identical to the scalar reference.
+    Picks the winner of a search's evaluation with
+    :func:`repro.cost.batch.best_of_batch`, records the search (begun at
+    ``started``) and keeps the evaluation as the trace
+    (:meth:`SearchTrace.from_evaluation`).  The result is bit-identical
+    to the scalar reference.
     """
-    started = time.perf_counter()
-    evaluation = _cost_batch.BatchLayerEvaluation(layer, batch, config)
-    rows = evaluation.feasible_indices
     best_mapping, best_exec = _cost_batch.best_of_batch(
-        evaluation, None if objective == "latency" else scorer
+        layer,
+        evaluation,
+        None if objective == "latency" else _resolve_objective(objective),
     )
+    trace = SearchTrace.from_evaluation(evaluation)
+    feasible = trace.feasible_count
     if stats is not None:
-        stats.record_batch(len(batch), len(rows), time.perf_counter() - started)
+        stats.record_batch(
+            len(evaluation), feasible, time.perf_counter() - started
+        )
     result = MappingResult(
         mapping=best_mapping,
         execution=best_exec,
-        candidates_evaluated=len(batch),
-        feasible_candidates=len(rows),
+        candidates_evaluated=len(evaluation),
+        feasible_candidates=feasible,
     )
-    return result, SearchTrace.from_batch(evaluation, rows)
+    return result, trace
 
 
 def _best_of_traced(
@@ -764,8 +786,13 @@ def _best_of_traced(
     scorer = _resolve_objective(objective)
     if batch_eval:
         if _cost_batch.int64_safe(batch, config):
-            return _best_of_traced_batch(
-                layer, config, batch, objective, scorer, stats
+            started = time.perf_counter()
+            return _best_of_evaluation(
+                layer,
+                _cost_batch.BatchLayerEvaluation(layer, batch, config),
+                objective,
+                stats,
+                started,
             )
         if stats is not None:
             stats.record_fallback()
@@ -876,8 +903,8 @@ class TopNMapper:
         :func:`~repro.perf.signature.layer_signature`, ``pes``,
         ``l1_bytes``, ``l2_bytes``, ``bytes_per_element``,
         ``max_spatial`` and ``top_n``.  It keys the plan memo
-        (:func:`_top_n_plan`) and the fused path's terms memo
-        (:data:`_top_n_terms`); every search reads it once."""
+        (:func:`_top_n_plan`) and the terms memo (:data:`_top_n_terms`);
+        every search reads it once."""
         return (
             *layer_signature(layer),
             config.pes,
@@ -896,21 +923,43 @@ class TopNMapper:
         This is the fused-evaluation protocol (``repro.cost.fused``): a
         caller may score the batch itself; doing so is exactly
         equivalent to :meth:`search_with_trace`.  Each call returns
-        fresh arrays gathered from the process-wide plan memo.  A fused
-        block reads the memo through :meth:`plan_key` instead, and
-        gathers only the rows it picks.
+        fresh arrays gathered from the process-wide plan memo.  The
+        batch searches, per layer and fused, read the terms memo
+        through :meth:`plan_key` instead, and gather only the rows they
+        pick.
         """
         return _top_n_batch(self.plan_key(layer, config))
 
     def search_with_trace(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> Tuple[MappingResult, SearchTrace]:
+        """One search, as a fused block runs it over one layer: look
+        up the plan's terms (:func:`top_n_plan_terms`, scoring them on a
+        miss), run the NoC/bandwidth stage once per tiling, pick the
+        winner (or every feasible row for energy and EDP) and gather the
+        result.  The scalar reference (``batch_eval=False``) and an
+        int64-unsafe plan score :meth:`candidate_plan` instead."""
+        started = time.perf_counter()
+        key = self.plan_key(layer, config)
+        if self.batch_eval:
+            (terms,) = top_n_plan_terms([layer], [key], config)
+            if terms.int64_safe:
+                return _best_of_evaluation(
+                    layer,
+                    _cost_batch.BatchLayerEvaluation.from_terms(
+                        terms, config, layer.macs
+                    ),
+                    self.objective,
+                    self.batch_stats,
+                    started,
+                )
+            self.batch_stats.record_fallback()
         return _best_of_traced(
             layer,
             config,
-            self.candidate_plan(layer, config),
+            _top_n_batch(key),
             objective=self.objective,
-            batch_eval=self.batch_eval,
+            batch_eval=False,
             stats=self.batch_stats,
         )
 

@@ -14,8 +14,9 @@ design-point cache:
   (:func:`repro.perf.signature.search_invariant_signature`); a hit
   re-scores the recorded :class:`~repro.mapping.mapper.SearchTrace` via
   :func:`repro.mapping.mapper.rescore_trace`, which is bit-identical to
-  a cold search.  A batch search's trace holds its kernel arrays, so a
-  latency re-score is one NumPy pass over them plus one materialized
+  a cold search.  A batch search's trace holds its plan-stage terms
+  (shared with the top-N terms memo) and its per-tiling NoC results,
+  so a latency re-score is one NumPy pass over them plus one gathered
   winner.  Sweeps over off-chip bandwidth therefore never repeat the
   candidate enumeration or the per-candidate latency model.
 
@@ -69,7 +70,8 @@ __all__ = ["MappingCache", "CachingMapper", "shared_cache"]
 PERSIST_FILENAME = "mapping_cache.pkl"
 #: On-disk format version; bump when signatures or traces change shape.
 #: Version 2: traces hold batch-kernel arrays instead of object pairs.
-PERSIST_VERSION = 2
+#: Version 3: traces hold plan-stage terms and per-tiling NoC results.
+PERSIST_VERSION = 3
 
 
 class MappingCache:
@@ -79,8 +81,9 @@ class MappingCache:
         max_results: Exact-tier capacity (one ``MappingResult`` each);
             None reads ``REPRO_MAPPING_CACHE_RESULTS``.
         max_traces: Re-score-tier capacity; a trace holds one search's
-            batch-kernel arrays (about 40 arrays of up to ``top_n`` rows),
-            so this tier is kept smaller than the exact one.  None reads
+            plan-stage terms and per-tiling NoC results (a top-N trace
+            shares its terms with the terms memo), so this tier is kept
+            smaller than the exact one.  None reads
             ``REPRO_MAPPING_CACHE_TRACES``.
         persist_path: Pickle file to warm-start from (loaded when it
             exists) and to :meth:`save` to.

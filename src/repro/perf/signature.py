@@ -15,10 +15,11 @@ This module centralizes that contract:
   name or ``repeats`` and configs that differ only in the fields below
   share one plan;
 * the scoring kernel's *plan stage* (``repro.cost.batch.PlanStage``:
-  tile sizes, the PE/RF/SPM checks, ``t_comp``, NoC event counts and
-  off-chip traffic) reads exactly the plan key too.  So the fused path
-  memoizes the plan-stage terms it needs beside each top-N plan, under
-  the same key (``repro.mapping.mapper._top_n_terms``);
+  tile sizes, the PE/RF/SPM checks, ``t_comp``, NoC event counts,
+  reuse fetch counts and off-chip traffic) reads exactly the plan key
+  too.  So every batch top-N search memoizes the plan-stage terms
+  beside each top-N plan, under the same key
+  (``repro.mapping.mapper._top_n_terms``);
 * the NoC configuration (``noc_datawidth_bits``, physical/virtual
   unicast links) and the bandwidth enter only in the kernel's second,
   NoC/bandwidth stage: NoC rounds and feasibility checks, ``t_noc`` and

@@ -107,10 +107,24 @@ def default_checkpoint_path(trace_path: Union[str, Path]) -> str:
 def save_checkpoint(
     checkpoint: CampaignCheckpoint, path: Union[str, Path]
 ) -> None:
-    """Atomically persist a checkpoint (write-temp, fsync, rename)."""
+    """Atomically persist a checkpoint (write-temp, fsync, rename).
+
+    A campaign saves one at every attempt, so the payload is built from
+    the fields as they are (the trial dicts are fresh per snapshot)
+    rather than through ``dataclasses.asdict``, which deep-copies the
+    whole history, and written as compact JSON, which the C encoder
+    serializes (``indent`` forces the pure-Python one).  The file
+    parses to ``dataclasses.asdict(checkpoint)`` either way.
+    """
     path = str(path)
     directory = os.path.dirname(os.path.abspath(path))
-    payload = json.dumps(dataclasses.asdict(checkpoint), indent=1)
+    payload = json.dumps(
+        {
+            field.name: getattr(checkpoint, field.name)
+            for field in dataclasses.fields(checkpoint)
+        },
+        separators=(",", ":"),
+    )
     fd, tmp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
     )

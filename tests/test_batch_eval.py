@@ -19,6 +19,7 @@ from repro.arch import build_edge_design_space, config_from_point
 from repro.arch.accelerator import OFFCHIP_BW_VALUES_MBPS
 from repro.cost.batch import (
     BatchLayerEvaluation,
+    PlanTerms,
     evaluate_layer_mappings_batch,
     int64_safe,
 )
@@ -238,6 +239,7 @@ def built(monkeypatch):
     path builds, through every bulk and single-row entry point."""
     counts = {"infos": 0, "mappings": 0}
     infos = BatchLayerEvaluation.execution_infos
+    gathered = BatchLayerEvaluation.mappings
     mapping = CandidateBatch.mapping
     mappings = CandidateBatch.mappings
 
@@ -255,7 +257,13 @@ def built(monkeypatch):
         counts["mappings"] += len(out)
         return out
 
+    def counted_gathered(self, indices):
+        out = gathered(self, indices)
+        counts["mappings"] += len(out)
+        return out
+
     monkeypatch.setattr(BatchLayerEvaluation, "execution_infos", counted_infos)
+    monkeypatch.setattr(BatchLayerEvaluation, "mappings", counted_gathered)
     monkeypatch.setattr(CandidateBatch, "mapping", counted_mapping)
     monkeypatch.setattr(CandidateBatch, "mappings", counted_mappings)
     return counts
@@ -303,11 +311,15 @@ class TestWinnerOnlyMaterialization:
 
 def _rescore_three_ways(make_mapper, layer, config, variant, pickled=False):
     """The array re-score, the object loop over the same trace's
-    ``feasible``, and a cold search on ``variant``."""
+    ``feasible``, and a cold search on ``variant``.  The array trace is
+    the search's plan-stage terms plus its per-tiling NoC results."""
     _, trace = make_mapper().search_with_trace(layer, config)
-    assert trace.evaluation is not None
+    terms = trace.evaluation.terms
+    assert isinstance(terms, PlanTerms) and terms.offchip_total is not None
+    assert trace.evaluation.cycles.shape == (len(terms.table), 4)
     if pickled:
         trace = pickle.loads(pickle.dumps(trace))
+        assert isinstance(trace.evaluation.terms, PlanTerms)
     array = rescore_trace(layer, variant, trace)
     objects = rescore_trace(
         layer,

@@ -132,6 +132,41 @@ class TestCheckpointFile:
     def test_default_checkpoint_path(self):
         assert default_checkpoint_path("a/b.jsonl") == "a/b.jsonl.ckpt"
 
+    @staticmethod
+    def _nested_checkpoint():
+        trials = [
+            {
+                "point": {"pes": 128 * k, "l1_bytes": 64},
+                "costs": {"latency_ms": 1.5 / (k + 1), "area_mm2": 10.0 + k},
+                "feasible": k % 2 == 0,
+                "violations": [{"name": "area", "excess": [0.25, k]}],
+                "note": None,
+            }
+            for k in range(3)
+        ]
+        return _sample_checkpoint(
+            trials=trials,
+            rng_state=[3, [1, 2, 3], None],
+            mapping_cache_manifest={"entries": 7, "hit_rate": 0.125},
+        )
+
+    def test_nested_trials_round_trip(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        checkpoint = self._nested_checkpoint()
+        save_checkpoint(checkpoint, path)
+        assert load_checkpoint(path) == checkpoint
+        assert json.loads(path.read_text()) == dataclasses.asdict(checkpoint)
+
+    def test_indented_file_still_loads(self, tmp_path):
+        """A checkpoint written as indented JSON, as older versions
+        wrote it, loads unchanged."""
+        path = tmp_path / "run.ckpt"
+        checkpoint = self._nested_checkpoint()
+        path.write_text(
+            json.dumps(dataclasses.asdict(checkpoint), indent=1) + "\n"
+        )
+        assert load_checkpoint(path) == checkpoint
+
 
 class TestResume:
     def _run_reference(self, edge_space, tiny_workload, budget=25):

@@ -29,13 +29,13 @@ from repro.cost.fused import (
     search_layers_fused,
     supports_fused,
 )
-from repro.mapping.batch_candidates import FusedCandidateBlock
 from repro.mapping.mapper import (
     _TOP_N_PLANS,
     FixedDataflowMapper,
     RandomSearchMapper,
     TopNMapper,
     _top_n_terms,
+    top_n_plan_terms,
 )
 from repro.perf.instrumentation import BatchEvalStats
 from repro.perf.mapping_cache import MappingCache
@@ -190,17 +190,20 @@ class TestSearchLayersFused:
 
     def test_infeasibility_reasons_identical(self, tiny_config, resnet18):
         """Winner-less layers still report the scalar path's reason
-        strings through the fused block's row diagnostics."""
+        strings through the fused block's row diagnostics, which decode
+        them from the memoized terms."""
         layer = resnet18.layer("conv3_x")
-        batch = TopNMapper(top_n=30).candidate_plan(layer, tiny_config)
-        block = FusedCandidateBlock.from_rows(
-            [layer], [len(batch)], **vars(batch)
+        mapper = TopNMapper(top_n=30)
+        batch = mapper.candidate_plan(layer, tiny_config)
+        terms = top_n_plan_terms(
+            [layer], [mapper.plan_key(layer, tiny_config)], tiny_config
         )
-        evaluation = FusedBlockEvaluation(block, tiny_config)
+        evaluation = FusedBlockEvaluation([layer], terms, tiny_config)
+        assert len(evaluation) == len(batch)
         from repro.cost.latency import evaluate_layer_mapping
 
         saw_infeasible = False
-        for row in range(len(block)):
+        for row in range(len(batch)):
             outcome = evaluate_layer_mapping(
                 layer, batch.mapping(row), tiny_config
             )
@@ -596,29 +599,47 @@ class TestPlanTermsMemo:
         entry = cold_terms.get(mapper.plan_key(layer, mid_config))
         assert isinstance(entry, PlanTerms) and entry.int64_safe
         arrays = [value for value in entry if isinstance(value, np.ndarray)]
-        assert len(arrays) == 9
+        assert len(arrays) == 15
         assert not any(array.flags.writeable for array in arrays)
         tilings, rows = len(entry.table), len(entry.row)
-        assert entry.t_comp.shape == entry.fits.shape == (tilings,)
-        assert entry.groups.shape == entry.tile_bytes.shape == (tilings, 3)
+        for name in ("t_comp", "fail_code", "pes_used", "padded_out_bytes"):
+            assert getattr(entry, name).shape == (tilings,), name
+        for name in (
+            "groups", "rf_bytes", "spm_bytes", "spm_relevant", "dram_relevant"
+        ):
+            assert getattr(entry, name).shape == (tilings, 3), name
         assert entry.events.shape == (rows, 4)
+        assert entry.dram_fetches.shape == (rows, 3)
         assert entry.offchip_total.shape == (rows,)
+        # The terms stay within about 15 KB of a 150-row plan.
+        terms = sum(array.nbytes for array in arrays[3:])
+        assert rows == 150 and terms <= 15 * 1024
         assert cold_terms.maxsize == _TOP_N_PLANS
 
-    def test_per_layer_path_never_fills_the_memo(
-        self, cold_terms, resnet18, mid_point, mid_config
+    def test_per_layer_search_fills_one_entry_per_plan_key(
+        self, cold_terms, resnet18, mid_config
     ):
+        """A per-layer top-N search stores one entry per plan key, every
+        later search of that key reads it, and its trace shares the
+        entry; the scalar reference touches none."""
+        reference = TopNMapper(top_n=60, batch_eval=False)
+        for layer in resnet18.layers:
+            reference.search_with_trace(layer, mid_config)
+        assert cold_terms.cache_info() == (0, 0, _TOP_N_PLANS, 0)
+
+        keys = [
+            reference.plan_key(layer, mid_config) for layer in resnet18.layers
+        ]
+        traces = []
         for objective in _OBJECTIVES:
             mapper = TopNMapper(top_n=60, objective=objective)
             for layer in resnet18.layers:
-                mapper.search_with_trace(layer, mid_config)
-        evaluator = CostEvaluator(
-            resnet18, TopNMapper(top_n=60), fused_eval=False
-        )
-        evaluator.evaluate(mid_point)
-        assert evaluator.batch_eval_stats.fused_blocks == 0
-        assert cold_terms.cache_info() == (0, 0, _TOP_N_PLANS, 0)
-
+                traces.append(mapper.search_with_trace(layer, mid_config)[1])
+        info = cold_terms.cache_info()
+        assert info.misses == info.currsize == len(set(keys))
+        assert info.hits == len(traces) - len(set(keys))
+        for key, trace in zip(keys * len(_OBJECTIVES), traces):
+            assert trace.evaluation.terms is cold_terms.get(key)
 
     def test_threads_share_the_memo_safely(
         self, cold_terms, monkeypatch, resnet18, mid_config
@@ -667,23 +688,23 @@ class TestFusedBlockMechanism:
 
     @pytest.fixture
     def spies(self, monkeypatch):
-        calls = {"kernel_rows": [], "plan_rows": [], "infos": 0, "plans": 0}
+        calls = {"kernel_rows": [], "plan_rows": [], "infos": [], "plans": 0}
         score = BatchLayerEvaluation._score
         plan_init = PlanStage.__init__
         infos = BatchLayerEvaluation.execution_infos
         candidate_plan = TopNMapper.candidate_plan
 
-        def spied_score(self, cands, *args, **kwargs):
-            calls["kernel_rows"].append(len(cands))
-            return score(self, cands, *args, **kwargs)
+        def spied_score(self, layer, batch, *args, **kwargs):
+            calls["kernel_rows"].append(len(batch))
+            return score(self, layer, batch, *args, **kwargs)
 
         def spied_plan_init(self, cands, *args, **kwargs):
             calls["plan_rows"].append(len(cands))
             return plan_init(self, cands, *args, **kwargs)
 
-        def spied_infos(self, *args):
-            calls["infos"] += 1
-            return infos(self, *args)
+        def spied_infos(self, indices):
+            calls["infos"].append(len(indices))
+            return infos(self, indices)
 
         def spied_candidate_plan(self, *args):
             calls["plans"] += 1
@@ -697,9 +718,17 @@ class TestFusedBlockMechanism:
         monkeypatch.setattr(TopNMapper, "candidate_plan", spied_candidate_plan)
         return calls
 
-    def test_warm_latency_block_scores_only_its_winners(
+    @staticmethod
+    def _reset(spies):
+        for key in spies:
+            spies[key] = [] if isinstance(spies[key], list) else 0
+
+    def test_warm_latency_block_gathers_its_winners(
         self, cold_terms, spies, resnet18, mid_config
     ):
+        """A cold block scores its plans' rows in one plan-stage pass; a
+        warm one scores nothing and gathers one winner per layer, all
+        in one call, without a ``CandidateBatch`` gather."""
         layers = list(resnet18.layers)
         mapper = TopNMapper(top_n=150)
         search_layers_fused(mapper, layers, mid_config)
@@ -707,29 +736,88 @@ class TestFusedBlockMechanism:
             len(mapper.candidate_plan(layer, mid_config)) for layer in layers
         )
         assert spies["plan_rows"] == [rows]  # the misses, in one pass
-        assert spies["kernel_rows"] == [len(layers)]
-        for key in spies:
-            spies[key] = [] if isinstance(spies[key], list) else 0
+        assert spies["kernel_rows"] == []
+        self._reset(spies)
         fused, _ = search_layers_fused(mapper, layers, mid_config)
         assert all(result.feasible for _, result in fused)
         assert spies == {
-            "kernel_rows": [len(layers)],  # one winner per layer
+            "kernel_rows": [],
             "plan_rows": [],
-            "infos": 1,
-            "plans": 0,  # no CandidateBatch gather
+            "infos": [len(layers)],  # one winner per layer, one call
+            "plans": 0,
         }
 
     @pytest.mark.parametrize("objective", ["energy", "edp"])
-    def test_energy_and_edp_blocks_score_their_feasible_rows(
+    def test_energy_edp_blocks_gather_feasible_rows(
         self, objective, cold_terms, spies, resnet18, mid_config
     ):
-        """The whole kernel runs once, over every feasible row; their
-        objects are built one layer at a time."""
+        """Energy and EDP gather each layer's feasible rows, one layer
+        at a time, and re-score none of them."""
         layers = list(resnet18.layers)
-        fused, _ = search_layers_fused(
-            TopNMapper(top_n=60, objective=objective), layers, mid_config
-        )
-        assert spies["kernel_rows"] == [
-            sum(result.feasible_candidates for _, result in fused)
+        mapper = TopNMapper(top_n=60, objective=objective)
+        search_layers_fused(mapper, layers, mid_config)
+        self._reset(spies)
+        fused, _ = search_layers_fused(mapper, layers, mid_config)
+        assert spies["kernel_rows"] == spies["plan_rows"] == []
+        assert spies["infos"] == [
+            result.feasible_candidates for _, result in fused
         ]
-        assert spies["infos"] == len(layers)
+
+    @pytest.mark.parametrize("objective", _OBJECTIVES)
+    def test_warm_per_layer_search_gathers_its_picked_rows(
+        self, objective, cold_terms, spies, resnet18, mid_config
+    ):
+        """A per-layer top-N search scores its plan once, on the memo
+        miss; a warm search scores nothing and gathers its winner (or
+        its feasible rows for energy and EDP)."""
+        layer = resnet18.layer("conv3_x")
+        mapper = TopNMapper(top_n=150, objective=objective)
+        mapper.search_with_trace(layer, mid_config)
+        assert spies["plan_rows"] == [150]
+        self._reset(spies)
+        result, trace = mapper.search_with_trace(layer, mid_config)
+        gathered = 1 if objective == "latency" else result.feasible_candidates
+        assert result.feasible_candidates > 1
+        assert spies == {
+            "kernel_rows": [],
+            "plan_rows": [],
+            "infos": [gathered],
+            "plans": 0,
+        }
+        assert trace.evaluation.terms is cold_terms.get(
+            mapper.plan_key(layer, mid_config)
+        )
+
+    def test_random_mapper_search_scores_its_plan_once(
+        self, spies, resnet18, mid_config
+    ):
+        """Random plans are never memoized: each search runs the whole
+        kernel over its rows once and its trace owns the terms."""
+        layer = resnet18.layer("conv3_x")
+        mapper = RandomSearchMapper(trials=40, seed=7)
+        for _ in range(2):
+            _, trace = mapper.search_with_trace(layer, mid_config)
+            assert spies["kernel_rows"] == spies["plan_rows"] == [40]
+            assert spies["infos"] == [1]
+            self._reset(spies)
+        assert trace.evaluation.terms.row.tolist() == list(range(40))
+
+
+class TestEveryLayerEveryPath:
+    @pytest.mark.parametrize("objective", _OBJECTIVES)
+    @pytest.mark.parametrize("model", ["resnet18", "efficientnetb0"])
+    def test_per_layer_fused_and_scalar_results_equal(
+        self, model, objective, cold_terms, mid_config
+    ):
+        """Every layer of ResNet18 and EfficientNet-B0: the per-layer
+        search (cold, then warm), the fused block and the scalar
+        reference give equal results."""
+        layers = list(load_workload(model).layers)
+        make = functools.partial(TopNMapper, top_n=60, objective=objective)
+        expected = _reference(make, layers, mid_config)
+        for _ in range(2):  # memo cold, then warm
+            per_layer = make()
+            for layer, want in zip(layers, expected):
+                got, _trace = per_layer.search_with_trace(layer, mid_config)
+                assert_results_identical(want, got)
+        _assert_block_matches(make, layers, mid_config, expected)

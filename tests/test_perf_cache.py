@@ -7,8 +7,10 @@ bit-identical costs versus a cold search.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.perf import (
     search_invariant_signature,
     supports_tracing,
 )
+from repro.perf.mapping_cache import PERSIST_VERSION
 
 ALL_MAPPERS = [
     lambda: FixedDataflowMapper(),
@@ -138,6 +141,29 @@ class TestMappingCacheStore:
         path.write_bytes(b"not a pickle")
         cache = MappingCache(persist_path=str(path))
         assert cache.size() == 0
+
+    def test_version_2_pickle_is_skipped(
+        self, tmp_path, conv_layer, mid_config
+    ):
+        """A version-2 file (traces of whole-kernel arrays) is skipped,
+        not loaded and not quarantined."""
+        path = tmp_path / "cache.pkl"
+        result = TopNMapper(top_n=25)(conv_layer, mid_config)
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {
+                    "version": 2,
+                    "results": {("exact",): result},
+                    "traces": {("rescore",): object()},
+                },
+                handle,
+            )
+        assert PERSIST_VERSION == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = MappingCache(persist_path=str(path))
+        assert cache.size() == cache.trace_count() == 0
+        assert path.exists()
 
 
 #: One fresh interpreter's run: evaluate a fixed design point of a
