@@ -22,6 +22,9 @@ The kernel is split along the signature contract of
 * the **NoC/bandwidth stage** reads the rest of the config: physical
   links, NoC rounds and the four NoC checks, once per tiling
   (:func:`tiling_noc_stage`), then ``t_noc`` and ``t_dma`` per row.
+  So a top-N search on a design point that differs from a scored one
+  only in these fields (a bandwidth or clock sweep) runs this stage
+  alone, over the memoized plan terms.
 
 A :class:`BatchLayerEvaluation` is a plan's terms plus its NoC stage on
 one config.  Built from a ``CandidateBatch`` it runs both stages; built
@@ -63,7 +66,6 @@ explicitly.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from typing import (
@@ -570,11 +572,9 @@ class BatchLayerEvaluation:
 
     ``feasible`` is per candidate row; every other per-row quantity is
     derived from :attr:`terms`, the per-tiling :attr:`cycles` and
-    :attr:`config` when it is read, so an evaluation kept as a search
-    trace holds little beyond the terms it may share with the top-N
-    memo.  Constructed from one layer's ``CandidateBatch`` it runs the
-    whole kernel (:meth:`_score`); :meth:`from_terms` runs the NoC stage
-    over terms already scored.
+    :attr:`config` when it is read.  Constructed from one layer's
+    ``CandidateBatch`` it runs the whole kernel (:meth:`_score`);
+    :meth:`from_terms` runs the NoC stage over terms already scored.
     :class:`repro.cost.fused.FusedBlockEvaluation` runs the NoC stage
     over a multi-layer block and shares every reader below.
     """
@@ -629,15 +629,6 @@ class BatchLayerEvaluation:
     def feasible_indices(self) -> np.ndarray:
         """Positions of the feasible candidates, in candidate order."""
         return np.flatnonzero(self.feasible)
-
-    def rescored(self, config: AcceleratorConfig) -> "BatchLayerEvaluation":
-        """This evaluation on ``config``, which differs from its own
-        config only in off-chip bandwidth and clock.  Those reach only
-        ``t_dma``, which every reader derives from :attr:`config`, so
-        the copy shares the terms and the NoC results."""
-        clone = copy.copy(self)
-        clone.config = config
-        return clone
 
     def latency(self) -> np.ndarray:
         """Per-row latency: the maximum of ``t_comp``, the four

@@ -12,10 +12,9 @@ iteration ledger (``evaluations`` counts unique cost-model invocations,
 matching how the paper counts "iterations").
 
 Below the design-point cache sits the performance layer
-(:mod:`repro.perf`): per-layer mapping searches are memoized in a shared
-:class:`~repro.perf.mapping_cache.MappingCache` keyed by what the mapper
-actually reads (so sweeps over mapping-irrelevant parameters re-score
-cached candidates instead of re-searching).  The evaluator alone
+(:mod:`repro.perf`): per-layer mapping search results are memoized in a
+shared :class:`~repro.perf.mapping_cache.MappingCache` keyed by what the
+mapper actually reads.  The evaluator alone
 decides which searches a design point runs: one per distinct
 :func:`~repro.perf.signature.search_signature` among the layers the
 cache missed, so a DNN's repeated layer shapes are searched once per
@@ -49,8 +48,8 @@ from repro.cost.power import PowerBreakdown, max_power
 from repro.cost.technology import TECH_45NM, TechnologyModel
 from repro.perf.instrumentation import StageTimers
 from repro.perf.knobs import env_flag, fused_eval_enabled
-from repro.perf.mapping_cache import CachingMapper, MappingCache, shared_cache
-from repro.perf.signature import search_signature, supports_tracing
+from repro.perf.mapping_cache import CachingMapper, MappingCache
+from repro.perf.signature import mapper_signature, search_signature
 from repro.resilience.errors import MapperFailureError, ReproError, is_retryable
 from repro.resilience.fault_injection import attempt_scope, inject
 from repro.resilience.supervisor import RetryPolicy
@@ -112,9 +111,9 @@ class CostEvaluator:
         mapping_cache: Layer-level mapping cache to use; None selects the
             process-wide shared cache.
         use_mapping_cache: Force the layer cache on/off; None enables it
-            whenever the mapper supports the traced-search protocol and
-            ``REPRO_MAPPING_CACHE`` is not off (``0``/``off``/``false``/
-            ``no``).
+            whenever the mapper is cacheable (it has ``signature()``)
+            and ``REPRO_MAPPING_CACHE`` is not off (``0``/``off``/
+            ``false``/``no``).
         tracer: Telemetry tracer; uncached evaluations run inside an
             ``evaluate_point`` span (timings only — spans never emit
             journal events, so traces stay deterministic).
@@ -162,21 +161,13 @@ class CostEvaluator:
         self._fused_enabled = fused_eval_enabled(fused_eval)
         self._supports_fused = supports_fused(mapper)
 
-        self._traced = supports_tracing(mapper)
         if use_mapping_cache is None:
-            use_mapping_cache = (
-                env_flag("REPRO_MAPPING_CACHE", True) and self._traced
+            use_mapping_cache = env_flag("REPRO_MAPPING_CACHE", True) and (
+                mapper_signature(mapper) is not None
             )
         self._caching_mapper: Optional[CachingMapper] = None
         if use_mapping_cache:
-            if not self._traced:
-                raise TypeError(
-                    "use_mapping_cache=True requires a mapper implementing "
-                    "signature() + search_with_trace()"
-                )
-            self._caching_mapper = CachingMapper(
-                mapper, mapping_cache if mapping_cache is not None else shared_cache()
-            )
+            self._caching_mapper = CachingMapper(mapper, mapping_cache)
 
     @property
     def mapping_cache(self) -> Optional[MappingCache]:
@@ -263,13 +254,9 @@ class CostEvaluator:
                 search_signature(self.mapper, layer), []
             ).append(layer)
 
-        def serve(group: List[LayerShape], result, trace) -> None:
-            # Stored as soon as the search returns: holding a design
-            # point's traces until its last search raises peak memory.
+        def serve(group: List[LayerShape], result) -> None:
             if cm is not None:
-                cm.store(
-                    group[0], config, result, trace, repeats=len(group) - 1
-                )
+                cm.store(group[0], config, result, repeats=len(group) - 1)
             for layer in group:
                 results[layer.name] = result
 
@@ -277,20 +264,19 @@ class CostEvaluator:
         if remaining and self._fused_enabled and self._supports_fused:
             fused, remaining = self._search_fused(config, remaining)
             for group, result in fused:
-                serve(group, result, None)
+                serve(group, result)
         for group in remaining:
-            serve(group, *self._search(group[0], config))
+            serve(group, self._search(group[0], config))
         return {
             layer.name: results[layer.name] for layer in self.workload.layers
         }
 
-    def _search(self, layer: LayerShape, config: AcceleratorConfig):
-        """One per-layer search: ``(result, trace)``, the trace None for a
-        mapper without the traced-search protocol."""
+    def _search(
+        self, layer: LayerShape, config: AcceleratorConfig
+    ) -> "MappingResult":
+        """One per-layer search through the mapper."""
         try:
-            if self._traced:
-                return self.mapper.search_with_trace(layer, config)
-            return self.mapper(layer, config), None
+            return self.mapper(layer, config)
         except (KeyboardInterrupt, SystemExit, ReproError):
             raise
         except Exception as exc:
@@ -307,9 +293,6 @@ class CostEvaluator:
         (``repro.cost.fused``).  Returns ``(fused, remaining)``: each
         fused group with its (bit-identical) result, and the groups the
         block hands back — every group, when the block fails.
-
-        The block stores no re-scorable traces, so its results feed the
-        mapping cache's exact tier only.
         """
         import repro.cost.fused as _fused
 
@@ -411,10 +394,9 @@ class CostEvaluator:
 
     @property
     def mapping_cache_hits(self) -> int:
-        """Layer searches this evaluator served from the mapping cache
-        (exact hits + bandwidth re-scores)."""
+        """Layer searches this evaluator served from the mapping cache."""
         cm = self._caching_mapper
-        return (cm.exact_hits + cm.rescore_hits) if cm else 0
+        return cm.exact_hits if cm else 0
 
     @property
     def mapping_cache_misses(self) -> int:
@@ -463,14 +445,13 @@ class CostEvaluator:
             "stages": self.timers.as_dict(),
             "mapping_cache": {
                 "enabled": cm is not None,
-                "exact_hits": cm.exact_hits if cm else 0,
-                "rescore_hits": cm.rescore_hits if cm else 0,
-                "misses": cm.misses if cm else 0,
+                "exact_hits": self.mapping_cache_hits,
+                # Always 0: the cache has no re-score tier.  Kept because
+                # the campaign ledger's counters read this key.
+                "rescore_hits": 0,
+                "misses": self.mapping_cache_misses,
                 "hit_rate": self.mapping_cache_hit_rate,
                 "entries": self.mapping_cache_size(),
-                "traces": self.mapping_cache.trace_count()
-                if self.mapping_cache
-                else 0,
             },
             "batch_eval": batch_section,
         }

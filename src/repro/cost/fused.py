@@ -49,13 +49,11 @@ first-strictly-best tie-breaking, and the same candidate and feasible
 counts.  Both stages run the kernel's operations in its association,
 and the gather forms the rest in that association too.
 
-What the fused path *skips* is the re-scorable
-:class:`~repro.mapping.mapper.SearchTrace` (a per-layer search keeps
-its terms and NoC results); layer results stored into the mapping
-cache therefore populate the exact tier only.  Correctness is
-unaffected — a re-score of a trace is bit-identical to a cold search,
-so a missing trace merely costs a future bandwidth-sweep re-score its
-shortcut.
+Both paths feed the layer cache the same way: ``CostEvaluator`` stores
+each search's result, fused or per layer, in its exact-result LRU.  A
+bandwidth or clock variant of a stored design point is a cache miss,
+served by the terms memo: its top-N layers run the NoC/bandwidth stage
+alone.
 
 The path is opt-in via ``REPRO_FUSED_EVAL=1`` or
 ``CostEvaluator(fused_eval=True)`` (the campaign service always passes

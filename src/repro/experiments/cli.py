@@ -198,27 +198,27 @@ def build_parser() -> argparse.ArgumentParser:
              "on startup)",
     )
     serve.add_argument(
-        "--max-concurrent", type=int, default=None, metavar="N",
+        "--max-concurrent", type=_positive_int, default=None, metavar="N",
         help="campaigns interleaving at once "
              "(default: $REPRO_SERVICE_MAX_CONCURRENT or 4)",
     )
     serve.add_argument(
-        "--quantum", type=int, default=None, metavar="N",
+        "--quantum", type=_positive_int, default=None, metavar="N",
         help="steps per unit of tenant weight per scheduler turn "
              "(default: $REPRO_SERVICE_STEP_QUANTUM or 1)",
     )
     serve.add_argument(
-        "--tenant-quota", type=int, default=None, metavar="N",
-        help="default per-tenant total step budget "
+        "--tenant-quota", type=_quota, default=None, metavar="N",
+        help="default per-tenant total step budget, 0 = unlimited "
              "(default: $REPRO_TENANT_QUOTA or unlimited)",
     )
     serve.add_argument(
-        "--max-queue", type=int, default=None, metavar="N",
+        "--max-queue", type=_positive_int, default=None, metavar="N",
         help="waiting-queue bound; submissions past it are shed with 503 "
              "(default: $REPRO_SERVICE_MAX_QUEUE or 64)",
     )
     serve.add_argument(
-        "--tenant-inflight", type=int, default=None, metavar="N",
+        "--tenant-inflight", type=_positive_int, default=None, metavar="N",
         help="per-tenant in-flight campaign cap; submissions past it are "
              "shed with 429 (default: $REPRO_SERVICE_TENANT_INFLIGHT or 8)",
     )
@@ -247,11 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="latency",
     )
     submit.add_argument(
-        "--weight", type=int, default=None,
+        "--weight", type=_positive_int, default=None,
         help="tenant scheduling weight (steps per turn scale with it)",
     )
     submit.add_argument(
-        "--quota", type=int, default=None,
+        "--quota", type=_quota, default=None,
         help="tenant total step budget (0 = unlimited)",
     )
     submit.add_argument(
@@ -311,17 +311,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _int_at_least(text: str, low: int, note: str = "") -> int:
+    """Parse an argparse integer that must be at least ``low``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {low}{note}, got {value}"
+        )
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    return _int_at_least(text, 1)
+
+
+def _quota(text: str) -> int:
+    """argparse type for step quotas: an integer >= 0 (0 = unlimited)."""
+    return _int_at_least(text, 0, " (0 = unlimited)")
 
 
 def _jobs(text: str) -> str:
@@ -572,14 +584,16 @@ def _cmd_serve(args) -> int:
     from repro.service import CampaignService
     from repro.service.http import ServiceEndpoint
 
+    # ``--tenant-quota 0`` means unlimited, as ``REPRO_TENANT_QUOTA=0``
+    # and ``submit --quota 0`` do.
+    quota = args.tenant_quota
+
     async def serve() -> None:
         service = CampaignService(
             args.spool,
             max_concurrent=args.max_concurrent,
             quantum=args.quantum,
-            default_quota=(
-                "env" if args.tenant_quota is None else args.tenant_quota
-            ),
+            default_quota="env" if quota is None else (quota or None),
             max_queue=args.max_queue,
             tenant_inflight=args.tenant_inflight,
             overload_slice_s=args.overload_slice_s,

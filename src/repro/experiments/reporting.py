@@ -87,8 +87,7 @@ def format_run_summary(result, evaluator=None) -> str:
         if cache["enabled"]:
             lines.append(
                 "mapping cache: "
-                f"{cache['exact_hits']} exact + "
-                f"{cache['rescore_hits']} re-scored hits, "
+                f"{cache['exact_hits']} hits, "
                 f"{cache['misses']} misses "
                 f"(hit rate {cache['hit_rate']:.0%}, "
                 f"{cache['entries']} entries)"

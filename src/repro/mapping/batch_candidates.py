@@ -19,10 +19,9 @@ This module provides the batched alternative:
   mapper builds its batches directly as arrays.
 
 ``Mapping`` objects are built only for the rows a caller asks for: a
-latency search or re-score builds its winner alone, and every feasible
-row is built only when an energy/EDP objective or a trace's
-``feasible`` pairs need them.  The per-candidate dict bookkeeping
-disappears from the scoring loop.
+latency search builds its winner alone, and every feasible row is built
+only when an energy/EDP objective needs them.  The per-candidate dict
+bookkeeping disappears from the scoring loop.
 """
 
 from __future__ import annotations

@@ -26,8 +26,10 @@ holds each plan with the plan-stage terms of the scoring kernel
 (:mod:`repro.cost.batch`), which read the same fields.  A per-layer
 top-N search and a fused block (:mod:`repro.cost.fused`) both read it
 (:func:`top_n_plan_terms`), run only the NoC/bandwidth stage and gather
-the rows they pick; ``candidate_plan`` gathers a fresh batch from the
-plan memo for callers that score a batch themselves.
+the rows they pick, so design points that differ only in NoC,
+bandwidth or clock fields share every plan-stage pass; ``candidate_plan``
+gathers a fresh batch from the plan memo for callers that score a batch
+themselves.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import floordiv, mul
 from typing import (
     Dict,
@@ -78,8 +80,6 @@ from repro.workloads.layers import LOOP_DIMS, Dim, LayerShape, OperatorType
 
 __all__ = [
     "MappingResult",
-    "SearchTrace",
-    "rescore_trace",
     "top_n_plan_terms",
     "FixedDataflowMapper",
     "TopNMapper",
@@ -125,138 +125,6 @@ class MappingResult:
     @property
     def latency(self) -> float:
         return self.execution.latency if self.execution else float("inf")
-
-
-class SearchTrace:
-    """Re-scorable record of one mapping search.
-
-    A candidate's feasibility and every :class:`ExecutionInfo` field
-    except ``t_dma`` are independent of the off-chip bandwidth and clock,
-    so a trace recorded on one hardware configuration can be exactly
-    re-scored (:func:`rescore_trace`) on any configuration that differs
-    only in ``offchip_bw_mbps`` / ``freq_mhz`` — the layer-level mapping
-    cache relies on this to turn bandwidth sweeps into re-scores instead
-    of re-searches.
-
-    Two shapes, one interface:
-
-    * ``SearchTrace(feasible, candidates_evaluated)`` holds the feasible
-      ``(mapping, execution)`` pairs in evaluation order (the scalar
-      reference loop and :class:`FixedDataflowMapper` build these);
-    * :meth:`from_evaluation` keeps a batch search's
-      :class:`~repro.cost.batch.BatchLayerEvaluation`: the plan's
-      :class:`~repro.cost.batch.PlanTerms` plus the per-tiling NoC
-      results.  A top-N trace shares its terms with the memo
-      (:data:`_top_n_terms`); a random-mapper trace owns its terms,
-      since random plans are never memoized.  No object is built until
-      one is asked for: :attr:`feasible` gathers the pairs on first
-      access and caches them.
-
-    Both shapes re-score to the same result: the array re-score runs the
-    search's own winner rule on the new configuration, whose
-    :func:`repro.cost.batch.latency_winner` maximum equals
-    ``ExecutionInfo.latency``'s ``max(...)`` (every term is a finite
-    non-negative float) and whose ``np.argmin`` returns the first
-    minimum, the first-strictly-best rule of the object loop.
-    """
-
-    def __init__(
-        self,
-        feasible: Sequence[Tuple[Mapping, ExecutionInfo]],
-        candidates_evaluated: int,
-    ):
-        self._feasible = tuple(feasible)
-        self.candidates_evaluated = candidates_evaluated
-        #: The batch search's terms and NoC results, or None.
-        self.evaluation: Optional["_cost_batch.BatchLayerEvaluation"] = None
-
-    @classmethod
-    def from_evaluation(
-        cls, evaluation: "_cost_batch.BatchLayerEvaluation"
-    ) -> "SearchTrace":
-        """The trace of a batch search: its terms and NoC results."""
-        trace = cls((), len(evaluation))
-        trace._feasible = None
-        trace.evaluation = evaluation
-        return trace
-
-    @property
-    def feasible(self) -> Tuple[Tuple[Mapping, ExecutionInfo], ...]:
-        """Every feasible ``(mapping, execution)`` pair, in evaluation
-        order (gathered from the terms on first access)."""
-        if self._feasible is None:
-            evaluation = self.evaluation
-            rows = evaluation.feasible_indices
-            self._feasible = tuple(
-                zip(
-                    evaluation.mappings(rows),
-                    evaluation.execution_infos(rows),
-                )
-            )
-        return self._feasible
-
-    @property
-    def feasible_count(self) -> int:
-        """Number of feasible candidates, without building any pair."""
-        if self.evaluation is not None:
-            return int(np.count_nonzero(self.evaluation.feasible))
-        return len(self._feasible)
-
-
-def rescore_trace(
-    layer: LayerShape,
-    config: AcceleratorConfig,
-    trace: SearchTrace,
-    objective: str = "latency",
-) -> MappingResult:
-    """Re-pick the best candidate of a recorded search on new hardware.
-
-    Only ``t_dma`` (and therefore latency/EDP) depends on the off-chip
-    bandwidth and clock; it is re-derived from the recorded off-chip
-    traffic with the same expression the latency model uses, so the
-    returned result is bit-identical to a cold search on ``config``
-    (provided ``config`` matches the traced one on every other field).
-
-    A batch trace (:meth:`SearchTrace.from_evaluation`) is re-scored by
-    the search's own pick over its terms and NoC results on ``config``
-    (:meth:`~repro.cost.batch.BatchLayerEvaluation.rescored`): for
-    latency, ``t_dma' = offchip_total / dram_bytes_per_cycle`` over the
-    rows, the expression a cold search on ``config`` evaluates, then
-    :func:`repro.cost.batch.latency_winner` picks the first feasible
-    row at the minimum and only that winner is gathered.  Object traces
-    loop over :attr:`SearchTrace.feasible` with the objective's scorer;
-    both routes agree because the latency maximum equals
-    ``ExecutionInfo.latency`` and ``np.argmin`` keeps the first minimum.
-    """
-    scorer = _resolve_objective(objective)
-    evaluation = trace.evaluation
-    if evaluation is not None:
-        best_mapping, best_exec = _cost_batch.best_of_batch(
-            layer,
-            evaluation.rescored(config),
-            None if objective == "latency" else scorer,
-        )
-    else:
-        dram_bpc = config.dram_bytes_per_cycle
-        best_exec: Optional[ExecutionInfo] = None
-        best_mapping: Optional[Mapping] = None
-        best_score = float("inf")
-        for mapping, execution in trace.feasible:
-            rescored = replace(
-                execution,
-                t_dma=sum(execution.data_offchip.values()) / dram_bpc,
-            )
-            score = scorer(layer, rescored, config)
-            if score < best_score:
-                best_exec = rescored
-                best_mapping = mapping
-                best_score = score
-    return MappingResult(
-        mapping=best_mapping,
-        execution=best_exec,
-        candidates_evaluated=trace.candidates_evaluated,
-        feasible_candidates=trace.feasible_count,
-    )
 
 
 def _stable_seed(*parts: object) -> int:
@@ -737,46 +605,42 @@ def _best_of_evaluation(
     objective: str,
     stats: Optional[BatchEvalStats],
     started: float,
-) -> Tuple[MappingResult, SearchTrace]:
-    """Batched twin of the scalar loop in :func:`_best_of_traced`.
+) -> MappingResult:
+    """Batched twin of the scalar loop in :func:`_best_of_candidates`.
 
     Picks the winner of a search's evaluation with
-    :func:`repro.cost.batch.best_of_batch`, records the search (begun at
-    ``started``) and keeps the evaluation as the trace
-    (:meth:`SearchTrace.from_evaluation`).  The result is bit-identical
-    to the scalar reference.
+    :func:`repro.cost.batch.best_of_batch` and records the search (begun
+    at ``started``).  The result is bit-identical to the scalar
+    reference.
     """
     best_mapping, best_exec = _cost_batch.best_of_batch(
         layer,
         evaluation,
         None if objective == "latency" else _resolve_objective(objective),
     )
-    trace = SearchTrace.from_evaluation(evaluation)
-    feasible = trace.feasible_count
+    feasible = int(np.count_nonzero(evaluation.feasible))
     if stats is not None:
         stats.record_batch(
             len(evaluation), feasible, time.perf_counter() - started
         )
-    result = MappingResult(
+    return MappingResult(
         mapping=best_mapping,
         execution=best_exec,
         candidates_evaluated=len(evaluation),
         feasible_candidates=feasible,
     )
-    return result, trace
 
 
-def _best_of_traced(
+def _best_of_candidates(
     layer: LayerShape,
     config: AcceleratorConfig,
     batch: CandidateBatch,
     objective: str = "latency",
     batch_eval: bool = True,
     stats: Optional[BatchEvalStats] = None,
-) -> Tuple[MappingResult, SearchTrace]:
+) -> MappingResult:
     """Evaluate every candidate of ``batch``; return the
-    objective-optimal result together with the re-scorable
-    :class:`SearchTrace`.
+    objective-optimal result.
 
     ``batch_eval`` selects the vectorized kernel (default) or the scalar
     reference loop.  Both produce bit-identical results; the kernel
@@ -801,12 +665,12 @@ def _best_of_traced(
     best_exec: Optional[ExecutionInfo] = None
     best_mapping: Optional[Mapping] = None
     best_score = float("inf")
-    outcomes: List[Tuple[Mapping, ExecutionInfo]] = []
+    feasible = 0
     for mapping in batch.mappings(range(len(batch))):
         outcome = _cost_latency.evaluate_layer_mapping(layer, mapping, config)
         if isinstance(outcome, InfeasibleMapping):
             continue
-        outcomes.append((mapping, outcome))
+        feasible += 1
         score = scorer(layer, outcome, config)
         if score < best_score:
             best_exec = outcome
@@ -814,13 +678,12 @@ def _best_of_traced(
             best_score = score
     if stats is not None:
         stats.record_scalar(len(batch), time.perf_counter() - started)
-    result = MappingResult(
+    return MappingResult(
         mapping=best_mapping,
         execution=best_exec,
         candidates_evaluated=len(batch),
-        feasible_candidates=len(outcomes),
+        feasible_candidates=feasible,
     )
-    return result, SearchTrace(tuple(outcomes), len(batch))
 
 
 class FixedDataflowMapper:
@@ -837,23 +700,21 @@ class FixedDataflowMapper:
 
     def search_with_trace(
         self, layer: LayerShape, config: AcceleratorConfig
-    ) -> Tuple[MappingResult, SearchTrace]:
+    ) -> MappingResult:
+        """One search: score the layer's output-stationary mapping (see
+        :meth:`TopNMapper.search_with_trace` for the method's name)."""
         mapping = build_output_stationary_mapping(layer, config)
         if mapping is None:
-            return MappingResult(None, None, 0, 0), SearchTrace((), 0)
+            return MappingResult(None, None, 0, 0)
         outcome = _cost_latency.evaluate_layer_mapping(layer, mapping, config)
         if isinstance(outcome, InfeasibleMapping):
-            return MappingResult(None, None, 1, 0), SearchTrace((), 1)
-        return (
-            MappingResult(mapping, outcome, 1, 1),
-            SearchTrace(((mapping, outcome),), 1),
-        )
+            return MappingResult(None, None, 1, 0)
+        return MappingResult(mapping, outcome, 1, 1)
 
     def __call__(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> MappingResult:
-        result, _ = self.search_with_trace(layer, config)
-        return result
+        return self.search_with_trace(layer, config)
 
 
 class TopNMapper:
@@ -932,13 +793,18 @@ class TopNMapper:
 
     def search_with_trace(
         self, layer: LayerShape, config: AcceleratorConfig
-    ) -> Tuple[MappingResult, SearchTrace]:
+    ) -> MappingResult:
         """One search, as a fused block runs it over one layer: look
         up the plan's terms (:func:`top_n_plan_terms`, scoring them on a
         miss), run the NoC/bandwidth stage once per tiling, pick the
         winner (or every feasible row for energy and EDP) and gather the
         result.  The scalar reference (``batch_eval=False``) and an
-        int64-unsafe plan score :meth:`candidate_plan` instead."""
+        int64-unsafe plan score :meth:`candidate_plan` instead.
+
+        Every mapper's search body has this name, and ``__call__``
+        delegates to it by attribute lookup: the campaign ledger
+        (``benchmarks/ledger/spans.py``) times each mapper's searches by
+        wrapping the method of that name in its class body."""
         started = time.perf_counter()
         key = self.plan_key(layer, config)
         if self.batch_eval:
@@ -954,7 +820,7 @@ class TopNMapper:
                     started,
                 )
             self.batch_stats.record_fallback()
-        return _best_of_traced(
+        return _best_of_candidates(
             layer,
             config,
             _top_n_batch(key),
@@ -966,8 +832,7 @@ class TopNMapper:
     def __call__(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> MappingResult:
-        result, _ = self.search_with_trace(layer, config)
-        return result
+        return self.search_with_trace(layer, config)
 
 
 class RandomSearchMapper:
@@ -1034,8 +899,10 @@ class RandomSearchMapper:
 
     def search_with_trace(
         self, layer: LayerShape, config: AcceleratorConfig
-    ) -> Tuple[MappingResult, SearchTrace]:
-        return _best_of_traced(
+    ) -> MappingResult:
+        """One search over :meth:`candidate_plan` (see
+        :meth:`TopNMapper.search_with_trace` for the method's name)."""
+        return _best_of_candidates(
             layer,
             config,
             self.candidate_plan(layer, config),
@@ -1047,5 +914,4 @@ class RandomSearchMapper:
     def __call__(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> MappingResult:
-        result, _ = self.search_with_trace(layer, config)
-        return result
+        return self.search_with_trace(layer, config)

@@ -5,9 +5,7 @@ Independent accelerations of the codesign hot path, all preserving
 bit-identical results versus the serial/cold path:
 
 * :mod:`repro.perf.mapping_cache` — a shared (layer, config-signature,
-  mapper-signature) cache with an exact tier and a re-scorable trace
-  tier, so sweeps over mapping-irrelevant parameters (off-chip
-  bandwidth, clock) re-score instead of re-search, and a pickle
+  mapper-signature) cache of exact search results, and a pickle
   warm-start (``REPRO_MAPPING_CACHE_DIR``) so a repeated command re-uses
   the previous process's searches;
 * :mod:`repro.perf.parallel` — a ``REPRO_JOBS``-controlled
@@ -18,7 +16,7 @@ bit-identical results versus the serial/cold path:
 
 :mod:`repro.perf.knobs` centralizes the validated environment switches
 (``REPRO_JOBS``, ``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, the
-mapping-cache capacities and directory, and the ``REPRO_SERVICE_*``
+mapping-cache capacity and directory, and the ``REPRO_SERVICE_*``
 admission knobs).
 See ``docs/performance.md`` for the knobs and measured numbers.
 """
@@ -35,9 +33,7 @@ from repro.perf.signature import (
     config_signature,
     layer_signature,
     mapper_signature,
-    search_invariant_signature,
     search_signature,
-    supports_tracing,
 )
 
 __all__ = [
@@ -55,7 +51,5 @@ __all__ = [
     "config_signature",
     "layer_signature",
     "mapper_signature",
-    "search_invariant_signature",
     "search_signature",
-    "supports_tracing",
 ]

@@ -16,9 +16,8 @@ Knobs resolved here:
 * ``REPRO_TREE_COMPILE`` — postfix-compiled bottleneck-tree evaluation
   (:mod:`repro.core.bottleneck.compile`).  Default on; ``0`` selects
   the recursive reference walk.
-* ``REPRO_MAPPING_CACHE_RESULTS`` / ``REPRO_MAPPING_CACHE_TRACES`` —
-  LRU capacities of the mapping cache's exact and re-score tiers
-  (:mod:`repro.perf.mapping_cache`); positive integers.
+* ``REPRO_MAPPING_CACHE_RESULTS`` — LRU capacity of the mapping cache
+  (:mod:`repro.perf.mapping_cache`); a positive integer.
 * ``REPRO_MAPPING_CACHE_DIR`` — directory of the mapping cache's pickle
   warm-start (:func:`repro.perf.mapping_cache.shared_cache`).
   Unset/empty/``0``/``off`` disables; an unusable value (e.g. a path
@@ -64,7 +63,6 @@ __all__ = [
     "tree_compile_enabled",
     "resolve_executor_mode",
     "mapping_cache_results",
-    "mapping_cache_traces",
     "mapping_cache_dir",
     "pool_jobs",
     "service_max_concurrent",
@@ -135,9 +133,8 @@ def env_flag(name: str, default: bool, override: Optional[bool] = None) -> bool:
 def fused_eval_enabled(override: Optional[bool] = None) -> bool:
     """Whether the fused cross-layer evaluation path is selected.
 
-    Opt-in: defaults off so campaigns change behaviour only when asked
-    (the fused path skips recording re-scorable search traces — results
-    are still bit-identical, see :mod:`repro.cost.fused`).
+    Opt-in: defaults off so campaigns change behaviour only when asked;
+    results are bit-identical either way (see :mod:`repro.cost.fused`).
     """
     return env_flag("REPRO_FUSED_EVAL", False, override)
 
@@ -215,17 +212,10 @@ def numeric_knob(name: str, default: float, parse=float) -> float:
 
 
 def mapping_cache_results() -> int:
-    """Exact-tier capacity of a :class:`~repro.perf.mapping_cache.MappingCache`
+    """Capacity of a :class:`~repro.perf.mapping_cache.MappingCache`
     (``REPRO_MAPPING_CACHE_RESULTS``, default 32768).  Junk values and
     values below 1 warn once and fall back to the default."""
     return _positive_int_knob("REPRO_MAPPING_CACHE_RESULTS", 32768, None)
-
-
-def mapping_cache_traces() -> int:
-    """Re-score-tier capacity of a :class:`~repro.perf.mapping_cache.MappingCache`
-    (``REPRO_MAPPING_CACHE_TRACES``, default 1024).  Junk values and
-    values below 1 warn once and fall back to the default."""
-    return _positive_int_knob("REPRO_MAPPING_CACHE_TRACES", 1024, None)
 
 
 def service_max_concurrent(override: Optional[int] = None) -> int:

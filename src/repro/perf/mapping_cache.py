@@ -1,24 +1,17 @@
-"""Shared layer-level mapping cache with an exact and a re-score tier.
+"""Shared layer-level mapping cache: one exact-result LRU.
 
 The hot path of every figure and table is the per-layer mapping search:
-each design-point evaluation runs one search per unique layer, and
-neighbouring candidates in a DSE walk share most of their
-mapping-relevant configuration.  This module memoizes those searches at
-layer granularity, below the :class:`repro.cost.evaluator.CostEvaluator`
-design-point cache:
-
-* **Exact tier** — keyed by ``(mapper signature, layer signature, full
-  config signature)``; a hit returns the stored
-  :class:`~repro.mapping.mapper.MappingResult` unchanged.
-* **Re-score tier** — keyed with the bandwidth/clock fields removed
-  (:func:`repro.perf.signature.search_invariant_signature`); a hit
-  re-scores the recorded :class:`~repro.mapping.mapper.SearchTrace` via
-  :func:`repro.mapping.mapper.rescore_trace`, which is bit-identical to
-  a cold search.  A batch search's trace holds its plan-stage terms
-  (shared with the top-N terms memo) and its per-tiling NoC results,
-  so a latency re-score is one NumPy pass over them plus one gathered
-  winner.  Sweeps over off-chip bandwidth therefore never repeat the
-  candidate enumeration or the per-candidate latency model.
+each design-point evaluation runs one search per unique layer, and a
+campaign revisits the same (layer, hardware) pairs.  This module
+memoizes those searches at layer granularity, below the
+:class:`repro.cost.evaluator.CostEvaluator` design-point cache, keyed
+by ``(mapper signature, search signature, config signature)``
+(:mod:`repro.perf.signature`); a hit returns the stored
+:class:`~repro.mapping.mapper.MappingResult` unchanged.  A config that
+differs in any field the search reads, off-chip bandwidth and clock
+included, is a miss: a top-N search on it re-runs only the NoC/bandwidth
+stage over the plan terms memoized beside its plan
+(:data:`repro.mapping.mapper._top_n_terms`).
 
 :class:`CachingMapper` is not a mapper: ``CostEvaluator`` runs a design
 point's searches itself, one per distinct
@@ -26,11 +19,11 @@ point's searches itself, one per distinct
 :class:`CachingMapper` serves its lookups and records its searches.  It
 is the only code that counts hits and misses.
 
-Both tiers are LRU-bounded and thread-safe.  The one cross-process
-store is a pickle of both tiers (:meth:`MappingCache.save` /
-``persist_path``): with ``REPRO_MAPPING_CACHE_DIR`` set, the shared
-cache warm-starts from it and saves it again at process exit, so a
-repeated command re-uses the previous run's searches.
+The cache is LRU-bounded and thread-safe.  The one cross-process store
+is a pickle of it (:meth:`MappingCache.save` / ``persist_path``): with
+``REPRO_MAPPING_CACHE_DIR`` set, the shared cache warm-starts from it
+and saves it again at process exit, so a repeated command re-uses the
+previous run's searches.
 """
 
 from __future__ import annotations
@@ -46,45 +39,34 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from repro.arch.accelerator import AcceleratorConfig
 from repro.resilience.errors import CacheCorruptionError, as_repro_error
 from repro.resilience.fault_injection import inject
-from repro.perf.knobs import (
-    mapping_cache_dir,
-    mapping_cache_results,
-    mapping_cache_traces,
-)
+from repro.perf.knobs import mapping_cache_dir, mapping_cache_results
 from repro.perf.signature import (
     config_signature,
     mapper_signature,
-    search_invariant_signature,
     search_signature,
-    supports_tracing,
 )
 from repro.workloads.layers import LayerShape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle:
     # repro.mapping.mapper -> repro.cost -> repro.perf -> this module)
-    from repro.mapping.mapper import MappingResult, SearchTrace
+    from repro.mapping.mapper import MappingResult
 
 __all__ = ["MappingCache", "CachingMapper", "shared_cache"]
 
 #: Persistence file name inside ``REPRO_MAPPING_CACHE_DIR``.
 PERSIST_FILENAME = "mapping_cache.pkl"
-#: On-disk format version; bump when signatures or traces change shape.
-#: Version 2: traces hold batch-kernel arrays instead of object pairs.
-#: Version 3: traces hold plan-stage terms and per-tiling NoC results.
-PERSIST_VERSION = 3
+#: On-disk format version; bump when signatures or stored values change
+#: shape.  Versions 2 and 3 also held re-scorable search traces; version
+#: 4 holds exact results only.
+PERSIST_VERSION = 4
 
 
 class MappingCache:
-    """LRU-bounded two-tier store of mapping-search outcomes.
+    """LRU-bounded store of mapping-search results.
 
     Args:
-        max_results: Exact-tier capacity (one ``MappingResult`` each);
-            None reads ``REPRO_MAPPING_CACHE_RESULTS``.
-        max_traces: Re-score-tier capacity; a trace holds one search's
-            plan-stage terms and per-tiling NoC results (a top-N trace
-            shares its terms with the terms memo), so this tier is kept
-            smaller than the exact one.  None reads
-            ``REPRO_MAPPING_CACHE_TRACES``.
+        max_results: Capacity (one ``MappingResult`` each); None reads
+            ``REPRO_MAPPING_CACHE_RESULTS``.
         persist_path: Pickle file to warm-start from (loaded when it
             exists) and to :meth:`save` to.
     """
@@ -92,29 +74,20 @@ class MappingCache:
     def __init__(
         self,
         max_results: Optional[int] = None,
-        max_traces: Optional[int] = None,
         persist_path: Optional[str] = None,
     ):
-        for name, value in (
-            ("max_results", max_results),
-            ("max_traces", max_traces),
-        ):
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        if max_results is not None and max_results < 1:
+            raise ValueError(
+                f"max_results must be at least 1, got {max_results!r}"
+            )
         self.max_results = (
             mapping_cache_results() if max_results is None else max_results
         )
-        self.max_traces = (
-            mapping_cache_traces() if max_traces is None else max_traces
-        )
         self.persist_path = persist_path
         self._results: "OrderedDict[Tuple, MappingResult]" = OrderedDict()
-        self._traces: "OrderedDict[Tuple, SearchTrace]" = OrderedDict()
         self._lock = threading.Lock()
         if persist_path and os.path.exists(persist_path):
             self.load(persist_path)
-
-    # -- tier access ----------------------------------------------------------
 
     def get_result(self, key: Tuple) -> Optional[MappingResult]:
         with self._lock:
@@ -130,48 +103,25 @@ class MappingCache:
             while len(self._results) > self.max_results:
                 self._results.popitem(last=False)
 
-    def get_trace(self, key: Tuple) -> Optional[SearchTrace]:
-        with self._lock:
-            trace = self._traces.get(key)
-            if trace is not None:
-                self._traces.move_to_end(key)
-            return trace
-
-    def put_trace(self, key: Tuple, trace: SearchTrace) -> None:
-        with self._lock:
-            self._traces[key] = trace
-            self._traces.move_to_end(key)
-            while len(self._traces) > self.max_traces:
-                self._traces.popitem(last=False)
-
     # -- introspection --------------------------------------------------------
 
     def size(self) -> int:
-        """Exact-tier entry count."""
+        """Entry count."""
         return len(self._results)
-
-    def trace_count(self) -> int:
-        """Re-score-tier entry count."""
-        return len(self._traces)
 
     def clear(self) -> None:
         with self._lock:
             self._results.clear()
-            self._traces.clear()
 
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: Optional[str] = None) -> str:
-        """Pickle both tiers atomically; returns the written path."""
+        """Pickle the cache atomically; returns the written path."""
         path = path or self.persist_path
         if not path:
             raise ValueError("no persistence path configured")
         inject("cache-save", key=str(path))
-        payload = {
-            "version": PERSIST_VERSION,
-            "results": dict(self._results),
-            "traces": dict(self._traces),
-        }
+        payload = {"version": PERSIST_VERSION, "results": dict(self._results)}
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -216,8 +166,6 @@ class MappingCache:
         try:
             for key, result in payload.get("results", {}).items():
                 self.put_result(key, result)
-            for key, trace in payload.get("traces", {}).items():
-                self.put_trace(key, trace)
         except Exception as exc:
             self._quarantine_corrupt(path, exc)
             return False
@@ -254,70 +202,50 @@ class CachingMapper:
     """
 
     def __init__(self, mapper, cache: Optional[MappingCache] = None):
-        if not supports_tracing(mapper):
+        self._mapper_sig = mapper_signature(mapper)
+        if self._mapper_sig is None:
             raise TypeError(
-                f"{mapper!r} does not implement the traced-search protocol "
-                "(signature() + search_with_trace())"
+                f"{mapper!r} is not cacheable: it has no signature()"
             )
         self.mapper = mapper
         self.cache = cache if cache is not None else shared_cache()
-        self._mapper_sig = mapper_signature(mapper)
-        self.objective = getattr(mapper, "objective", "latency")
         self.exact_hits = 0
-        self.rescore_hits = 0
         self.misses = 0
 
     def reset_counters(self) -> None:
-        self.exact_hits = self.rescore_hits = self.misses = 0
+        self.exact_hits = self.misses = 0
 
-    def _keys(
-        self, layer: LayerShape, config: AcceleratorConfig
-    ) -> Tuple[Tuple, Tuple]:
-        lsig = search_signature(self.mapper, layer)
+    def _key(self, layer: LayerShape, config: AcceleratorConfig) -> Tuple:
         return (
-            (self._mapper_sig, lsig, config_signature(config)),
-            (self._mapper_sig, lsig, search_invariant_signature(config)),
+            self._mapper_sig,
+            search_signature(self.mapper, layer),
+            config_signature(config),
         )
 
     def lookup(
         self, layer: LayerShape, config: AcceleratorConfig
     ) -> Optional[MappingResult]:
-        """Serve from the cache (counting an exact or a re-score hit), or
-        return None, counting nothing: the caller's :meth:`store` counts
-        the search a miss leads to."""
-        exact_key, trace_key = self._keys(layer, config)
-        result = self.cache.get_result(exact_key)
+        """Serve from the cache (counting a hit), or return None,
+        counting nothing: the caller's :meth:`store` counts the search a
+        miss leads to."""
+        result = self.cache.get_result(self._key(layer, config))
         if result is not None:
             self.exact_hits += 1
-            return result
-        trace = self.cache.get_trace(trace_key)
-        if trace is not None:
-            from repro.mapping.mapper import rescore_trace
-
-            result = rescore_trace(layer, config, trace, self.objective)
-            self.cache.put_result(exact_key, result)
-            self.rescore_hits += 1
-            return result
-        return None
+        return result
 
     def store(
         self,
         layer: LayerShape,
         config: AcceleratorConfig,
         result: MappingResult,
-        trace: Optional[SearchTrace] = None,
         repeats: int = 0,
     ) -> None:
         """Record one search the caller ran on ``layer`` (a miss) and the
         ``repeats`` other layers of the same design point it served.
         Those share ``layer``'s search identity, so each counts as the
         exact hit it would have been had it been looked up after this
-        store.  ``trace`` (None for a fused search) feeds the re-score
-        tier."""
-        exact_key, trace_key = self._keys(layer, config)
-        self.cache.put_result(exact_key, result)
-        if trace is not None:
-            self.cache.put_trace(trace_key, trace)
+        store."""
+        self.cache.put_result(self._key(layer, config), result)
         self.misses += 1
         self.exact_hits += repeats
 

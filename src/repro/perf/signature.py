@@ -21,20 +21,16 @@ This module centralizes that contract:
   beside each top-N plan, under the same key
   (``repro.mapping.mapper._top_n_terms``);
 * the NoC configuration (``noc_datawidth_bits``, physical/virtual
-  unicast links) and the bandwidth enter only in the kernel's second,
-  NoC/bandwidth stage: NoC rounds and feasibility checks, ``t_noc`` and
-  ``t_dma``;
-* of those, only ``offchip_bw_mbps`` / ``freq_mhz`` are read by nothing
-  but ``t_dma`` (through ``dram_bytes_per_cycle``), and a recorded
-  :class:`repro.mapping.mapper.SearchTrace` can be exactly re-scored for
-  those.
+  unicast links), the off-chip bandwidth and the clock enter only in
+  the kernel's second, NoC/bandwidth stage: NoC rounds and feasibility
+  checks, ``t_noc`` and ``t_dma``.  A top-N search on a config that
+  differs only there re-runs that stage over the memoized terms.
 
-Hence :func:`config_signature` keys the exact-result cache tier and
-:func:`search_invariant_signature` (the same minus bandwidth and clock)
-keys the re-scorable trace tier.  On the layer side,
+Hence :func:`config_signature`, every field the search reads, keys the
+layer cache, which stores exact results only.  On the layer side,
 :func:`search_signature` is the one definition of "the same search":
 the evaluator runs one search per distinct value in a design point, and
-both cache tiers key on it.
+the cache keys on it.
 """
 
 from __future__ import annotations
@@ -48,9 +44,7 @@ __all__ = [
     "layer_signature",
     "search_signature",
     "config_signature",
-    "search_invariant_signature",
     "mapper_signature",
-    "supports_tracing",
 ]
 
 
@@ -88,15 +82,6 @@ def search_signature(mapper, layer: LayerShape) -> Tuple:
 
 def config_signature(config: AcceleratorConfig) -> Tuple:
     """Full mapping-relevant identity of a hardware configuration."""
-    return search_invariant_signature(config) + (
-        config.offchip_bw_mbps,
-        config.freq_mhz,
-    )
-
-
-def search_invariant_signature(config: AcceleratorConfig) -> Tuple:
-    """Config fields that determine the candidate set, feasibility, and
-    every score component except ``t_dma`` (see module docstring)."""
     return (
         config.pes,
         config.l1_bytes,
@@ -105,6 +90,8 @@ def search_invariant_signature(config: AcceleratorConfig) -> Tuple:
         tuple(config.phys_unicast_factor[op] for op in OPERANDS),
         tuple(config.virt_unicast[op] for op in OPERANDS),
         config.bytes_per_element,
+        config.offchip_bw_mbps,
+        config.freq_mhz,
     )
 
 
@@ -114,11 +101,3 @@ def mapper_signature(mapper) -> Optional[Tuple]:
     if sig is None:
         return None
     return tuple(sig())
-
-
-def supports_tracing(mapper) -> bool:
-    """True when ``mapper`` implements the traced-search cache protocol
-    (``signature()`` + ``search_with_trace()``)."""
-    return callable(getattr(mapper, "signature", None)) and callable(
-        getattr(mapper, "search_with_trace", None)
-    )

@@ -32,10 +32,12 @@ attempt boundaries, so followers always see whole attempts.
 Error mapping is explicit: every
 :class:`~repro.service.service.ServiceError` subclass carries its own
 ``http_status`` (404 for unknown ids, 429/503 for shed submissions —
-with a ``Retry-After`` header — 409 otherwise); nothing is inferred
-from message text.  The ``http-response`` fault site fires just before
-a success response is written, so chaos runs exercise the
-acted-but-never-acknowledged window idempotent retries must cover.
+with a ``Retry-After`` header — 409 otherwise), and a submission whose
+spec fails :meth:`~repro.service.service.CampaignSpec.validate` is a
+400; nothing is inferred from message text.  The ``http-response``
+fault site fires just before a success response is written, so chaos
+runs exercise the acted-but-never-acknowledged window idempotent
+retries must cover.
 """
 
 from __future__ import annotations
@@ -257,7 +259,10 @@ class ServiceEndpoint:
                             400,
                             f"bad X-Repro-Deadline {deadline_header!r}",
                         ) from None
-                campaign_id = await service.submit(spec)
+                try:
+                    campaign_id = await service.submit(spec)
+                except ValueError as exc:
+                    raise _HttpError(400, f"bad spec: {exc}") from None
                 self._send(writer, 200, {"campaign_id": campaign_id}, path)
                 return
             if method == "GET":

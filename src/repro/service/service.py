@@ -116,6 +116,9 @@ class CampaignSpec:
     remembers the key in the spooled submission record, and a retried
     submit with the same key returns the existing campaign id instead
     of starting a second campaign.
+
+    :meth:`CampaignService.submit` checks the fields the service and
+    scheduler read (:meth:`validate`) before it queues anything.
     """
 
     model: str
@@ -136,6 +139,48 @@ class CampaignSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in known})
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first malformed field the
+        service or scheduler reads.  Such a field would otherwise fail
+        inside the scheduling loop that every tenant's campaigns share,
+        or starve its tenant silently."""
+
+        def integer(name: str, low: int, optional: bool) -> None:
+            value = getattr(self, name)
+            if value is None and optional:
+                return
+            if isinstance(value, bool) or not isinstance(value, int) or (
+                value < low
+            ):
+                allowed = f"an integer >= {low}" + (
+                    " or null" if optional else ""
+                )
+                raise ValueError(f"{name} must be {allowed}, got {value!r}")
+
+        if not isinstance(self.tenant, str):
+            raise ValueError(f"tenant must be a string, got {self.tenant!r}")
+        integer("iterations", 1, optional=False)
+        integer("tenant_weight", 1, optional=True)
+        integer("tenant_quota", 0, optional=True)
+        deadline = self.deadline_s
+        if deadline is not None and (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float))
+            or not math.isfinite(deadline)
+            or deadline <= 0
+        ):
+            raise ValueError(
+                "deadline_s must be a finite number > 0 or null, "
+                f"got {deadline!r}"
+            )
+        if self.idempotency_key is not None and not isinstance(
+            self.idempotency_key, str
+        ):
+            raise ValueError(
+                "idempotency_key must be a string or null, "
+                f"got {self.idempotency_key!r}"
+            )
 
 
 def default_campaign_factory(spec: CampaignSpec):
@@ -417,10 +462,12 @@ class CampaignService:
         hit, 503 when the global waiting queue is full.  The spooled
         submission record is durable *before* the ``submit`` fault site
         fires, so a kill there leaves a campaign the client's idempotent
-        retry re-discovers.
+        retry re-discovers.  A malformed spec raises ``ValueError``
+        (:meth:`CampaignSpec.validate`) and changes nothing.
         """
         if self._loop_task is None:
             raise ServiceError("service is not running")
+        spec.validate()
         key = spec.idempotency_key
         if key and key in self._idempotency:
             self.counters["dedup_hits"] += 1

@@ -4,8 +4,8 @@ The contract under test: on the batch kernel or on the scalar
 reference (``batch_eval=False``), every built-in mapper returns
 *bit-identical* results — same mappings, same ``ExecutionInfo`` values
 **and Python types**, same infeasibility reasons, same candidate
-counts, same re-scorable traces.  A latency search or re-score on the
-batch path builds objects for its winner only.
+counts.  A latency search on the batch path builds objects for its
+winner only.
 """
 
 import dataclasses
@@ -19,7 +19,6 @@ from repro.arch import build_edge_design_space, config_from_point
 from repro.arch.accelerator import OFFCHIP_BW_VALUES_MBPS
 from repro.cost.batch import (
     BatchLayerEvaluation,
-    PlanTerms,
     evaluate_layer_mappings_batch,
     int64_safe,
 )
@@ -31,12 +30,10 @@ from repro.mapping.mapper import (
     FixedDataflowMapper,
     MAPPING_OBJECTIVES,
     RandomSearchMapper,
-    SearchTrace,
     TopNMapper,
-    rescore_trace,
+    _top_n_terms,
 )
 from repro.mapping.mapping import padded_bounds, padded_bounds_tuple
-from repro.perf import CachingMapper, MappingCache
 from repro.perf.instrumentation import BatchEvalStats
 from repro.workloads.layers import (
     LOOP_DIMS,
@@ -161,16 +158,30 @@ class TestScalarBatchEquivalence:
     def test_mapper_results_and_traces_identical(
         self, make_mapper, objective, conv_layer, mid_config
     ):
-        s_res, s_trace = make_mapper(objective, False).search_with_trace(
-            conv_layer, mid_config
+        """Both paths return the same result, and score the search's
+        whole candidate set alike: its trace, the feasible
+        ``(mapping, execution)`` pairs in candidate order."""
+        scalar = make_mapper(objective, False)
+        batched = make_mapper(objective, True)
+        assert_results_identical(
+            scalar.search_with_trace(conv_layer, mid_config),
+            batched.search_with_trace(conv_layer, mid_config),
         )
-        b_res, b_trace = make_mapper(objective, True).search_with_trace(
-            conv_layer, mid_config
+        batch = batched.candidate_plan(conv_layer, mid_config)
+        evaluation = BatchLayerEvaluation(conv_layer, batch, mid_config)
+        rows = evaluation.feasible_indices
+        b_trace = list(
+            zip(evaluation.mappings(rows), evaluation.execution_infos(rows))
         )
-        assert_results_identical(s_res, b_res)
-        assert s_trace.candidates_evaluated == b_trace.candidates_evaluated
-        assert len(s_trace.feasible) == len(b_trace.feasible)
-        for (sm, se), (bm, be) in zip(s_trace.feasible, b_trace.feasible):
+        s_trace = []
+        for mapping in scalar.candidate_plan(conv_layer, mid_config).mappings(
+            range(len(batch))
+        ):
+            outcome = evaluate_layer_mapping(conv_layer, mapping, mid_config)
+            if not isinstance(outcome, InfeasibleMapping):
+                s_trace.append((mapping, outcome))
+        assert len(s_trace) == len(b_trace) > 1
+        for (sm, se), (bm, be) in zip(s_trace, b_trace):
             assert sm == bm
             assert_outcomes_identical(se, be)
 
@@ -178,28 +189,6 @@ class TestScalarBatchEquivalence:
         scalar = TopNMapper(top_n=80, batch_eval=False)(gemm_layer, mid_config)
         batch = TopNMapper(top_n=80, batch_eval=True)(gemm_layer, mid_config)
         assert_results_identical(scalar, batch)
-
-    def test_rescore_trace_parity_across_paths(
-        self, mid_point, conv_layer, mid_config
-    ):
-        """Traces from either path re-score identically on new bandwidth,
-        and match a cold search there — the mapping-cache contract."""
-        shifted_point = dict(mid_point, offchip_bw_mbps=2048)
-        shifted = config_from_point(shifted_point)
-        for objective in sorted(MAPPING_OBJECTIVES):
-            _, s_trace = TopNMapper(
-                top_n=80, objective=objective, batch_eval=False
-            ).search_with_trace(conv_layer, mid_config)
-            _, b_trace = TopNMapper(
-                top_n=80, objective=objective, batch_eval=True
-            ).search_with_trace(conv_layer, mid_config)
-            s_rescored = rescore_trace(conv_layer, shifted, s_trace, objective)
-            b_rescored = rescore_trace(conv_layer, shifted, b_trace, objective)
-            assert_results_identical(s_rescored, b_rescored)
-            cold = TopNMapper(top_n=80, objective=objective, batch_eval=True)(
-                conv_layer, shifted
-            )
-            assert_results_identical(cold, b_rescored)
 
     def test_deterministic_spec_grid_outcomes(self):
         specs = _spec_grid()
@@ -226,10 +215,14 @@ class TestScalarBatchEquivalence:
         assert_outcomes_identical(scalar, batch)
 
 
-#: Latency mappers whose batch search keeps its trace as kernel arrays.
-_ARRAY_TRACE_MAPPERS = {
-    "top-n": lambda: TopNMapper(top_n=150, batch_eval=True),
-    "random": lambda: RandomSearchMapper(trials=150, seed=3, batch_eval=True),
+#: The mappers that search on the batch kernel.
+_BATCH_MAPPERS = {
+    "top-n": lambda objective="latency", batch_eval=True: TopNMapper(
+        top_n=150, objective=objective, batch_eval=batch_eval
+    ),
+    "random": lambda objective="latency", batch_eval=True: RandomSearchMapper(
+        trials=150, seed=3, objective=objective, batch_eval=batch_eval
+    ),
 }
 
 
@@ -270,99 +263,51 @@ def built(monkeypatch):
 
 
 class TestWinnerOnlyMaterialization:
-    @pytest.mark.parametrize("name", sorted(_ARRAY_TRACE_MAPPERS))
+    @pytest.mark.parametrize("name", sorted(_BATCH_MAPPERS))
     def test_latency_search_builds_one_row(
         self, name, built, conv_layer, mid_config
     ):
-        result, trace = _ARRAY_TRACE_MAPPERS[name]().search_with_trace(
+        result = _BATCH_MAPPERS[name]().search_with_trace(
             conv_layer, mid_config
         )
         assert result.feasible_candidates > 1
-        assert trace.feasible_count == result.feasible_candidates
         assert built == {"infos": 1, "mappings": 1}
-
-    @pytest.mark.parametrize("name", sorted(_ARRAY_TRACE_MAPPERS))
-    def test_rescore_hit_builds_one_row(
-        self, name, built, mid_point, conv_layer, mid_config
-    ):
-        mapper = CachingMapper(_ARRAY_TRACE_MAPPERS[name](), MappingCache())
-        searched, trace = mapper.mapper.search_with_trace(
-            conv_layer, mid_config
-        )
-        mapper.store(conv_layer, mid_config, searched, trace)
-        variant = config_from_point(dict(mid_point, offchip_bw_mbps=2048))
-        built.update(infos=0, mappings=0)
-        result = mapper.lookup(conv_layer, variant)
-        assert mapper.rescore_hits == 1 and mapper.misses == 1
-        assert result.feasible_candidates > 1
-        assert built == {"infos": 1, "mappings": 1}
-
-    def test_trace_feasible_is_built_once_on_demand(
-        self, built, conv_layer, mid_config
-    ):
-        _, trace = TopNMapper(top_n=150, batch_eval=True).search_with_trace(
-            conv_layer, mid_config
-        )
-        pairs = trace.feasible
-        assert len(pairs) == trace.feasible_count
-        assert trace.feasible is pairs
-        assert built == {"infos": 1 + len(pairs), "mappings": 1 + len(pairs)}
-
-
-def _rescore_three_ways(make_mapper, layer, config, variant, pickled=False):
-    """The array re-score, the object loop over the same trace's
-    ``feasible``, and a cold search on ``variant``.  The array trace is
-    the search's plan-stage terms plus its per-tiling NoC results."""
-    _, trace = make_mapper().search_with_trace(layer, config)
-    terms = trace.evaluation.terms
-    assert isinstance(terms, PlanTerms) and terms.offchip_total is not None
-    assert trace.evaluation.cycles.shape == (len(terms.table), 4)
-    if pickled:
-        trace = pickle.loads(pickle.dumps(trace))
-        assert isinstance(trace.evaluation.terms, PlanTerms)
-    array = rescore_trace(layer, variant, trace)
-    objects = rescore_trace(
-        layer,
-        variant,
-        SearchTrace(trace.feasible, trace.candidates_evaluated),
-    )
-    cold = make_mapper()(layer, variant)
-    return array, objects, cold
 
 
 class TestRescoreParity:
+    """A config that differs from a searched one only in off-chip
+    bandwidth or clock is a layer-cache miss.  A top-N search on it
+    re-scores the plan's memoized terms (``_top_n_terms``) in the
+    NoC/bandwidth stage alone; that array re-score must equal the
+    scalar reference's object loop and a search on a cold memo."""
+
     @settings(max_examples=60, deadline=None)
     @given(
-        mapper=st.sampled_from(sorted(_ARRAY_TRACE_MAPPERS)),
+        mapper=st.sampled_from(sorted(_BATCH_MAPPERS)),
+        objective=st.sampled_from(sorted(MAPPING_OBJECTIVES)),
         layer_index=st.integers(0, len(_LAYERS) - 1),
         config_index=st.integers(0, 1),
         bandwidth=st.sampled_from(OFFCHIP_BW_VALUES_MBPS),
         freq_mhz=st.sampled_from((500, 800)),
     )
     def test_array_rescore_matches_object_loop_and_cold_search(
-        self, mapper, layer_index, config_index, bandwidth, freq_mhz
+        self, mapper, objective, layer_index, config_index, bandwidth,
+        freq_mhz,
     ):
+        make = _BATCH_MAPPERS[mapper]
         layer = _LAYERS[layer_index]
         config = _configs()[config_index]
         variant = dataclasses.replace(
             config, offchip_bw_mbps=bandwidth, freq_mhz=freq_mhz
         )
-        array, objects, cold = _rescore_three_ways(
-            _ARRAY_TRACE_MAPPERS[mapper], layer, config, variant
-        )
-        assert_results_identical(objects, array)
-        assert_results_identical(cold, array)
-
-    @pytest.mark.parametrize("mapper", sorted(_ARRAY_TRACE_MAPPERS))
-    def test_pickled_trace_rescores_identically(
-        self, mapper, mid_point, conv_layer, mid_config
-    ):
-        variant = config_from_point(dict(mid_point, offchip_bw_mbps=1024))
-        array, objects, cold = _rescore_three_ways(
-            _ARRAY_TRACE_MAPPERS[mapper], conv_layer, mid_config, variant,
-            pickled=True,
-        )
-        assert array.feasible_candidates > 1
+        make(objective)(layer, config)  # warms the terms memo
+        hits = _top_n_terms.cache_info().hits
+        array = make(objective)(layer, variant)
+        if mapper == "top-n":
+            assert _top_n_terms.cache_info().hits == hits + 1
+        objects = make(objective, batch_eval=False)(layer, variant)
+        _top_n_terms.cache_clear()
+        cold = make(objective)(layer, variant)
         assert_results_identical(objects, array)
         assert_results_identical(cold, array)
 
@@ -402,16 +347,15 @@ class TestBatchPrimitives:
         import repro.mapping.mapper as mapper_mod
 
         batch = CandidateBatch.from_specs(specs)
-        result, trace = mapper_mod._best_of_traced(
+        result = mapper_mod._best_of_candidates(
             conv_layer, mid_config, batch, stats=mapper.batch_stats,
         )
         assert mapper.batch_stats.int64_fallbacks == 1
         assert mapper.batch_stats.scalar_searches == 1
-        scalar_result, scalar_trace = mapper_mod._best_of_traced(
+        scalar_result = mapper_mod._best_of_candidates(
             conv_layer, mid_config, batch, batch_eval=False,
         )
         assert_results_identical(scalar_result, result)
-        assert trace.candidates_evaluated == scalar_trace.candidates_evaluated
 
 
 class TestPaddedBoundsMemo:
@@ -440,13 +384,6 @@ class TestObjectiveValidation:
     def test_ctor_error_lists_choices(self, build):
         with pytest.raises(ValueError, match="edp.*energy.*latency"):
             build()
-
-    def test_rescore_trace_rejects_unknown(self, conv_layer, mid_config):
-        _, trace = TopNMapper(top_n=20).search_with_trace(
-            conv_layer, mid_config
-        )
-        with pytest.raises(ValueError, match="unknown mapping objective"):
-            rescore_trace(conv_layer, mid_config, trace, objective="speed")
 
     def test_make_evaluator_rejects_unknown(self):
         from repro.experiments.setup import make_evaluator

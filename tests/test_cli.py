@@ -51,6 +51,12 @@ class TestParser:
              "--iterations"],
             ["pareto", "resnet18", "--iterations"],
             ["pareto", "resnet18", "--capacity"],
+            ["serve", "--max-concurrent"],
+            ["serve", "--quantum"],
+            ["serve", "--max-queue"],
+            ["serve", "--tenant-inflight"],
+            ["submit", "resnet18", "--server", "http://127.0.0.1:1",
+             "--weight"],
         ],
         ids=lambda argv: f"{argv[0]}-{argv[-1].lstrip('-')}",
     )
@@ -59,6 +65,49 @@ class TestParser:
             build_parser().parse_args(argv + [value])
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,dest",
+        [
+            (["serve", "--tenant-quota"], "tenant_quota"),
+            (["submit", "resnet18", "--server", "http://127.0.0.1:1",
+              "--quota"], "quota"),
+        ],
+        ids=["serve", "submit"],
+    )
+    def test_quotas_are_non_negative_ints(self, argv, dest, capsys):
+        assert getattr(build_parser().parse_args(argv + ["0"]), dest) == 0
+        for value in ("-3", "abc"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv + [value])
+            assert excinfo.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,expected", [(None, "env"), ("0", None), ("5", 5)]
+    )
+    def test_serve_tenant_quota_zero_is_unlimited(
+        self, monkeypatch, flag, expected
+    ):
+        import repro.service
+
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        class Service:
+            def __init__(self, spool, **kwargs):
+                seen.update(kwargs)
+
+            async def start(self):
+                raise Stop
+
+        monkeypatch.setattr(repro.service, "CampaignService", Service)
+        argv = ["serve"] + ([] if flag is None else ["--tenant-quota", flag])
+        with pytest.raises(Stop):
+            cli._cmd_serve(build_parser().parse_args(argv))
+        assert seen["default_quota"] == expected
 
     def test_trace_and_resume_mutually_exclusive(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -139,7 +139,7 @@ class TestSearchLayersFused:
         assert [layer for layer, _ in fused] == layers
         reference = make_mapper(objective=objective, batch_eval=False)
         for layer, result in fused:
-            expected, _trace = reference.search_with_trace(layer, mid_config)
+            expected = reference.search_with_trace(layer, mid_config)
             assert_results_identical(expected, result)
 
     @given(layers=_layers_strategy)
@@ -152,7 +152,7 @@ class TestSearchLayersFused:
         assert remaining == []
         reference = TopNMapper(top_n=40, batch_eval=False)
         for layer, result in fused:
-            expected, _trace = reference.search_with_trace(layer, mid_config)
+            expected = reference.search_with_trace(layer, mid_config)
             assert_results_identical(expected, result)
 
     @given(layers=_layers_strategy)
@@ -169,7 +169,7 @@ class TestSearchLayersFused:
         assert remaining == []
         reference = TopNMapper(top_n=40, batch_eval=False)
         for layer, result in fused:
-            expected, _trace = reference.search_with_trace(layer, tiny_config)
+            expected = reference.search_with_trace(layer, tiny_config)
             assert_results_identical(expected, result)
 
     def test_random_mapper_searches_each_name(self, resnet18, mid_config):
@@ -185,7 +185,7 @@ class TestSearchLayersFused:
         assert stats.fused_candidates == 3 * 40
         reference = _random(batch_eval=False)
         for layer, result in fused:
-            expected, _trace = reference.search_with_trace(layer, mid_config)
+            expected = reference.search_with_trace(layer, mid_config)
             assert_results_identical(expected, result)
 
     def test_infeasibility_reasons_identical(self, tiny_config, resnet18):
@@ -424,7 +424,7 @@ _OBJECTIVES = ("latency", "energy", "edp")
 def _reference(make, layers, config):
     """The scalar reference's result of every layer, in order."""
     reference = make(batch_eval=False)
-    return [reference.search_with_trace(layer, config)[0] for layer in layers]
+    return [reference.search_with_trace(layer, config) for layer in layers]
 
 
 def _assert_block_matches(make, layers, config, expected, stats=None):
@@ -619,9 +619,9 @@ class TestPlanTermsMemo:
     def test_per_layer_search_fills_one_entry_per_plan_key(
         self, cold_terms, resnet18, mid_config
     ):
-        """A per-layer top-N search stores one entry per plan key, every
-        later search of that key reads it, and its trace shares the
-        entry; the scalar reference touches none."""
+        """A per-layer top-N search stores one entry per plan key and
+        every later search of that key reads it, whatever its
+        objective; the scalar reference touches none."""
         reference = TopNMapper(top_n=60, batch_eval=False)
         for layer in resnet18.layers:
             reference.search_with_trace(layer, mid_config)
@@ -630,16 +630,13 @@ class TestPlanTermsMemo:
         keys = [
             reference.plan_key(layer, mid_config) for layer in resnet18.layers
         ]
-        traces = []
         for objective in _OBJECTIVES:
             mapper = TopNMapper(top_n=60, objective=objective)
             for layer in resnet18.layers:
-                traces.append(mapper.search_with_trace(layer, mid_config)[1])
+                mapper.search_with_trace(layer, mid_config)
         info = cold_terms.cache_info()
         assert info.misses == info.currsize == len(set(keys))
-        assert info.hits == len(traces) - len(set(keys))
-        for key, trace in zip(keys * len(_OBJECTIVES), traces):
-            assert trace.evaluation.terms is cold_terms.get(key)
+        assert info.hits == len(_OBJECTIVES) * len(keys) - len(set(keys))
 
     def test_threads_share_the_memo_safely(
         self, cold_terms, monkeypatch, resnet18, mid_config
@@ -775,7 +772,8 @@ class TestFusedBlockMechanism:
         mapper.search_with_trace(layer, mid_config)
         assert spies["plan_rows"] == [150]
         self._reset(spies)
-        result, trace = mapper.search_with_trace(layer, mid_config)
+        hits = cold_terms.cache_info().hits
+        result = mapper.search_with_trace(layer, mid_config)
         gathered = 1 if objective == "latency" else result.feasible_candidates
         assert result.feasible_candidates > 1
         assert spies == {
@@ -784,23 +782,22 @@ class TestFusedBlockMechanism:
             "infos": [gathered],
             "plans": 0,
         }
-        assert trace.evaluation.terms is cold_terms.get(
-            mapper.plan_key(layer, mid_config)
-        )
+        assert cold_terms.cache_info()[:2] == (hits + 1, 1)
 
     def test_random_mapper_search_scores_its_plan_once(
         self, spies, resnet18, mid_config
     ):
         """Random plans are never memoized: each search runs the whole
-        kernel over its rows once and its trace owns the terms."""
+        kernel over its rows once, and the terms memo is not touched."""
         layer = resnet18.layer("conv3_x")
         mapper = RandomSearchMapper(trials=40, seed=7)
+        before = _top_n_terms.cache_info()
         for _ in range(2):
-            _, trace = mapper.search_with_trace(layer, mid_config)
+            mapper.search_with_trace(layer, mid_config)
             assert spies["kernel_rows"] == spies["plan_rows"] == [40]
             assert spies["infos"] == [1]
             self._reset(spies)
-        assert trace.evaluation.terms.row.tolist() == list(range(40))
+        assert _top_n_terms.cache_info() == before
 
 
 class TestEveryLayerEveryPath:
@@ -818,6 +815,6 @@ class TestEveryLayerEveryPath:
         for _ in range(2):  # memo cold, then warm
             per_layer = make()
             for layer, want in zip(layers, expected):
-                got, _trace = per_layer.search_with_trace(layer, mid_config)
+                got = per_layer.search_with_trace(layer, mid_config)
                 assert_results_identical(want, got)
         _assert_block_matches(make, layers, mid_config, expected)

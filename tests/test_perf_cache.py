@@ -1,8 +1,8 @@
 """Tests for the layer-level mapping cache (repro.perf).
 
 The load-bearing property: the cache must be invisible in the results —
-every tier (exact hit, bandwidth re-score, disk warm-start) returns
-bit-identical costs versus a cold search.
+an in-process hit and a disk warm-start return bit-identical costs
+versus a cold search.
 """
 
 import json
@@ -20,7 +20,7 @@ from repro.mapping.mapper import (
     FixedDataflowMapper,
     RandomSearchMapper,
     TopNMapper,
-    rescore_trace,
+    _top_n_terms,
 )
 from repro.perf import (
     CachingMapper,
@@ -28,8 +28,6 @@ from repro.perf import (
     config_signature,
     layer_signature,
     mapper_signature,
-    search_invariant_signature,
-    supports_tracing,
 )
 from repro.perf.mapping_cache import PERSIST_VERSION
 
@@ -48,24 +46,19 @@ def _bw_variant(point, bw):
 
 
 class TestSignatures:
-    def test_full_signature_includes_bandwidth(self, mid_config):
-        assert mid_config.offchip_bw_mbps in config_signature(mid_config)
-
-    def test_invariant_signature_excludes_bandwidth_and_clock(
-        self, mid_point
-    ):
+    def test_full_signature_includes_bandwidth(self, mid_point):
         a = config_from_point(mid_point)
         b = config_from_point(_bw_variant(mid_point, 1024))
-        assert a.offchip_bw_mbps != b.offchip_bw_mbps
-        assert search_invariant_signature(a) == search_invariant_signature(b)
-        assert config_signature(a) != config_signature(b)
+        c = config_from_point(mid_point, freq_mhz=800)
+        assert a.offchip_bw_mbps in config_signature(a)
+        assert len({config_signature(x) for x in (a, b, c)}) == 3
 
-    def test_invariant_signature_tracks_search_fields(self, mid_point):
+    def test_full_signature_tracks_search_fields(self, mid_point):
         a = config_from_point(mid_point)
         changed = dict(mid_point)
         changed["pes"] = 2048
         b = config_from_point(changed)
-        assert search_invariant_signature(a) != search_invariant_signature(b)
+        assert config_signature(a) != config_signature(b)
 
     def test_layer_signature_excludes_name_by_default(self, conv_layer):
         renamed = layer_signature(conv_layer)
@@ -83,15 +76,14 @@ class TestSignatures:
         )
         assert mapper_signature(lambda layer, config: None) is None
 
-    def test_builtin_mappers_support_tracing(self):
+    def test_builtin_mappers_are_cacheable(self):
         for factory in ALL_MAPPERS:
-            assert supports_tracing(factory())
-        assert not supports_tracing(lambda layer, config: None)
+            CachingMapper(factory(), MappingCache())
 
 
 class TestMappingCacheStore:
     def test_lru_bounds_results(self):
-        cache = MappingCache(max_results=2, max_traces=2)
+        cache = MappingCache(max_results=2)
         for i in range(4):
             cache.put_result(("k", i), f"r{i}")
         assert cache.size() == 2
@@ -99,7 +91,7 @@ class TestMappingCacheStore:
         assert cache.get_result(("k", 3)) == "r3"
 
     def test_lru_recency_on_get(self):
-        cache = MappingCache(max_results=2, max_traces=2)
+        cache = MappingCache(max_results=2)
         cache.put_result(("a",), 1)
         cache.put_result(("b",), 2)
         cache.get_result(("a",))  # refresh 'a'
@@ -107,34 +99,26 @@ class TestMappingCacheStore:
         assert cache.get_result(("a",)) == 1
         assert cache.get_result(("b",)) is None
 
-    def test_persistence_roundtrip(
-        self, tmp_path, conv_layer, mid_point, mid_config
-    ):
+    def test_persistence_roundtrip(self, tmp_path, conv_layer, mid_config):
         path = str(tmp_path / "cache.pkl")
         cache = MappingCache(persist_path=path)
-        cold, trace = TopNMapper(top_n=25).search_with_trace(
-            conv_layer, mid_config
-        )
+        cold = TopNMapper(top_n=25)(conv_layer, mid_config)
         CachingMapper(TopNMapper(top_n=25), cache).store(
-            conv_layer, mid_config, cold, trace
+            conv_layer, mid_config, cold
         )
         cache.save()
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        assert sorted(payload) == ["results", "version"]
+        assert payload["version"] == PERSIST_VERSION == 4
 
         warm_cache = MappingCache(persist_path=path)
-        assert warm_cache.size() >= 1
+        assert warm_cache.size() == 1
         warm_mapper = CachingMapper(TopNMapper(top_n=25), warm_cache)
         warm = warm_mapper.lookup(conv_layer, mid_config)
         assert warm_mapper.exact_hits == 1
         assert warm_mapper.misses == 0
-        assert warm.latency == cold.latency
-        assert warm.mapping == cold.mapping
-
-        # The re-score tier survives the round trip too.
-        variant = config_from_point(_bw_variant(mid_point, 2048))
-        rescored = warm_mapper.lookup(conv_layer, variant)
-        assert warm_mapper.rescore_hits == 1
-        assert warm_mapper.misses == 0
-        assert rescored == TopNMapper(top_n=25)(conv_layer, variant)
+        assert warm == cold
 
     def test_corrupt_persistence_ignored(self, tmp_path):
         path = tmp_path / "cache.pkl"
@@ -147,23 +131,35 @@ class TestMappingCacheStore:
     ):
         """A version-2 file (traces of whole-kernel arrays) is skipped,
         not loaded and not quarantined."""
+        self._assert_skipped(2, tmp_path, conv_layer, mid_config)
+
+    def test_version_3_pickle_is_skipped(
+        self, tmp_path, conv_layer, mid_config
+    ):
+        """A version-3 file (results and re-score traces of plan terms)
+        is skipped, not loaded and not quarantined."""
+        self._assert_skipped(3, tmp_path, conv_layer, mid_config)
+
+    @staticmethod
+    def _assert_skipped(version, tmp_path, conv_layer, mid_config):
         path = tmp_path / "cache.pkl"
         result = TopNMapper(top_n=25)(conv_layer, mid_config)
         with open(path, "wb") as handle:
             pickle.dump(
                 {
-                    "version": 2,
+                    "version": version,
                     "results": {("exact",): result},
                     "traces": {("rescore",): object()},
                 },
                 handle,
             )
-        assert PERSIST_VERSION == 3
+        assert PERSIST_VERSION == 4
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cache = MappingCache(persist_path=str(path))
-        assert cache.size() == cache.trace_count() == 0
+        assert cache.size() == 0
         assert path.exists()
+        assert not (tmp_path / "cache.pkl.corrupt").exists()
 
 
 #: One fresh interpreter's run: evaluate a fixed design point of a
@@ -223,10 +219,10 @@ class TestPersistenceAcrossProcesses:
 
 
 def _search_and_store(cached, layer, config):
-    """Run ``cached``'s mapper on ``layer`` and store the outcome, as
+    """Run ``cached``'s mapper on ``layer`` and store the result, as
     ``CostEvaluator`` does after a lookup misses."""
-    result, trace = cached.mapper.search_with_trace(layer, config)
-    cached.store(layer, config, result, trace)
+    result = cached.mapper(layer, config)
+    cached.store(layer, config, result)
     return result
 
 
@@ -250,31 +246,32 @@ class TestCachingMapperIdentity:
     def test_bandwidth_rescore_matches_cold(
         self, factory, conv_layer, mid_point
     ):
-        """A config differing only in off-chip bandwidth must re-score the
-        recorded trace to exactly the cold-search result."""
+        """A config differing only in off-chip bandwidth or clock gets
+        exactly the cold-search result.  It misses the cache; a top-N
+        search on it re-scores the plan's memoized terms."""
         cached = CachingMapper(factory(), MappingCache())
         _search_and_store(cached, conv_layer, config_from_point(mid_point))
-        for bw in (1024, 6400, 51200):
-            variant = config_from_point(_bw_variant(mid_point, bw))
-            cold = factory()(conv_layer, variant)
-            warm = cached.lookup(conv_layer, variant)
-            assert warm.latency == cold.latency
-            assert warm.mapping == cold.mapping
-            assert warm.candidates_evaluated == cold.candidates_evaluated
-            assert warm.feasible_candidates == cold.feasible_candidates
-        assert cached.rescore_hits == 3
-        assert cached.misses == 1
+        variants = [
+            config_from_point(_bw_variant(mid_point, bw))
+            for bw in (1024, 6400, 51200)
+        ]
+        variants.append(config_from_point(mid_point, freq_mhz=800))
+        for variant in variants:
+            assert cached.lookup(conv_layer, variant) is None
+            warm = _search_and_store(cached, conv_layer, variant)
+            _top_n_terms.cache_clear()
+            assert warm == factory()(conv_layer, variant)
+        assert cached.exact_hits == 0
+        assert cached.misses == 1 + len(variants)
 
-    def test_rescore_trace_function_identity(self, conv_layer, mid_point):
-        mapper = TopNMapper(top_n=30)
-        _, trace = mapper.search_with_trace(
-            conv_layer, config_from_point(mid_point)
+    def test_bandwidth_variant_is_a_miss(self, tiny_workload, mid_point):
+        evaluator = CostEvaluator(
+            tiny_workload, TopNMapper(top_n=30), mapping_cache=MappingCache()
         )
-        variant = config_from_point(_bw_variant(mid_point, 2048))
-        rescored = rescore_trace(conv_layer, variant, trace, "latency")
-        cold = mapper(conv_layer, variant)
-        assert rescored.latency == cold.latency
-        assert rescored.execution == cold.execution
+        evaluator.evaluate(mid_point)
+        evaluator.evaluate(_bw_variant(mid_point, 1024))
+        assert evaluator.mapping_cache_hits == 0
+        assert evaluator.mapping_cache_misses == 2 * len(tiny_workload.layers)
 
     def test_rejects_untraceable_mapper(self):
         with pytest.raises(TypeError):
@@ -299,19 +296,22 @@ class TestEvaluatorCacheCorrectness:
     def test_cached_costs_identical_to_cold(
         self, factory, tiny_workload, mid_point
     ):
-        """Property: the layer cache never changes Evaluation.costs."""
+        """Property: the layer cache never changes Evaluation.costs.  The
+        second sweep repeats every point on a new evaluator over the same
+        cache, so each of its layer searches is a hit."""
         cold = CostEvaluator(
             tiny_workload, factory(), use_mapping_cache=False
         )
-        warm = CostEvaluator(
-            tiny_workload, factory(), mapping_cache=MappingCache()
-        )
-        for point in self._points(mid_point):
-            a = cold.evaluate(point)
-            b = warm.evaluate(point)
-            assert a.costs == b.costs
-            assert a.mappable == b.mappable
-        assert warm.mapping_cache_hits > 0
+        cache = MappingCache()
+        for _ in range(2):
+            warm = CostEvaluator(tiny_workload, factory(), mapping_cache=cache)
+            for point in self._points(mid_point):
+                a = cold.evaluate(point)
+                b = warm.evaluate(point)
+                assert a.costs == b.costs
+                assert a.mappable == b.mappable
+        assert warm.mapping_cache_misses == 0
+        assert warm.mapping_cache_hits == 6 * len(tiny_workload.layers)
 
     def test_cross_evaluator_sharing(self, tiny_workload, mid_point):
         cache = MappingCache()
@@ -328,11 +328,20 @@ class TestEvaluatorCacheCorrectness:
         assert evaluation.costs == first.evaluate(mid_point).costs
 
 
+def _half_warm_evaluator(workload, point):
+    """An evaluator whose cache already holds ``point``'s searches, made
+    by another evaluator: evaluating ``point`` and then a bandwidth
+    variant of it serves half of its layer searches from the cache."""
+    cache = MappingCache()
+    CostEvaluator(workload, TopNMapper(top_n=30), mapping_cache=cache).evaluate(
+        point
+    )
+    return CostEvaluator(workload, TopNMapper(top_n=30), mapping_cache=cache)
+
+
 class TestCountersAndReporting:
     def test_counters_and_reset(self, tiny_workload, mid_point):
-        evaluator = CostEvaluator(
-            tiny_workload, TopNMapper(top_n=30), mapping_cache=MappingCache()
-        )
+        evaluator = _half_warm_evaluator(tiny_workload, mid_point)
         evaluator.evaluate(mid_point)
         variant = _bw_variant(mid_point, 1024)
         evaluator.evaluate(variant)
@@ -345,6 +354,8 @@ class TestCountersAndReporting:
         summary = evaluator.perf_summary()
         assert summary["mapping_cache"]["enabled"]
         assert summary["mapping_cache"]["hit_rate"] == pytest.approx(0.5)
+        assert summary["mapping_cache"]["rescore_hits"] == 0
+        assert "traces" not in summary["mapping_cache"]
         assert "mapping" in summary["stages"]
 
         evaluator.reset_counters()
@@ -369,9 +380,7 @@ class TestCountersAndReporting:
         from repro.core.dse.result import DSEResult
         from repro.experiments.reporting import format_run_summary
 
-        evaluator = CostEvaluator(
-            tiny_workload, TopNMapper(top_n=30), mapping_cache=MappingCache()
-        )
+        evaluator = _half_warm_evaluator(tiny_workload, mid_point)
         evaluator.evaluate(mid_point)
         evaluator.evaluate(_bw_variant(mid_point, 1024))
         result = DSEResult(
@@ -383,8 +392,7 @@ class TestCountersAndReporting:
             wall_seconds=0.1,
         )
         text = format_run_summary(result, evaluator)
-        assert "mapping cache" in text
-        assert "hit rate 50%" in text
+        assert "mapping cache: 2 hits, 2 misses (hit rate 50%" in text
 
     def test_legacy_callable_mapper_still_works(
         self, tiny_workload, mid_point

@@ -1,7 +1,7 @@
 """Validation tests for the fast-path environment knobs.
 
 ``REPRO_JOBS``, ``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``,
-``REPRO_MAPPING_CACHE``, the mapping-cache capacities,
+``REPRO_MAPPING_CACHE``, the mapping-cache capacity,
 ``REPRO_MAPPING_CACHE_DIR``, the service knobs, the retry/breaker
 knobs, ``REPRO_BENCH_SCALE`` and ``REPRO_FAULT_INJECT`` share one
 contract: junk values never raise — they warn once (per knob, per
@@ -40,10 +40,11 @@ def _clean_env(monkeypatch):
         "REPRO_MAPPING_CACHE",
         "REPRO_MAPPING_CACHE_DIR",
         "REPRO_MAPPING_CACHE_RESULTS",
-        "REPRO_MAPPING_CACHE_TRACES",
         "REPRO_JOBS",
         "REPRO_SERVICE_MAX_CONCURRENT",
         "REPRO_SERVICE_STEP_QUANTUM",
+        "REPRO_SERVICE_MAX_QUEUE",
+        "REPRO_SERVICE_TENANT_INFLIGHT",
         "REPRO_TENANT_QUOTA",
         "REPRO_TASK_TIMEOUT",
         "REPRO_MAX_RETRIES",
@@ -155,9 +156,8 @@ class TestDefaultOnPathKnobs:
 class TestMappingCacheCapacityKnobs:
     @pytest.mark.parametrize(
         "name,attr,default",
-        [("REPRO_MAPPING_CACHE_RESULTS", "max_results", 32768),
-         ("REPRO_MAPPING_CACHE_TRACES", "max_traces", 1024)],
-        ids=["results", "traces"],
+        [("REPRO_MAPPING_CACHE_RESULTS", "max_results", 32768)],
+        ids=["results"],
     )
     @pytest.mark.parametrize("raw", ["-1", "0", "lots"])
     def test_invalid_env_warns_once_and_uses_default(
@@ -173,12 +173,10 @@ class TestMappingCacheCapacityKnobs:
 
     def test_valid_env_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAPPING_CACHE_RESULTS", "64")
-        monkeypatch.setenv("REPRO_MAPPING_CACHE_TRACES", "8")
-        cache = MappingCache()
-        assert (cache.max_results, cache.max_traces) == (64, 8)
+        assert MappingCache().max_results == 64
 
     @pytest.mark.parametrize("kwargs", [{"max_results": 0},
-                                        {"max_traces": -3}])
+                                        {"max_results": -3}])
     def test_explicit_capacity_below_one_rejected(self, kwargs):
         with pytest.raises(ValueError, match="at least 1"):
             MappingCache(**kwargs)
@@ -189,7 +187,6 @@ class TestMappingCacheCapacityKnobs:
         """A negative capacity used to pop from an empty LRU on the first
         store, failing every layer search with ``KeyError``."""
         monkeypatch.setenv("REPRO_MAPPING_CACHE_RESULTS", "-1")
-        monkeypatch.setenv("REPRO_MAPPING_CACHE_TRACES", "-1")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cache = MappingCache()
@@ -238,6 +235,8 @@ class TestServiceKnobs:
         [
             ("REPRO_SERVICE_MAX_CONCURRENT", "service_max_concurrent", 4),
             ("REPRO_SERVICE_STEP_QUANTUM", "service_step_quantum", 1),
+            ("REPRO_SERVICE_MAX_QUEUE", "service_max_queue", 64),
+            ("REPRO_SERVICE_TENANT_INFLIGHT", "service_tenant_inflight", 8),
         ],
     )
     def test_junk_warns_and_falls_back(

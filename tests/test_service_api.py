@@ -222,22 +222,28 @@ class TestServiceLifecycle:
 
     def test_zero_iteration_campaign_fails(self, tmp_path):
         """An HTTP submission skips the CLI's positive-int check, so the
-        default factory must refuse a zero budget rather than spend an
-        evaluation it was not given."""
+        service must refuse a zero budget at submission rather than
+        spend an evaluation it was not given; the default factory
+        refuses it too."""
+        from repro.service.service import default_campaign_factory
 
         async def run():
             service = CampaignService(tmp_path / "spool")
             await service.start()
-            cid = await service.submit(
+            try:
+                with pytest.raises(ValueError, match="iterations"):
+                    await service.submit(
+                        CampaignSpec(model="resnet18", iterations=0)
+                    )
+                return service.list_campaigns()
+            finally:
+                await service.stop()
+
+        assert asyncio.run(run()) == []
+        with pytest.raises(ValueError, match="max_evaluations must be >= 1"):
+            default_campaign_factory(
                 CampaignSpec(model="resnet18", iterations=0)
             )
-            status = await service.wait(cid)
-            await service.stop()
-            return status
-
-        status = asyncio.run(run())
-        assert status["status"] == "failed"
-        assert "max_evaluations must be >= 1" in status["error"]
 
     def test_unknown_campaign_raises(self, factory, tmp_path):
         async def run():
@@ -578,6 +584,108 @@ class TestSpecRoundTrip:
         )
         batch = dse.evaluator.perf_summary()["batch_eval"]
         assert batch["fused_enabled"] is True
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tenant", 3),
+            ("iterations", 0),
+            ("iterations", "5"),
+            ("iterations", True),
+            ("tenant_weight", 0),
+            ("tenant_weight", 2.0),
+            ("tenant_quota", "abc"),
+            ("tenant_quota", -3),
+            ("deadline_s", 0),
+            ("deadline_s", -1.0),
+            ("deadline_s", float("inf")),
+            ("deadline_s", float("nan")),
+            ("deadline_s", "soon"),
+            ("idempotency_key", 5),
+        ],
+    )
+    def test_malformed_field_is_rejected(self, field, value):
+        spec = CampaignSpec(model="tiny", **{field: value})
+        with pytest.raises(ValueError, match=field):
+            spec.validate()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"tenant_quota": 0, "tenant_weight": 3},
+            {"deadline_s": 2.5, "idempotency_key": "k"},
+            {"deadline_s": 1, "iterations": 1},
+        ],
+    )
+    def test_wellformed_spec_passes(self, fields):
+        CampaignSpec(model="tiny", **fields).validate()
+
+    def test_bad_spec_leaves_other_tenants_running(self, factory, tmp_path):
+        """A quota the scheduler cannot compare is refused at
+        submission: inside the scheduling loop that every tenant shares
+        it would strand the other tenants' campaigns."""
+
+        async def run():
+            service = CampaignService(
+                tmp_path / "spool", campaign_factory=factory, quantum=1
+            )
+            await service.start()
+            first = await service.submit(
+                CampaignSpec(model="tiny", tenant="a", iterations=6)
+            )
+            with pytest.raises(ValueError, match="tenant_quota"):
+                await service.submit(
+                    CampaignSpec(
+                        model="tiny", tenant="b", iterations=6,
+                        tenant_quota="abc",
+                    )
+                )
+            later = await service.submit(
+                CampaignSpec(model="tiny", tenant="c", iterations=6)
+            )
+            statuses = [await service.wait(cid) for cid in (first, later)]
+            listed = service.list_campaigns()
+            await service.stop()
+            return statuses, listed
+
+        statuses, listed = asyncio.run(run())
+        assert [s["status"] for s in statuses] == ["finished", "finished"]
+        assert len(listed) == 2
+
+    def test_http_bad_spec_is_400(self, factory, tmp_path):
+        from repro.service.client import ServiceClient, ServiceClientError
+        from repro.service.http import ServiceEndpoint
+
+        async def run():
+            service = CampaignService(
+                tmp_path / "spool", campaign_factory=factory
+            )
+            await service.start()
+            endpoint = ServiceEndpoint(service)
+            await endpoint.start()
+            client = ServiceClient(f"http://127.0.0.1:{endpoint.port}")
+            codes = []
+            for extra in (
+                {"tenant_quota": "abc"},
+                {"tenant_quota": -3},
+                {"deadline_s": "soon"},
+            ):
+                with pytest.raises(ServiceClientError) as bad:
+                    await asyncio.to_thread(
+                        client.submit, dict(model="tiny", **extra)
+                    )
+                codes.append(bad.value.status)
+            listed = service.list_campaigns()
+            await endpoint.stop()
+            await service.stop()
+            return codes, listed
+
+        codes, listed = asyncio.run(run())
+        assert codes == [400, 400, 400]
+        assert listed == []
 
 
 class TestEnergyObjectiveCampaign:
